@@ -27,29 +27,19 @@ from __future__ import annotations
 __all__ = ["RangeLineFitter"]
 
 
-def _cross(ox: float, oy: float, ax: float, ay: float, bx: float, by: float) -> float:
-    """Z component of (A - O) x (B - O)."""
-    return (ax - ox) * (by - oy) - (ay - oy) * (bx - ox)
-
-
-def _slope_lt(ax: float, ay: float, bx: float, by: float) -> bool:
-    """Compare slopes of two vectors with positive dx: a.dy/a.dx < b.dy/b.dx."""
-    return ay * bx < by * ax
-
-
 class RangeLineFitter:
     """Incrementally decide whether a line stabs all vertical ranges so far.
 
     Usage::
 
         fitter = RangeLineFitter()
-        while fitter.add(t, lo, hi):
-            ...                       # range accepted, extend the fragment
+        end = fitter.extend(t, lo, hi, start, len(t))   # ranges [start, end)
         m, q = fitter.line()          # a feasible line for the accepted ranges
+        fitter.reset()                # ready for the next fragment
 
-    ``add`` returns ``False`` (and leaves the state untouched) when no line
-    can stab the new range together with all previously accepted ones; the
-    caller then closes the current fragment and starts a new fitter.
+    ``extend`` stops at the first range that no line can stab together with
+    every previously accepted one and leaves the state untouched by it; the
+    caller then closes the current fragment.  ``add`` is the one-range form.
     """
 
     __slots__ = (
@@ -67,9 +57,9 @@ class RangeLineFitter:
         self._lower: list[tuple[float, float]] = []
         self._upper_start = 0
         self._lower_start = 0
-        # Corners of the feasible region in primal space:
-        # rect[0]-rect[2] realise the minimum slope, rect[1]-rect[3] the max.
-        self._rect: list[tuple[float, float]] = [(0.0, 0.0)] * 4
+        # Corners (x0, y0, ..., x3, y3) of the feasible region in primal
+        # space: corners 0-2 realise the minimum slope, corners 1-3 the max.
+        self._rect = (0.0,) * 8
         self._count = 0
         self._last_t = float("-inf")
 
@@ -78,113 +68,127 @@ class RangeLineFitter:
         """Number of ranges accepted so far."""
         return self._count
 
+    def reset(self) -> None:
+        """Forget every accepted range, keeping the hull lists for reuse."""
+        self._upper.clear()
+        self._lower.clear()
+        self._count = 0
+        self._last_t = float("-inf")
+
     def add(self, t: float, lo: float, hi: float) -> bool:
         """Try to extend the feasible set with the range ``[lo, hi]`` at ``t``.
 
         Returns ``True`` if a stabbing line still exists (range accepted).
-        ``t`` must be strictly larger than every previously accepted abscissa.
         """
-        if lo > hi:
-            raise ValueError(f"empty range [{lo}, {hi}] at t={t}")
-        if self._count and t <= self._last_t:
-            raise ValueError("abscissae must be strictly increasing")
+        return self.extend((t,), (lo,), (hi,), 0, 1) == 1
 
-        p_hi = (t, hi)
-        p_lo = (t, lo)
+    def extend(self, t, lo, hi, start: int, stop: int) -> int:
+        """Add the ranges ``[lo[k], hi[k]]`` at ``t[k]`` for ``k`` in ``[start, stop)``.
 
-        if self._count == 0:
-            self._rect[0] = p_hi
-            self._rect[1] = p_lo
-            self._upper = [p_hi]
-            self._lower = [p_lo]
-            self._upper_start = self._lower_start = 0
-            self._count = 1
-            self._last_t = t
-            return True
-
-        if self._count == 1:
-            self._rect[2] = p_lo
-            self._rect[3] = p_hi
-            self._upper.append(p_hi)
-            self._lower.append(p_lo)
-            self._count = 2
-            self._last_t = t
-            return True
-
-        r0, r1, r2, r3 = self._rect
-        slope1 = (r2[0] - r0[0], r2[1] - r0[1])  # min slope
-        slope2 = (r3[0] - r1[0], r3[1] - r1[1])  # max slope
-
-        # The new upper endpoint must lie above the min-slope line; the new
-        # lower endpoint must lie below the max-slope line.  Otherwise the
-        # feasible polygon would become empty.
-        outside_low = _slope_lt(p_hi[0] - r2[0], p_hi[1] - r2[1], *slope1)
-        outside_high = _slope_lt(*slope2, p_lo[0] - r3[0], p_lo[1] - r3[1])
-        if outside_low or outside_high:
-            return False
-
-        # Does the upper endpoint sharpen the max slope?
-        if _slope_lt(p_hi[0] - r1[0], p_hi[1] - r1[1], *slope2):
-            # Find the lower-hull point that, paired with p_hi, minimises the
-            # slope; this becomes the new max-slope support.
-            lo_hull = self._lower
-            i = self._lower_start
-            best = i
-            bx = lo_hull[i][0] - p_hi[0]
-            by = lo_hull[i][1] - p_hi[1]
-            for j in range(i + 1, len(lo_hull)):
-                cx = lo_hull[j][0] - p_hi[0]
-                cy = lo_hull[j][1] - p_hi[1]
-                if _slope_lt(bx, by, cx, cy):
-                    break
-                bx, by = cx, cy
-                best = j
-            self._rect[1] = lo_hull[best]
-            self._rect[3] = p_hi
-            self._lower_start = best
-            # Maintain the upper hull with p_hi.
-            hull = self._upper
-            end = len(hull)
-            while (
-                end >= self._upper_start + 2
-                and _cross(*hull[end - 2], *hull[end - 1], *p_hi) <= 0
-            ):
-                end -= 1
-            del hull[end:]
-            hull.append(p_hi)
-
-        # Does the lower endpoint sharpen the min slope?
-        r0, r1, r2, r3 = self._rect
-        slope1 = (r2[0] - r0[0], r2[1] - r0[1])
-        if _slope_lt(*slope1, p_lo[0] - r0[0], p_lo[1] - r0[1]):
-            up_hull = self._upper
-            i = self._upper_start
-            best = i
-            bx = up_hull[i][0] - p_lo[0]
-            by = up_hull[i][1] - p_lo[1]
-            for j in range(i + 1, len(up_hull)):
-                cx = up_hull[j][0] - p_lo[0]
-                cy = up_hull[j][1] - p_lo[1]
-                if _slope_lt(cx, cy, bx, by):
-                    break
-                bx, by = cx, cy
-                best = j
-            self._rect[0] = up_hull[best]
-            self._rect[2] = p_lo
-            self._upper_start = best
-            hull = self._lower
-            end = len(hull)
-            while (
-                end >= self._lower_start + 2
-                and _cross(*hull[end - 2], *hull[end - 1], *p_lo) >= 0
-            ):
-                end -= 1
-            del hull[end:]
-            hull.append(p_lo)
-
-        self._count += 1
-        self._last_t = t
-        return True
+        Returns the index of the first range rejected because no line can
+        stab it together with every range accepted so far, or ``stop`` when
+        all are accepted.  Abscissae must be strictly increasing.
+        """
+        upper, lower = self._upper, self._lower
+        us, ls = self._upper_start, self._lower_start
+        x0, y0, x1, y1, x2, y2, x3, y3 = self._rect
+        count, last = self._count, self._last_t
+        # Directions of the min-slope (corners 0-2) and max-slope (1-3) lines.
+        min_dx, min_dy, max_dx, max_dy = x2 - x0, y2 - y0, x3 - x1, y3 - y1
+        k = start
+        try:
+            while k < stop:
+                tk = t[k]
+                lk = lo[k]
+                hk = hi[k]
+                if lk > hk:
+                    raise ValueError(f"empty range [{lk}, {hk}] at t={tk}")
+                if count and tk <= last:
+                    raise ValueError("abscissae must be strictly increasing")
+                if count > 1:
+                    # The new upper endpoint must lie above the min-slope
+                    # line and the new lower endpoint below the max-slope
+                    # line; otherwise the feasible polygon would be empty.
+                    if (hk - y2) * min_dx < min_dy * (tk - x2) or (
+                        max_dy * (tk - x3) < (lk - y3) * max_dx
+                    ):
+                        break
+                    # Does the upper endpoint sharpen the max slope?  The
+                    # lower-hull point that, paired with it, minimises the
+                    # slope becomes the new max-slope support.
+                    if (hk - y1) * max_dx < max_dy * (tk - x1):
+                        best = ls
+                        px, py = lower[best]
+                        bx = px - tk
+                        by = py - hk
+                        for j in range(best + 1, len(lower)):
+                            px, py = lower[j]
+                            cx = px - tk
+                            cy = py - hk
+                            if by * cx < cy * bx:
+                                break
+                            bx, by = cx, cy
+                            best = j
+                        x1, y1 = lower[best]
+                        x3, y3 = tk, hk
+                        max_dx, max_dy = x3 - x1, y3 - y1
+                        ls = best
+                        end = len(upper)
+                        while end >= us + 2:
+                            ox, oy = upper[end - 2]
+                            ax, ay = upper[end - 1]
+                            if (ax - ox) * (hk - oy) - (ay - oy) * (tk - ox) <= 0:
+                                end -= 1
+                            else:
+                                break
+                        del upper[end:]
+                        upper.append((tk, hk))
+                    # Does the lower endpoint sharpen the min slope?
+                    if min_dy * (tk - x0) < (lk - y0) * min_dx:
+                        best = us
+                        px, py = upper[best]
+                        bx = px - tk
+                        by = py - lk
+                        for j in range(best + 1, len(upper)):
+                            px, py = upper[j]
+                            cx = px - tk
+                            cy = py - lk
+                            if cy * bx < by * cx:
+                                break
+                            bx, by = cx, cy
+                            best = j
+                        x0, y0 = upper[best]
+                        x2, y2 = tk, lk
+                        min_dx, min_dy = x2 - x0, y2 - y0
+                        us = best
+                        end = len(lower)
+                        while end >= ls + 2:
+                            ox, oy = lower[end - 2]
+                            ax, ay = lower[end - 1]
+                            if (ax - ox) * (lk - oy) - (ay - oy) * (tk - ox) >= 0:
+                                end -= 1
+                            else:
+                                break
+                        del lower[end:]
+                        lower.append((tk, lk))
+                elif count:
+                    x2, y2, x3, y3 = tk, lk, tk, hk
+                    min_dx, min_dy, max_dx, max_dy = x2 - x0, y2 - y0, x3 - x1, y3 - y1
+                    upper.append((tk, hk))
+                    lower.append((tk, lk))
+                else:
+                    x0, y0, x1, y1 = tk, hk, tk, lk
+                    upper.append((tk, hk))
+                    lower.append((tk, lk))
+                    us = ls = 0
+                count += 1
+                last = tk
+                k += 1
+        finally:
+            self._upper_start, self._lower_start = us, ls
+            self._rect = (x0, y0, x1, y1, x2, y2, x3, y3)
+            self._count, self._last_t = count, last
+        return k
 
     def line(self) -> tuple[float, float]:
         """Return a feasible ``(slope, intercept)`` for all accepted ranges.
@@ -196,29 +200,27 @@ class RangeLineFitter:
         """
         if self._count == 0:
             raise ValueError("no ranges accepted")
+        x0, y0, x1, y1, x2, y2, x3, y3 = self._rect
         if self._count == 1:
-            t, hi = self._rect[0]
-            _, lo = self._rect[1]
-            return 0.0, (hi + lo) / 2.0
+            return 0.0, (y0 + y1) / 2.0
 
-        r0, r1, r2, r3 = self._rect
-        min_dx = r2[0] - r0[0]
-        min_dy = r2[1] - r0[1]
-        max_dx = r3[0] - r1[0]
-        max_dy = r3[1] - r1[1]
+        min_dx = x2 - x0
+        min_dy = y2 - y0
+        max_dx = x3 - x1
+        max_dy = y3 - y1
         # Degenerate supports: at extreme value scales float rounding can
         # collapse a diagonal onto a single abscissa (dx == 0).  Fall back to
         # the other support's slope anchored at the pinch midpoint — the
         # encoder re-measures residuals, so a slightly suboptimal line only
         # costs bits, never correctness.
         if min_dx == 0.0 and max_dx == 0.0:
-            return 0.0, (r0[1] + r2[1]) / 2.0
+            return 0.0, (y0 + y2) / 2.0
         if min_dx == 0.0:
             slope = max_dy / max_dx
-            return slope, (r0[1] + r2[1]) / 2.0 - slope * r0[0]
+            return slope, (y0 + y2) / 2.0 - slope * x0
         if max_dx == 0.0:
             slope = min_dy / min_dx
-            return slope, (r1[1] + r3[1]) / 2.0 - slope * r1[0]
+            return slope, (y1 + y3) / 2.0 - slope * x1
         min_slope = min_dy / min_dx
         max_slope = max_dy / max_dx
         slope = (min_slope + max_slope) / 2.0
@@ -228,11 +230,11 @@ class RangeLineFitter:
         if abs(denom) < 1e-300:
             # Parallel supports: the polygon is (numerically) a segment; any
             # support point works.
-            px, py = r0
+            px, py = x0, y0
         else:
-            s = ((r1[0] - r0[0]) * max_dy - (r1[1] - r0[1]) * max_dx) / denom
-            px = r0[0] + s * min_dx
-            py = r0[1] + s * min_dy
+            s = ((x1 - x0) * max_dy - (y1 - y0) * max_dx) / denom
+            px = x0 + s * min_dx
+            py = y0 + s * min_dy
         return slope, py - slope * px
 
     def slope_range(self) -> tuple[float, float]:
@@ -241,8 +243,5 @@ class RangeLineFitter:
             raise ValueError("no ranges accepted")
         if self._count == 1:
             return float("-inf"), float("inf")
-        r0, r1, r2, r3 = self._rect
-        return (
-            (r2[1] - r0[1]) / (r2[0] - r0[0]),
-            (r3[1] - r1[1]) / (r3[0] - r1[0]),
-        )
+        x0, y0, x1, y1, x2, y2, x3, y3 = self._rect
+        return (y2 - y0) / (x2 - x0), (y3 - y1) / (x3 - x1)

@@ -32,6 +32,7 @@ from __future__ import annotations
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
+from typing import TypeVar
 
 import numpy as np
 
@@ -60,6 +61,8 @@ __all__ = [
 
 _LOG_FLOOR = 1e-12  # safety clamp: never feed log a non-positive value
 
+_X = TypeVar("_X", np.ndarray, np.float64)
+
 
 @dataclass(frozen=True)
 class FragmentFit:
@@ -87,8 +90,11 @@ class Model(ABC):
         """Invert the change of variables: line coefficients -> ``θ``."""
 
     @abstractmethod
-    def evaluate(self, params: tuple[float, ...], xs: np.ndarray) -> np.ndarray:
-        """Vectorised ``f(x)`` over absolute 1-based positions ``xs`` (float64)."""
+    def evaluate(self, params: tuple[float, ...], xs: _X) -> _X:
+        """Vectorised ``f(x)`` over absolute 1-based positions ``xs`` (float64).
+
+        ``xs`` is an array, or one ``np.float64`` position for random access.
+        """
 
     def new_fitter(
         self, anchor_x: int | None = None, anchor_z: float | None = None
@@ -99,10 +105,13 @@ class Model(ABC):
     def evaluate_at(self, params: tuple[float, ...], x: int) -> float:
         """Scalar ``f(x)`` — the random-access hot path (Algorithm 3, line 6).
 
-        Overridden per model with plain ``math`` arithmetic; building a
-        one-element numpy array here would dominate the access latency.
+        Runs :meth:`evaluate` itself on an ``np.float64`` scalar, so random
+        access rounds exactly as decompression does: ``math.exp`` and
+        ``math.log`` can differ from numpy's vectorised routines by one ulp,
+        which moves the floor of a model value that is an exact integer.  A
+        numpy scalar costs far less here than a one-element array.
         """
-        return float(self.evaluate(params, np.array([x], dtype=np.float64))[0])
+        return float(self.evaluate(params, np.float64(x)))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Model {self.name}>"
@@ -196,9 +205,6 @@ class LinearModel(Model):
         return t1 * xs + t2
 
 
-
-    def evaluate_at(self, params, x):
-        return params[0] * x + params[1]
 class ExponentialModel(Model):
     """``f(x) = θ2·e^(θ1·x)`` — row 1 of Table I.
 
@@ -224,9 +230,6 @@ class ExponentialModel(Model):
         return np.exp(np.minimum(t1 * xs + t2, 700.0))
 
 
-
-    def evaluate_at(self, params, x):
-        return math.exp(min(params[0] * x + params[1], 700.0))
 class PowerModel(Model):
     """``f(x) = θ2·x^θ1`` — row 2 of Table I.
 
@@ -249,9 +252,6 @@ class PowerModel(Model):
         return np.exp(np.minimum(t1 * np.log(xs) + t2, 700.0))
 
 
-
-    def evaluate_at(self, params, x):
-        return math.exp(min(params[0] * math.log(x) + params[1], 700.0))
 class LogarithmicModel(Model):
     """``f(x) = ln(θ2·x^θ1) = θ1·ln(x) + ln(θ2)`` — row 3 of Table I.
 
@@ -273,9 +273,6 @@ class LogarithmicModel(Model):
         return t1 * np.log(xs) + t2
 
 
-
-    def evaluate_at(self, params, x):
-        return params[0] * math.log(x) + params[1]
 class RadicalModel(Model):
     """``f(x) = θ1·√x + θ2`` — row 5 of Table I."""
 
@@ -292,9 +289,6 @@ class RadicalModel(Model):
         return t1 * np.sqrt(xs) + t2
 
 
-
-    def evaluate_at(self, params, x):
-        return params[0] * math.sqrt(x) + params[1]
 class QuadraticModel(Model):
     """``f(x) = θ1·x² + θ2`` — row 6 of Table I."""
 
@@ -311,9 +305,6 @@ class QuadraticModel(Model):
         return t1 * xs * xs + t2
 
 
-
-    def evaluate_at(self, params, x):
-        return params[0] * x * x + params[1]
 class QuadraticLinearModel(Model):
     """``f(x) = θ1·x² + θ2·x`` — row 7 of Table I."""
 
@@ -331,9 +322,6 @@ class QuadraticLinearModel(Model):
         return (t1 * xs + t2) * xs
 
 
-
-    def evaluate_at(self, params, x):
-        return (params[0] * x + params[1]) * x
 class CubicLinearModel(Model):
     """``f(x) = θ1·x³ + θ2·x`` — row 8 of Table I."""
 
@@ -351,9 +339,6 @@ class CubicLinearModel(Model):
         return (t1 * xs * xs + t2) * xs
 
 
-
-    def evaluate_at(self, params, x):
-        return (params[0] * x * x + params[1]) * x
 class CubicQuadraticModel(Model):
     """``f(x) = θ1·x³ + θ2·x²`` — row 9 of Table I."""
 
@@ -372,9 +357,6 @@ class CubicQuadraticModel(Model):
         return (t1 * xs + t2) * xs * xs
 
 
-
-    def evaluate_at(self, params, x):
-        return (params[0] * x + params[1]) * x * x
 # ---------------------------------------------------------------------------
 # Three-parameter models, anchored through the fragment's first point (§III-A)
 # ---------------------------------------------------------------------------
@@ -415,9 +397,6 @@ class AnchoredQuadraticModel(Model):
         t1, t2, t3 = params
         return (t1 * xs + t2) * xs + t3
 
-
-    def evaluate_at(self, params, x):
-        return (params[0] * x + params[1]) * x + params[2]
     def new_fitter(
         self, anchor_x: int | None = None, anchor_z: float | None = None
     ) -> _AnchoredFitter:
@@ -454,9 +433,6 @@ class GaussianModel(AnchoredQuadraticModel):
         return np.exp(np.minimum((t1 * xs + t2) * xs + t3, 700.0))
 
 
-
-    def evaluate_at(self, params, x):
-        return math.exp(min((params[0] * x + params[1]) * x + params[2], 700.0))
 # ---------------------------------------------------------------------------
 # Registry
 # ---------------------------------------------------------------------------

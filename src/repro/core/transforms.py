@@ -1,56 +1,38 @@
 """Vectorised precomputation of Theorem-1 transforms.
 
-``make_approximation`` calls ``model.transform`` once per point per
-``(f, ε)`` pair; for the two-parameter models every transform is a pure
-function of ``x`` (known upfront) and ``z ± ε`` (vectorisable with numpy).
-Precomputing the ``(t, lo, hi)`` arrays once per pair removes all per-point
-``math.log``/division work from the partitioning inner loop — an interpreter-
-level optimisation with no algorithmic effect (DESIGN.md notes that absolute
-speed is not the reproduction target, but a ~2x faster Algorithm 1 makes the
-benchmark suite far more pleasant).
+For the two-parameter models every transform of Table I is a pure function of
+the position ``x`` (known upfront) and of ``z ± ε`` (vectorisable with
+numpy).  :func:`precompute_transform` builds the ``(t, lo, hi)`` sequences of
+one ``(f, ε)`` pair once, and Algorithm 1 (:func:`repro.core.partition.partition`)
+hands them to :meth:`~repro.core.convex.RangeLineFitter.extend`, which fits
+each fragment in one pass with no per-point ``model.transform`` call.  This
+is an interpreter-level optimisation with no algorithmic effect.
 
 Anchored (three-parameter) models depend on the fragment's first point and
-cannot be precomputed; they keep the scalar path.
+cannot be precomputed; they keep the scalar path of
+:func:`~repro.core.models.make_approximation`.
 """
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
-from .convex import RangeLineFitter
-from .models import FragmentFit, Model
+from .models import Model
 
 __all__ = ["PairTransform", "precompute_transform"]
 
 
-class PairTransform:
-    """Precomputed ``(t, lo, hi)`` arrays for one ``(model, ε)`` pair."""
+class PairTransform(NamedTuple):
+    """Precomputed ``(t, lo, hi)`` of one ``(model, ε)`` pair, per position.
 
-    __slots__ = ("model", "eps", "t", "lo", "hi", "n")
+    Python lists: the fastest sequences for scalar indexing.
+    """
 
-    def __init__(self, model: Model, eps: float, t, lo, hi) -> None:
-        self.model = model
-        self.eps = eps
-        self.t = t  # python lists: fastest scalar indexing
-        self.lo = lo
-        self.hi = hi
-        self.n = len(t)
-
-    def longest_fragment(self, start: int) -> FragmentFit:
-        """Equivalent of ``make_approximation`` using the cached transforms."""
-        fitter = RangeLineFitter()
-        add = fitter.add
-        t, lo, hi = self.t, self.lo, self.hi
-        k = start
-        n = self.n
-        while k < n and add(t[k], lo[k], hi[k]):
-            k += 1
-        if k == start:  # first point rejected: cannot happen post-shift
-            raise RuntimeError(
-                f"model {self.model.name!r} cannot start at index {start}"
-            )
-        m, b = fitter.line()
-        return FragmentFit(start, k, self.model.params_from_line(m, b))
+    t: list[float]
+    lo: list[float]
+    hi: list[float]
 
 
 def precompute_transform(
@@ -89,4 +71,4 @@ def precompute_transform(
     else:
         # Unknown two-parameter model: fall back to the scalar path.
         return None
-    return PairTransform(model, eps, t.tolist(), lo.tolist(), hi.tolist())
+    return PairTransform(t.tolist(), lo.tolist(), hi.tolist())

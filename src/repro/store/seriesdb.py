@@ -488,6 +488,9 @@ class SeriesDB:
             pending_log: list[tuple[str, np.ndarray]] = []
             for sid, values, head, n_chunks in plans:
                 stores[sid] = self._store_for_ingest(sid)
+                # Pin each shard as soon as it is loaded: a batch wider than
+                # the cache must not evict a shard it is about to mutate.
+                self._dirty.add(sid)
                 self._apply_digits(sid, digits)
                 if len(values):
                     if group_mode:
@@ -505,7 +508,6 @@ class SeriesDB:
                     # One durable append-log record per series, routed
                     # through the coalescing writer shared with group mode.
                     self._append_wal(sid, values, batched=True)
-                self._dirty.add(sid)
                 if head:
                     store.extend(values[:head])
                 for i in range(n_chunks):

@@ -6,6 +6,7 @@ import pytest
 from repro.core import NeaTS
 from repro.core.partition import partition
 from repro.core.storage import NeaTSStorage, _required_width
+from repro.data import DATASETS
 
 
 def build_storage(y, rank_mode="ef", models=("linear", "quadratic"), eps=(1.0, 7.0)):
@@ -71,6 +72,16 @@ class TestRoundTrip:
         y = np.array([123], dtype=np.int64)
         st, _ = build_storage(y)
         assert st.access(0) == 123
+
+
+    def test_access_rounds_like_decompress_at_integer_model_values(self):
+        """A LAT series whose exponential fragments hit exact integers: an
+        access path that evaluated with ``math.exp`` instead of numpy's exp
+        read 319 positions from 3640 on one too low on AVX-512 CPUs."""
+        y = DATASETS["LAT"].generate(4096, seed=109292188)
+        c = NeaTS().compress(y)
+        assert np.array_equal(c.decompress(), y)
+        assert [c.access(k) for k in range(len(y))] == y.tolist()
 
 
 class TestRangeQueries:

@@ -3,8 +3,22 @@
 import numpy as np
 import pytest
 
-from repro.core.models import ALL_MODELS, MODEL_REGISTRY, get_model, make_approximation
+from repro.core.convex import RangeLineFitter
+from repro.core.models import (
+    ALL_MODELS,
+    MODEL_REGISTRY,
+    FragmentFit,
+    get_model,
+    make_approximation,
+)
 from repro.core.transforms import precompute_transform
+
+
+def longest_fragment(model, pre, start):
+    """The longest fragment from ``start``, fitted through the cached arrays."""
+    fitter = RangeLineFitter()
+    end = fitter.extend(pre.t, pre.lo, pre.hi, start, len(pre.t))
+    return FragmentFit(start, end, model.params_from_line(*fitter.line()))
 
 
 class TestPrecompute:
@@ -20,7 +34,7 @@ class TestPrecompute:
         assert pre is not None
         start = 0
         while start < len(z):
-            fast = pre.longest_fragment(start)
+            fast = longest_fragment(model, pre, start)
             slow = make_approximation(z, start, model, eps)
             assert fast.start == slow.start
             assert fast.end == slow.end
@@ -50,6 +64,6 @@ class TestPrecompute:
         z = 400 + np.cumsum(rng.normal(0, 2, 120))
         model = get_model("radical")
         pre = precompute_transform(model, 4.0, z)
-        fit = pre.longest_fragment(0)
+        fit = longest_fragment(model, pre, 0)
         xs = np.arange(1, fit.end + 1, dtype=np.float64)
         assert np.max(np.abs(model.evaluate(fit.params, xs) - z[:fit.end])) <= 4.0 + 1e-6

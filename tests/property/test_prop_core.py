@@ -3,9 +3,10 @@
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
+import repro
 from repro.core import NeaTS, NeaTSLossy
 from repro.core.convex import RangeLineFitter
-from repro.core.models import get_model, make_approximation
+from repro.core.models import ALL_MODELS, get_model, make_approximation
 from repro.core.piecewise import piecewise_approximation
 
 SETTINGS = dict(max_examples=40, deadline=None)
@@ -52,6 +53,28 @@ class TestLosslessInvariant:
         assert np.array_equal(st2.decompress(), y)
 
 
+class TestAccessEveryPosition:
+    """``access(k) == decompress()[k]`` at *every* position, not a sample:
+    random access must round each model value exactly as decoding does."""
+
+    @given(y=small_series, name=st.sampled_from(ALL_MODELS), lossy=st.booleans())
+    @settings(**SETTINGS)
+    def test_every_model_kind(self, y, name, lossy):
+        codec = NeaTSLossy(2.5, models=(name,)) if lossy else NeaTS(models=(name,))
+        c = codec.compress(y)
+        assert [c.access(k) for k in range(len(y))] == c.decompress().tolist()
+
+    @given(
+        y=small_series,
+        codec=st.sampled_from(["neats", "leats", "sneats", "neats_l", "pla"]),
+    )
+    @settings(**SETTINGS)
+    def test_every_codec(self, y, codec):
+        params = {"eps": 2.5} if codec in ("neats_l", "pla") else {}
+        c = repro.compress(y, codec=codec, **params)
+        assert [c.access(k) for k in range(len(y))] == c.decompress().tolist()
+
+
 class TestLossyInvariant:
     @given(
         y=small_series,
@@ -93,6 +116,33 @@ class TestFitterInvariants:
         m, q = fitter.line()
         for t_, lo, hi in accepted:
             assert lo - 1e-6 <= m * t_ + q <= hi + 1e-6
+
+    @given(
+        ranges=st.lists(
+            st.tuples(st.floats(-100, 100), st.floats(0.1, 20)),
+            min_size=1,
+            max_size=60,
+        ),
+        start=st.integers(0, 10),
+    )
+    @settings(**SETTINGS)
+    def test_extend_equals_adds_and_reset_forgets(self, ranges, start):
+        """One ``extend`` accepts exactly what successive ``add`` calls do,
+        and a reset fitter fits like a fresh one, bit for bit."""
+        t = [float(k + 1) for k in range(len(ranges))]
+        lo = [mid - half for mid, half in ranges]
+        hi = [mid + half for mid, half in ranges]
+        start = min(start, len(t) - 1)
+        fresh = RangeLineFitter()
+        end = start
+        while end < len(t) and fresh.add(t[end], lo[end], hi[end]):
+            end += 1
+        reused = RangeLineFitter()
+        reused.extend(t, hi, [h + 1.0 for h in hi], 0, len(t))  # other state
+        reused.reset()
+        assert reused.extend(t, lo, hi, start, len(t)) == end
+        assert reused.count == fresh.count == end - start
+        assert reused.line() == fresh.line()
 
 
 class TestPiecewiseInvariants:

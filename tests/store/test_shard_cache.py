@@ -71,6 +71,20 @@ class TestLruCache:
         db.access("s2", 0)  # evicts s1, not s0
         assert "s0" in db._stores and "s1" not in db._stores
 
+    def test_batch_wider_than_cache_keeps_every_ack(self, tmp_path):
+        """ingest_many pins each shard as it loads it: a batch spanning more
+        clean shards than the cache holds must not mutate an evicted copy."""
+        db = SeriesDB(tmp_path / "db", cache_capacity=4)
+        batch = {f"s{i}": np.arange(10, dtype=np.int64) + i for i in range(6)}
+        db.ingest_many(batch)
+        db.flush()  # every shard is clean now, so evictable
+        assert db.ingest_many(batch) == {sid: 20 for sid in batch}
+        assert [db.count(sid) for sid in batch] == [20] * 6
+        db.flush()
+        reopened = SeriesDB.open(tmp_path / "db")
+        for sid, values in batch.items():
+            assert np.array_equal(reopened.decompress(sid), np.tile(values, 2))
+
     def test_invalid_capacity_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="cache_capacity"):
             SeriesDB(tmp_path / "x", cache_capacity=0)
