@@ -68,9 +68,9 @@ compaction)::
 
 Past one directory: :class:`PartitionedSeriesDB` shards the keyspace over
 N independent SeriesDB partitions (hash-placed series, per-partition
-locks/WALs, group-commit fsyncs, process fan-out for ingest and
-compaction, scatter-gather reads), behind the same ``SeriesStore``
-protocol — :func:`open_store` opens either kind::
+locks and group logs, one fsync per partition per ingest batch, process
+fan-out for compaction, scatter-gather reads), behind the same
+``SeriesStore`` protocol — :func:`open_store` opens either kind::
 
     pdb = repro.PartitionedSeriesDB("bigdir", partitions=4)
     pdb.ingest_many(series_by_id, workers=4)   # one fsync per partition

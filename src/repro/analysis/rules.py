@@ -420,7 +420,6 @@ DURABILITY_ALLOWED = (
     ("codecs/container.py", "write_atomic"),
     ("codecs/container.py", "AppendableArchive.open"),
     ("codecs/container.py", "AppendableArchive.append"),
-    ("codecs/container.py", "AppendableArchive.append_many"),
     ("codecs/container.py", "GroupLog.open"),
     ("codecs/container.py", "GroupLog.append_group"),
 )
@@ -484,9 +483,8 @@ def check_durability(module: Module) -> list[Finding]:
 #: class name -> attributes that form its lock-guarded shared state
 GUARDED_STATE: dict[str, frozenset[str]] = {
     "SeriesDB": frozenset({
-        "_stores", "_dirty", "_cached_gen", "_series",
-        "_wals", "_wal_synced", "_next_shard",
-        "_group_name", "_group_log", "_group_pending",
+        "_stores", "_dirty", "_cached_gen", "_series", "_next_shard",
+        "_group_name", "_group_log", "_group_pending", "_synced_group",
     }),
     "PartitionedSeriesDB": frozenset({
         "_series_map", "_handles",

@@ -20,7 +20,7 @@ monkeypatches the chokepoints:
   holding A when some other thread ever acquired A while holding B is a
   lock-order inversion, recorded the moment it happens.
 * ``threading.Thread.start``/``join`` plus the SeriesDB state mutators
-  (``_load``/``_store_for_ingest``/``flush``/``_append_wal``/``close``) —
+  (``_load``/``_store_for_ingest``/``flush``/``_append_log``/``close``) —
   the **happens-before race detector**.  Every thread carries a vector
   clock, advanced by lock release/acquire (release publishes the holder's
   clock onto the lock; acquire joins it) and by fork/join edges (``start``
@@ -40,9 +40,7 @@ monkeypatches the chokepoints:
   too (façade-then-partition nesting feeds the same inversion graph), and
   every partition-map mutation notes a write on
   ``PartitionedSeriesDB@<root>:partition-map``, so unordered concurrent
-  placement of new series is reported as a data race.  Group-commit WAL
-  appends (``_append_wal_group``) note the same ``:wal`` domain as
-  per-series appends.
+  placement of new series is reported as a data race.
 
 The verdict (:meth:`Ledger.report`): ``leaks`` (live unclosed maps after a
 ``gc.collect()``), ``inversions``, and ``races`` fail a sanitized run;
@@ -480,8 +478,7 @@ def enable(ledger: Ledger | None = None, *, report_at_exit: bool = False) -> Led
     _saved["db_load"] = seriesdb.SeriesDB._load
     _saved["db_store_for_ingest"] = seriesdb.SeriesDB._store_for_ingest
     _saved["db_flush"] = seriesdb.SeriesDB.flush
-    _saved["db_append_wal"] = seriesdb.SeriesDB._append_wal
-    _saved["db_append_wal_group"] = seriesdb.SeriesDB._append_wal_group
+    _saved["db_append_log"] = seriesdb.SeriesDB._append_log
     _saved["db_close"] = seriesdb.SeriesDB.close
     _saved["pdb_init"] = partitioned.PartitionedSeriesDB.__init__
     _saved["pdb_assign"] = partitioned.PartitionedSeriesDB._assign
@@ -560,24 +557,13 @@ def enable(ledger: Ledger | None = None, *, report_at_exit: bool = False) -> Led
                 ledger.note_write(f"SeriesDB@{self._root}:manifest")
             return original_flush(self)
 
-    original_append_wal = seriesdb.SeriesDB._append_wal
+    original_append_log = seriesdb.SeriesDB._append_log
 
-    def traced_append_wal(self, series_id, values, **kwargs):
+    def traced_append_log(self, records):
         ledger = _active
         if ledger is not None:
             ledger.note_write(f"SeriesDB@{self._root}:wal")
-        return original_append_wal(self, series_id, values, **kwargs)
-
-    original_append_wal_group = seriesdb.SeriesDB._append_wal_group
-
-    def traced_append_wal_group(self, batches):
-        # Group commit writes one shared log, but the guarded state is the
-        # same WAL domain as per-series appends — use the same label so a
-        # racy mix of the two modes is still a conflict on one variable.
-        ledger = _active
-        if ledger is not None:
-            ledger.note_write(f"SeriesDB@{self._root}:wal")
-        return original_append_wal_group(self, batches)
+        return original_append_log(self, records)
 
     original_close = seriesdb.SeriesDB.close
 
@@ -617,8 +603,7 @@ def enable(ledger: Ledger | None = None, *, report_at_exit: bool = False) -> Led
     seriesdb.SeriesDB._load = traced_load
     seriesdb.SeriesDB._store_for_ingest = traced_store_for_ingest
     seriesdb.SeriesDB.flush = traced_flush
-    seriesdb.SeriesDB._append_wal = traced_append_wal
-    seriesdb.SeriesDB._append_wal_group = traced_append_wal_group
+    seriesdb.SeriesDB._append_log = traced_append_log
     seriesdb.SeriesDB.close = traced_close
     partitioned.PartitionedSeriesDB.__init__ = traced_pdb_init
     partitioned.PartitionedSeriesDB._assign = traced_assign
@@ -646,8 +631,7 @@ def disable() -> None:
     seriesdb.SeriesDB._load = _saved.pop("db_load")
     seriesdb.SeriesDB._store_for_ingest = _saved.pop("db_store_for_ingest")
     seriesdb.SeriesDB.flush = _saved.pop("db_flush")
-    seriesdb.SeriesDB._append_wal = _saved.pop("db_append_wal")
-    seriesdb.SeriesDB._append_wal_group = _saved.pop("db_append_wal_group")
+    seriesdb.SeriesDB._append_log = _saved.pop("db_append_log")
     seriesdb.SeriesDB.close = _saved.pop("db_close")
     partitioned.PartitionedSeriesDB.__init__ = _saved.pop("pdb_init")
     partitioned.PartitionedSeriesDB._assign = _saved.pop("pdb_assign")

@@ -10,11 +10,6 @@ the *repository's own* hot paths across PRs:
   the cost of the first point query on each.
 * ``BENCH_random_access.json`` — per-query latency and blocks decoded for
   point/range access on a lazily-opened block-structured archive.
-* ``BENCH_partition_ingest.json`` — ``ingest_many`` throughput through a
-  :class:`~repro.store.partitioned.PartitionedSeriesDB` at 1/2/4/8
-  partitions, group-commit on vs off, plus the measured fsyncs per
-  steady-state batch (group commit coalesces a whole batch into one
-  fsync per partition).
 
 Timings are best-of-``repeats`` (containerised CI timers are noisy; the
 minimum is the most stable location statistic).  ``--quick`` shrinks the
@@ -43,7 +38,6 @@ BENCH_FILES = (
     "BENCH_table3_decompression.json",
     "BENCH_open_latency.json",
     "BENCH_random_access.json",
-    "BENCH_partition_ingest.json",
 )
 
 _FULL_N = 1_000_000
@@ -182,89 +176,6 @@ def bench_random_access(n: int, repeats: int, log=None) -> dict:
     return out
 
 
-def bench_partition_ingest(n: int, repeats: int, log=None) -> dict:
-    """Batch-ingest throughput vs partition count, group commit on/off.
-
-    The fleet (8 series, ``n`` values total) is ingested into a fresh
-    :class:`~repro.store.partitioned.PartitionedSeriesDB` per
-    configuration, with the fan-out width matching the partition count.
-    Durability cost is measured separately on a steady-state second batch
-    (serial, so every fsync happens in-process and can be counted): group
-    commit must coalesce the batch to one fsync per touched partition,
-    against one per *series* without it.
-    """
-    import os
-
-    from ..store import PartitionedSeriesDB
-
-    num_series = 8
-    per = max(256, n // num_series)
-    fleet = {f"series/{i:02d}": _series(per, seed=i) for i in range(num_series)}
-    tail = {sid: values[: max(64, per // 10)] for sid, values in fleet.items()}
-    out = {
-        "meta": {**_meta(n, repeats), "num_series": num_series,
-                 "values_per_series": per, "cpus": os.cpu_count() or 1},
-        "configs": {},
-    }
-    for partitions in (1, 2, 4, 8):
-        for group in (True, False):
-            key = f"p{partitions}_group_{'on' if group else 'off'}"
-
-            def ingest_once():
-                with tempfile.TemporaryDirectory() as tmp:
-                    db = PartitionedSeriesDB(
-                        Path(tmp) / "db", partitions=partitions,
-                        group_commit=group,
-                    )
-                    db.ingest_many(fleet, workers=partitions)
-                    db.flush()
-                    db.close()
-
-            seconds = _best(ingest_once, repeats)
-
-            # steady-state durability: fsyncs for one whole batch
-            with tempfile.TemporaryDirectory() as tmp:
-                db = PartitionedSeriesDB(
-                    Path(tmp) / "db", partitions=partitions,
-                    group_commit=group,
-                )
-                db.ingest_many(fleet, workers=1)
-                db.flush()
-                db.ingest_many(tail, workers=1)  # pays any log creation
-                real_fsync = os.fsync
-                fsyncs = 0
-
-                def counting(fd):
-                    nonlocal fsyncs
-                    fsyncs += 1
-                    real_fsync(fd)
-
-                os.fsync = counting
-                try:
-                    db.ingest_many(tail, workers=1)
-                finally:
-                    os.fsync = real_fsync
-                db.close()
-
-            total = num_series * per
-            out["configs"][key] = {
-                "partitions": partitions,
-                "group_commit": group,
-                "ingest_seconds": round(seconds, 4),
-                "values_per_second": round(total / seconds),
-                "fsyncs_per_batch": fsyncs,
-            }
-            if log:
-                log(f"  {key}: {seconds:.3f}s "
-                    f"({out['configs'][key]['values_per_second']:,} val/s, "
-                    f"{fsyncs} fsyncs/batch)")
-    base = out["configs"]["p1_group_on"]["ingest_seconds"]
-    for partitions in (2, 4, 8):
-        cfg = out["configs"][f"p{partitions}_group_on"]
-        cfg["speedup_vs_1_partition"] = round(base / cfg["ingest_seconds"], 2)
-    return out
-
-
 def run_bench(
     out_dir, quick: bool = False, n: int | None = None, log=None
 ) -> list[Path]:
@@ -281,7 +192,6 @@ def run_bench(
         ("BENCH_table3_decompression.json", bench_decompression),
         ("BENCH_open_latency.json", bench_open_latency),
         ("BENCH_random_access.json", bench_random_access),
-        ("BENCH_partition_ingest.json", bench_partition_ingest),
     )
     written = []
     for filename, suite in suites:

@@ -385,16 +385,10 @@ def _cmd_db_init(args) -> int:
     )
     try:
         if args.partitions:
-            # Partitions default to group commit (one fsync per partition
-            # per batch); single-dir keeps per-series logs unless asked.
-            group = True if args.group_commit is None else args.group_commit
-            db = PartitionedSeriesDB(
-                root, partitions=args.partitions, group_commit=group, **config
-            )
-            kind = (f"partitioned SeriesDB ({args.partitions} partitions, "
-                    f"group_commit={'on' if group else 'off'})")
+            db = PartitionedSeriesDB(root, partitions=args.partitions, **config)
+            kind = f"partitioned SeriesDB ({args.partitions} partitions)"
         else:
-            db = SeriesDB(root, group_commit=bool(args.group_commit), **config)
+            db = SeriesDB(root, **config)
             kind = "SeriesDB"
     except ValueError as exc:
         print(str(exc), file=sys.stderr)
@@ -409,11 +403,7 @@ def _cmd_db_migrate(args) -> int:
     from .store import PartitionedSeriesDB
 
     try:
-        db = PartitionedSeriesDB.migrate(
-            args.root,
-            partitions=args.partitions,
-            group_commit=True if args.group_commit is None else args.group_commit,
-        )
+        db = PartitionedSeriesDB.migrate(args.root, partitions=args.partitions)
     except ValueError as exc:
         print(str(exc), file=sys.stderr)
         return 1
@@ -520,8 +510,7 @@ def _cmd_db_info(args) -> int:
     print(f"seal threshold: {info['seal_threshold']:,}")
     if "partitions" in info:
         print(f"partitions:     {info['partitions']} "
-              f"(placement {info['placement']}, group_commit "
-              f"{'on' if info.get('group_commit') else 'off'})")
+              f"(placement {info['placement']})")
     print(f"series:         {len(info['series'])}")
     for sid, entry in info["series"].items():
         where = entry["shard"]
@@ -560,11 +549,6 @@ def _add_db_parsers(sub) -> None:
                    help="create a horizontally partitioned store: N "
                         "independent SeriesDB partition directories behind "
                         "one facade (default: 0 = single directory)")
-    p.add_argument("--group-commit", action=argparse.BooleanOptionalAction,
-                   default=None,
-                   help="WAL layout: one shared group log, one fsync per "
-                        "ingest batch (default: on for partitioned stores, "
-                        "off for single-dir)")
     p.set_defaults(func=_cmd_db_init)
 
     p = dbsub.add_parser(
@@ -574,9 +558,6 @@ def _add_db_parsers(sub) -> None:
     p.add_argument("root")
     p.add_argument("--partitions", type=int, default=4, metavar="N",
                    help="partition count (default: 4)")
-    p.add_argument("--group-commit", action=argparse.BooleanOptionalAction,
-                   default=None,
-                   help="group-commit WALs in the partitions (default: on)")
     p.set_defaults(func=_cmd_db_migrate)
 
     p = dbsub.add_parser("ingest", help="batch-ingest CSV files, one series each")
@@ -587,7 +568,9 @@ def _add_db_parsers(sub) -> None:
     p.add_argument("--digits", type=int, default=0,
                    help="fractional decimal digits of the input values")
     p.add_argument("--workers", type=int, default=None,
-                   help="process-pool size (default: one per core)")
+                   help="process-pool size for compressing full hot blocks; "
+                        "partitions ingest one after another in this process "
+                        "(default: one per core)")
     p.set_defaults(func=_cmd_db_ingest)
 
     p = dbsub.add_parser("query", help="point/range queries against one series")

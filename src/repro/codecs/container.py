@@ -857,52 +857,6 @@ class AppendableArchive:
         self._num_records += 1
         return new_total
 
-    def append_many(self, batches) -> int:
-        """Append K value batches as K records with ONE write and ONE fsync.
-
-        ``batches`` is an iterable of 1-D int64 arrays.  The on-disk result
-        is byte-identical to calling :meth:`append` once per batch — same
-        record headers, same cumulative counts — but the records are
-        concatenated in memory and land with a single tail write and a
-        single ``fsync``, which is what makes batched ingest (SeriesDB
-        group commit) pay one durability round-trip per batch instead of
-        one per record.  Empty batches are skipped, matching ``append``'s
-        empty no-op; returns the new total value count.
-
-        Durability is all-or-tail: a crash mid-write tears only the
-        suffix of this write, and openers keep every record that landed
-        completely.
-        """
-        if self._sealed:
-            raise ValueError(
-                f"{self.path} was sealed into a one-shot archive; this "
-                "handle can no longer append"
-            )
-        arrays = []
-        for values in batches:
-            values = np.asarray(values, dtype=np.int64)
-            if values.ndim != 1:
-                raise ValueError("expected a 1-D array")
-            if len(values):
-                arrays.append(values)
-        if not arrays:
-            return self._total
-        blob, new_total = bytearray(), self._total
-        for values in arrays:
-            frame = self._codec().compress(values).to_bytes()
-            new_total += len(values)
-            blob += _RECORD.pack(len(frame), zlib.crc32(frame), new_total)
-            blob += frame
-        with open(self.path, "r+b") as fh:
-            fh.seek(self._end)
-            fh.write(blob)
-            fh.flush()
-            os.fsync(fh.fileno())
-        self._end += len(blob)
-        self._total = new_total
-        self._num_records += len(arrays)
-        return new_total
-
     def seal(self, dst=None) -> Path:
         """Compact the record sequence into a one-shot ``RPAC0001`` archive.
 
@@ -1005,13 +959,12 @@ def _scan_group(data, path):
 
 
 class GroupLog:
-    """The group-commit write-ahead log of a SeriesDB (``RPGW0001``).
+    """The write-ahead log of a SeriesDB directory (``RPGW0001``).
 
-    A SeriesDB in group-commit mode replaces its per-series append logs
-    with ONE shared log per directory: every record carries its series id
-    and digits alongside the codec frame, so one ``ingest_many`` batch —
+    One shared log per directory: every record carries its series id and
+    digits alongside the codec frame, so one ``ingest_many`` batch —
     however many series it touches — lands as a single tail write with a
-    single ``fsync``.  Layout::
+    single ``fsync`` (the group commit).  Layout::
 
         +----------+----------+--------+
         | RPGW0001 | codec id | params |                       (header)
@@ -1033,7 +986,6 @@ class GroupLog:
         self.params: dict = {}
         self._num_records = 0
         self._end = 0
-        self._compressor = None
 
     @classmethod
     def create(cls, path, *, codec: str = "gorilla", **params) -> "GroupLog":
@@ -1082,33 +1034,34 @@ class GroupLog:
 
     @property
     def num_records(self) -> int:
-        """Records written so far (one per non-empty series batch)."""
+        """Records written so far (one per appended frame)."""
         return self._num_records
 
-    def _codec(self):
-        if self._compressor is None:
-            self._compressor = get_codec(self.codec_id, **self.params)
-        return self._compressor
-
-    def append_group(self, batches) -> int:
+    def append_group(self, records) -> int:
         """Land a whole ingest batch as one fsync'd tail write.
 
-        ``batches`` is an iterable of ``(series_id, digits, values)``
-        triples; each non-empty triple becomes one record, and ALL of them
-        share a single write + ``fsync`` — the group commit.  Returns the
-        number of records written.
+        ``records`` is an iterable of ``(series_id, digits, frame)``
+        triples, ``frame`` being the ``Compressed.to_bytes`` layout of the
+        record's values in this log's codec — the caller compresses, so a
+        hot block it also adopts into a shard is encoded once.  Each triple
+        becomes one record, and ALL of them share a single write +
+        ``fsync`` — the group commit.  Returns the number of records
+        written.
         """
         blob, written = bytearray(), 0
-        for series_id, digits, values in batches:
+        for series_id, digits, frame in records:
             if not series_id:
                 raise ValueError("group log records need a non-empty series id")
-            values = np.asarray(values, dtype=np.int64)
-            if values.ndim != 1:
-                raise ValueError("expected a 1-D array")
-            if len(values) == 0:
-                continue
+            # The recovery scan cuts the log at the first record whose frame
+            # header disagrees with its length, taking every later record
+            # with it: refuse such a frame here instead.
+            span = serialize.frame_span(frame)
+            if span != len(frame):
+                raise ValueError(
+                    f"series {series_id!r}: frame is {len(frame)} bytes but "
+                    f"its header spans {span}; not one whole codec frame"
+                )
             sid = series_id.encode("utf-8")
-            frame = self._codec().compress(values).to_bytes()
             blob += _GROUP_RECORD.pack(
                 len(sid), int(digits), len(frame), zlib.crc32(frame)
             )

@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import json
 import zlib
+from array import array
 from typing import Callable
 
 import numpy as np
@@ -149,7 +150,9 @@ class TieredStore:
         self._cold_codec, self._cold_id, self._cold_params = _resolve(
             cold_codec, cold_params
         )
-        self._buffer: list[int] = []
+        # Native int64, 8 B per value (a list of ints costs ~36 B): a
+        # SeriesDB keeps every dirty shard's buffer in memory until it flushes.
+        self._buffer = array("q")
         self._hot: list = []  # sealed Compressed blocks, in order
         self._hot_counts: list[int] = []
         self._cold: list = []  # consolidated Compressed runs, in order
@@ -202,7 +205,7 @@ class TieredStore:
         # the per-value path exactly.
         if self._buffer:
             pos = min(self._seal_threshold - len(self._buffer), n)
-            self._buffer.extend(values[:pos].tolist())
+            self._buffer.frombytes(values[:pos].tobytes())
             if len(self._buffer) >= self._seal_threshold:
                 self._seal()
         while n - pos >= self._seal_threshold:
@@ -211,7 +214,7 @@ class TieredStore:
             self._hot_counts.append(len(chunk))
             self._run_index = None
             pos += self._seal_threshold
-        self._buffer.extend(values[pos:].tolist())
+        self._buffer.frombytes(values[pos:].tobytes())
 
     def adopt_sealed(self, block) -> None:
         """Append an already-compressed hot block (the parallel ingest path).
@@ -249,7 +252,7 @@ class TieredStore:
         self._hot.append(self._hot_codec.compress(chunk))
         self._hot_counts.append(len(chunk))
         self._run_index = None
-        self._buffer.clear()
+        del self._buffer[:]
 
     def _cold_is_lossy(self) -> bool:
         """Whether the cold codec is error-bounded (registry flag wins)."""
@@ -401,7 +404,7 @@ class TieredStore:
         meta_b = json.dumps(meta, sort_keys=True).encode("utf-8")
         body = bytearray(INT64.pack(len(meta_b)))
         body += meta_b
-        body += np.array(self._buffer, dtype=np.int64).tobytes()
+        body += self._buffer.tobytes()
         for frame in cold_frames:
             body += frame
         for frame in frames:
@@ -466,7 +469,7 @@ class TieredStore:
         if buf_len < 0 or any(c < 1 for c in hot_counts + cold_counts):
             raise ValueError("corrupt TieredStore snapshot: negative tier count")
         buffer = np.frombuffer(data, dtype=np.int64, count=buf_len, offset=pos)
-        store._buffer = buffer.tolist()
+        store._buffer.frombytes(buffer.tobytes())
         pos += 8 * buf_len
         for what, frames, counts, blocks in (
             ("cold run", cold_frame_lens, cold_counts, store._cold),

@@ -8,13 +8,14 @@ registry and the framed ``Compressed`` serialisation:
   so results are byte-identical to serial ``repro.compress``;
 * :class:`SeriesDB` — a durable shard-per-series store (one
   :class:`~repro.core.tiered.TieredStore` snapshot per series id plus a
-  JSON manifest), with pooled batch ingest, per-series ``access`` /
-  ``range``, and a cross-shard :meth:`~SeriesDB.compact` policy;
+  JSON manifest and one group log), with pooled batch ingest, per-series
+  ``access`` / ``range``, and a cross-shard :meth:`~SeriesDB.compact`
+  policy;
 * :class:`PartitionedSeriesDB` — N independent ``SeriesDB`` partition
   directories behind one façade: hash-placed series, per-partition
-  locks/WALs/manifests, process fan-out for batch ingest and compaction,
-  scatter-gather multi-series reads, and group-commit WALs (one fsync
-  per partition per batch).
+  locks/logs/manifests, in-process batch ingest (one fsync per partition
+  per batch), process fan-out for compaction, and scatter-gather
+  multi-series reads.
 
 Both store kinds implement the :class:`SeriesStore` protocol
 (:mod:`repro.store.interface`); :func:`open_store` opens a directory as

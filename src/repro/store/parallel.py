@@ -101,9 +101,9 @@ def process_map(fn, tasks, *, workers: int | None = None) -> list:
     """Run ``fn`` over ``tasks`` in a process pool, order-preserving.
 
     The partition fan-out primitive of
-    :class:`~repro.store.partitioned.PartitionedSeriesDB`: each task is a
-    self-contained picklable description of one partition's work (ingest
-    a sub-batch, compact a directory), ``fn`` a module-level function.
+    :meth:`~repro.store.partitioned.PartitionedSeriesDB.compact`: each task
+    is a self-contained picklable description of one partition's work (a
+    directory to compact), ``fn`` a module-level function.
     ``workers <= 1`` or a single task runs serially in-process with no
     pool — the same degradation rule as :func:`compress_many_frames`, and
     what keeps deterministic-schedule tests fork-free.

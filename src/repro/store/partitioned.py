@@ -17,22 +17,20 @@ protocol::
       p0001/
         ...
 
-Because partitions share nothing, the façade can fan work out:
+Because partitions share nothing, the façade can split work up:
 
-* ``ingest_many`` splits the batch by partition and, when more than one
-  partition is involved, runs each sub-batch in its own worker process
-  (:func:`repro.store.parallel.process_map`) — real CPU parallelism for
-  WAL compression and hot-block sealing, not just pooled chunk frames.
-* ``compact`` runs partitions concurrently the same way.
+* ``ingest_many`` splits the batch by partition and ingests each
+  sub-batch in this process, partition by partition.  Each partition
+  lands its sub-batch in its own group log, so one batch costs one write
+  and one fsync *per partition*, not one per series; ``workers`` is the
+  process-pool width each partition compresses full hot blocks with.
+* ``compact`` runs partitions concurrently in worker processes
+  (:func:`repro.store.parallel.process_map`): NeaTS compaction is
+  CPU-bound, so real CPU parallelism pays there.
 * Multi-series reads (:meth:`PartitionedSeriesDB.access_many` /
   :meth:`~PartitionedSeriesDB.range_many`) scatter per-partition query
   groups over threads and gather the answers — queries against distinct
   partitions contend on distinct locks.
-
-Each partition is created in **group-commit** mode by default
-(``SeriesDB(group_commit=True)``): one ``ingest_many`` batch costs one
-fsync *per partition*, not one per series — the write-throughput unlock
-the PR 5 follow-up called for.
 
 **Partition map.**  The root manifest pins every series to its partition
 explicitly (``"series": {"cpu": 0, "mem": 3, ...}``, in global ingestion
@@ -77,7 +75,12 @@ import numpy as np
 
 from ..codecs.container import write_atomic as _write_atomic
 from .parallel import default_workers, process_map, thread_map
-from .seriesdb import DEFAULT_CACHE_CAPACITY, MANIFEST_NAME, SeriesDB
+from .seriesdb import (
+    DEFAULT_CACHE_CAPACITY,
+    LEGACY_MANIFEST_KEYS,
+    MANIFEST_NAME,
+    SeriesDB,
+)
 
 __all__ = ["PARTITION_MANIFEST_FORMAT", "PartitionedSeriesDB", "open_store"]
 
@@ -87,18 +90,6 @@ _PART_DIR = "p{:04d}"
 
 def _partition_dirs(root: Path, partitions: int) -> list[Path]:
     return [root / _PART_DIR.format(i) for i in range(partitions)]
-
-
-def _ingest_partition_job(task) -> dict:
-    """Pool worker: ingest one partition's sub-batch, flush, report counts."""
-    part_dir, series_map, digits = task
-    db = SeriesDB.open(part_dir)
-    try:
-        counts = db.ingest_many(series_map, workers=1, digits=digits)
-        db.flush()
-    finally:
-        db.close()
-    return counts
 
 
 def _compact_partition_job(task) -> list[str]:
@@ -132,10 +123,6 @@ class PartitionedSeriesDB:
     partitions:
         Partition count, fixed at creation time (re-partitioning is a
         :meth:`migrate` of a future PR).
-    group_commit:
-        Passed to every partition at creation; defaults to ``True`` here
-        (the façade exists for write throughput) while single-dir
-        ``SeriesDB`` defaults to ``False`` for byte-compatibility.
     seal_threshold / hot_codec / cold_codec / hot_params / cold_params /
     allow_lossy / cache_capacity / lazy:
         As on :class:`~repro.store.seriesdb.SeriesDB`; the tier
@@ -155,7 +142,6 @@ class PartitionedSeriesDB:
         hot_params: dict | None = None,
         cold_params: dict | None = None,
         allow_lossy: bool = False,
-        group_commit: bool = True,
         cache_capacity: int | None = DEFAULT_CACHE_CAPACITY,
         lazy: bool = False,
     ) -> None:
@@ -192,7 +178,6 @@ class PartitionedSeriesDB:
                 )
             }
             self._config["allow_lossy"] = bool(manifest.get("allow_lossy", False))
-            self._config["group_commit"] = bool(manifest.get("group_commit", True))
             self._series_map = {
                 sid: int(part) for sid, part in manifest["series"].items()
             }
@@ -210,7 +195,6 @@ class PartitionedSeriesDB:
                 "cold_codec": cold_codec,
                 "cold_params": dict(cold_params or {}),
                 "allow_lossy": bool(allow_lossy),
-                "group_commit": bool(group_commit),
             }
             # Partitions first, root manifest last: a crash mid-creation
             # leaves partition dirs a re-run adopts, never a root manifest
@@ -291,7 +275,6 @@ class PartitionedSeriesDB:
         src_dir,
         *,
         partitions: int = 4,
-        group_commit: bool = True,
         cache_capacity: int | None = DEFAULT_CACHE_CAPACITY,
         lazy: bool = False,
     ) -> "PartitionedSeriesDB":
@@ -305,15 +288,13 @@ class PartitionedSeriesDB:
         ``RPPD0001``: a crash before it leaves the source database intact
         (plus partition dirs a re-run replaces); after it, the partitioned
         database is live and the old ``shards/`` tree is deleted as
-        post-commit cleanup.  The source is flushed first, so no append
-        log carries live values across the conversion.
+        post-commit cleanup.  The source is flushed first, so no log
+        carries live values across the conversion.
 
-        ``group_commit`` selects the partitions' durability layout from
-        here on (the source's per-series logs are empty after the flush).
         Returns the open :class:`PartitionedSeriesDB`.
         """
         src_dir = Path(src_dir)
-        src = SeriesDB.open(src_dir)  # replays any surviving append logs
+        src = SeriesDB.open(src_dir)  # replays any surviving logs
         try:
             src.flush()
         finally:
@@ -333,7 +314,6 @@ class PartitionedSeriesDB:
             )
         }
         config["allow_lossy"] = bool(manifest.get("allow_lossy", False))
-        config["group_commit"] = bool(group_commit)
         series_map = {
             sid: zlib.crc32(sid.encode("utf-8")) % partitions
             for sid in manifest["series"]
@@ -347,9 +327,6 @@ class PartitionedSeriesDB:
                 if owner != part:
                     continue
                 entry = dict(manifest["series"][sid])
-                # Rotated-away log generations reference no file; partitions
-                # start with fresh logs in their own layout.
-                entry.pop("wal", None)
                 shard = entry["shard"]
                 if (src_dir / shard).exists():
                     shutil.copyfile(src_dir / shard, path / shard)
@@ -357,6 +334,7 @@ class PartitionedSeriesDB:
             part_manifest = {
                 "format": manifest["format"],
                 **config,
+                **LEGACY_MANIFEST_KEYS,
                 "next_shard": int(manifest["next_shard"]),
                 "series": part_series,
             }
@@ -367,6 +345,7 @@ class PartitionedSeriesDB:
             "partitions": partitions,
             "placement": "crc32",
             **config,
+            **LEGACY_MANIFEST_KEYS,
             "series": series_map,
         }
         blob = json.dumps(root_manifest, indent=2).encode("utf-8")
@@ -480,34 +459,23 @@ class PartitionedSeriesDB:
     def ingest(self, series_id: str, values, *, digits: int | None = None) -> int:
         """Durably append ``values`` to ``series_id``; returns its count.
 
-        A new series is assigned a partition and the assignment committed
-        to the root manifest *before* any data lands in the partition —
-        recovery must never find data the map cannot place.
+        A one-series :meth:`ingest_many` that never starts a process pool.
         """
-        values = np.asarray(values, dtype=np.int64)
-        if values.ndim != 1:
-            raise ValueError(f"series {series_id!r}: expected a 1-D array")
-        with self._lock:
-            self._check_open()
-            if series_id not in self._series_map:
-                if not series_id or not isinstance(series_id, str):
-                    raise ValueError(f"invalid series id {series_id!r}")
-                self._assign(series_id)
-                self._write_root_manifest()
-            part = self._series_map[series_id]
-            return self._handles[part].ingest(series_id, values, digits=digits)
+        return self.ingest_many({series_id: values}, workers=1, digits=digits)[
+            series_id
+        ]
 
     def ingest_many(
         self, series_map, *, workers: int | None = None, digits: int | None = None
     ) -> dict:
-        """Batch ingest, fanned out one worker process per partition.
+        """Batch ingest: split by partition, each sub-batch in this process.
 
-        The batch is split by partition; when it spans more than one
-        partition (and ``workers`` allows), each sub-batch runs in its own
-        process — the partition ingests with its own lock, WAL, and group
-        commit, flushes, and reports counts — giving real multi-core
-        ingest throughput.  A single-partition (or ``workers=1``) batch
-        stays in-process and keeps SeriesDB's pooled chunk compression.
+        A new series is assigned a partition and the assignment committed
+        to the root manifest *before* any data lands in the partition —
+        recovery must never find data the map cannot place.  Each
+        partition then runs :meth:`SeriesDB.ingest_many` on its sub-batch:
+        one group-log write and one fsync per touched partition, with
+        ``workers`` processes compressing full hot blocks.
 
         Atomic per partition, not across partitions: each partition
         validates its whole sub-batch before mutating anything, so a bad
@@ -534,38 +502,13 @@ class PartitionedSeriesDB:
                 self._assign(sid)
             if new_sids:
                 self._write_root_manifest()
-            eff = default_workers() if workers is None else max(1, int(workers))
             counts: dict[str, int] = {}
-            involved = sorted(groups)
-            if eff > 1 and len(involved) > 1:
-                # Process fan-out: partitions are directories, so hand each
-                # one to a worker process.  The parent's handles would go
-                # stale under the workers' flushes — close them first
-                # (flushing buffered state) and reopen after.
-                for part in involved:
-                    self._handles[part].close()
-                tasks = [
-                    (str(self._part_dir(part)), groups[part], digits)
-                    for part in involved
-                ]
-                try:
-                    results = process_map(_ingest_partition_job, tasks, workers=eff)
-                finally:
-                    for part in involved:
-                        self._handles[part] = SeriesDB.open(
-                            self._part_dir(part),
-                            cache_capacity=self._cache_capacity,
-                            lazy=self._lazy,
-                        )
-                for part_counts in results:
-                    counts.update(part_counts)
-            else:
-                for part in involved:
-                    counts.update(
-                        self._handles[part].ingest_many(
-                            groups[part], workers=eff, digits=digits
-                        )
+            for part in sorted(groups):
+                counts.update(
+                    self._handles[part].ingest_many(
+                        groups[part], workers=workers, digits=digits
                     )
+                )
             return counts
 
     # -- queries --------------------------------------------------------------
@@ -720,6 +663,7 @@ class PartitionedSeriesDB:
             "partitions": self._partitions,
             "placement": self._placement,
             **self._config,
+            **LEGACY_MANIFEST_KEYS,
             "series": self._series_map,
         }
         blob = json.dumps(manifest, indent=2).encode("utf-8")

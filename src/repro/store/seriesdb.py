@@ -18,7 +18,8 @@ plays the "run NeaTS later on (or in the background)" role across the
 whole fleet of shards — any shard whose hot tier exceeds a threshold is
 consolidated into its strongly-compressed cold tier.  Batch ingest fans
 hot-block compression out over a process pool via
-:func:`repro.store.compress_many_frames`.
+:func:`repro.store.compress_many_frames`, and each value is compressed
+once: the same frame goes to the log and to the shard.
 
 >>> import numpy as np, tempfile
 >>> from repro.store import SeriesDB
@@ -40,17 +41,23 @@ frames parsed zero-copy off the map (the lazy open path of
 :mod:`repro.codecs.container`) instead of being read and copied.
 
 Ingested values are durable *before* :meth:`flush`: every ``ingest`` /
-``ingest_many`` first lands the new values in the series' **write-ahead
-append log** — an appendable archive (``RPAL0001``, see
-:class:`repro.codecs.container.AppendableArchive`) compressed with the hot
-codec, one fsync'd tail record per batch — and only then mutates the
-in-memory shard.  The manifest references the log before any data lands
-in it, so after a crash the next open finds the log, replays it on top of
-the shard snapshot, and re-marks the shard dirty; a record torn by a
-mid-append crash is detected and skipped, keeping every completed batch.
-:meth:`flush` consolidates: the snapshot absorbs the logged values, the
-manifest commit rotates to a fresh (empty) log generation, and the old
-log file is dropped post-commit.
+``ingest_many`` batch first lands in the directory's **group log** — one
+shared write-ahead log (``RPGW0001``, see
+:class:`repro.codecs.container.GroupLog`) of hot-codec frames tagged with
+their series ids, one write and one fsync per batch — and only then
+mutates the in-memory shards.  The manifest names the log generation
+before any data lands in it, so after a crash the next open finds the
+log, replays its records per series on top of the shard snapshots, and
+re-marks those shards dirty; a record torn by a mid-write crash is
+detected and skipped, keeping every completed batch.  :meth:`flush`
+consolidates: the snapshots absorb the logged values, the manifest commit
+rotates to a fresh (empty) log generation, and the old log file is
+dropped post-commit.
+
+Directories written before the group log was the only log may still hold
+a per-series append log (``RPAL0001``) named by a series entry's
+``"wal"`` key.  Opening replays it read-only — snapshot, then that log,
+then the group log — and the next :meth:`flush` deletes it.
 
 All other mutations stay in memory until :meth:`flush`, and every shard
 read is crc-checked on the way back in — a swapped or bit-rotted shard
@@ -58,7 +65,7 @@ file fails loudly instead of answering queries from the wrong series.
 
 Thread safety: every public method takes the database's re-entrant lock
 (``self._lock``), so one :class:`SeriesDB` handle can be shared by many
-threads — the shard cache, dirty set, WAL writers, and manifest state are
+threads — the shard cache, dirty set, log writer, and manifest state are
 only ever mutated under it.  Private helpers are documented as
 called-under-lock (the lock is taken at the public API boundary), and the
 ``repro lint`` lock-discipline rule (RPR301) enforces the convention
@@ -80,7 +87,6 @@ import numpy as np
 
 from ..baselines.base import Compressed
 from ..codecs.container import (
-    AppendableArchive,
     GroupLog,
     mmap_view,
     open_archive,
@@ -95,6 +101,9 @@ __all__ = ["SeriesDB"]
 MANIFEST_NAME = "MANIFEST.json"
 MANIFEST_FORMAT = "RPDB0001"
 DEFAULT_CACHE_CAPACITY = 16
+# Written into every manifest but never read back: v2.6.0 readers replay
+# the group log only when a manifest sets it.
+LEGACY_MANIFEST_KEYS = {"group_commit": True}
 _SHARD_DIR = "shards"
 _UNSAFE = re.compile(r"[^A-Za-z0-9._-]+")
 
@@ -121,15 +130,6 @@ class SeriesDB:
         compacted ranges then answer within that ε.  The *hot* tier can
         never be lossy — consolidation decodes it, and re-approximating
         an approximation would compound the error beyond any bound.
-    group_commit:
-        Durability layout, fixed at creation time and recorded in the
-        manifest.  ``False`` (the default) keeps one append log per
-        series: an ``ingest_many`` batch touching K series costs K
-        fsyncs.  ``True`` replaces them with ONE shared group log
-        (:class:`~repro.codecs.container.GroupLog`): each record carries
-        its series id, so a whole batch lands as a single fsync'd tail
-        write — the group commit.  Recovery regroups records per series
-        and replays them exactly like per-series logs.
     cache_capacity:
         Maximum number of *clean* open shards kept parsed in the LRU
         cache (``None`` = unbounded).  Dirty shards are pinned until
@@ -152,7 +152,6 @@ class SeriesDB:
         hot_params: dict | None = None,
         cold_params: dict | None = None,
         allow_lossy: bool = False,
-        group_commit: bool = False,
         cache_capacity: int | None = DEFAULT_CACHE_CAPACITY,
         lazy: bool = False,
     ) -> None:
@@ -168,18 +167,16 @@ class SeriesDB:
         self._stores: OrderedDict[str, TieredStore] = OrderedDict()
         self._cached_gen: dict[str, str] = {}  # shard filename at load time
         self._dirty: set[str] = set()
-        self._wals: dict[str, AppendableArchive] = {}  # open append-log writers
-        # Append-log *generation names* the on-disk manifest references.
-        # Tracking names (not series ids) matters: a flush that dies between
-        # rotating a log name in memory and committing the manifest must
-        # force a re-commit before the next record lands, or data would land
-        # in a file recovery cannot find.
-        self._wal_synced: set[str] = set()
-        # Group-commit state: in group mode all series share ONE log (see
-        # _append_wal_group); these stay inert in per-series-WAL mode.
+        # The group log: its generation name, its open writer, and the
+        # values recovery regrouped per series until each shard loads.
         self._group_name: str | None = None
         self._group_log: GroupLog | None = None
         self._group_pending: dict[str, list[np.ndarray]] = {}
+        # The generation the on-disk manifest names.  A flush that dies
+        # between rotating the name in memory and committing the manifest
+        # leaves the two apart; the next record must then re-commit first,
+        # or it would land in a file recovery cannot find.
+        self._synced_group: str | None = None
         manifest_path = self._root / MANIFEST_NAME
         if manifest_path.exists():
             manifest = json.loads(manifest_path.read_text("utf-8"))
@@ -200,15 +197,11 @@ class SeriesDB:
             }
             # Pre-lossy manifests carry no flag; their codecs are lossless.
             self._config["allow_lossy"] = bool(manifest.get("allow_lossy", False))
-            # Pre-group-commit manifests carry no flag; they use per-series
-            # logs.  The mode is fixed at creation time — the constructor
-            # argument is ignored for an existing database, like the codecs.
-            self._config["group_commit"] = bool(manifest.get("group_commit", False))
             self._group_name = manifest.get("group_wal")
+            self._synced_group = self._group_name
             self._series: dict[str, dict] = dict(manifest["series"])
             self._next_shard = int(manifest["next_shard"])
-            self._wal_synced = self._wal_names()
-            self._recover_append_logs()
+            self._recover_logs()
         else:
             if not isinstance(hot_codec, str) or not isinstance(cold_codec, str):
                 raise ValueError(
@@ -227,7 +220,6 @@ class SeriesDB:
                 "cold_codec": cold_codec,
                 "cold_params": dict(cold_params or {}),
                 "allow_lossy": bool(allow_lossy),
-                "group_commit": bool(group_commit),
             }
             self._series = {}
             self._next_shard = 0
@@ -301,7 +293,7 @@ class SeriesDB:
             self.close()
 
     def close(self) -> None:
-        """Flush dirty shards, release the cache and WAL handles, poison.
+        """Flush dirty shards, release the cache and log writer, poison.
 
         Dropping the cache releases any mmap-backed shard views the LRU was
         pinning (the ``lazy=True`` open path), so a long-lived process can
@@ -319,7 +311,6 @@ class SeriesDB:
             self.flush()
             self._stores.clear()
             self._cached_gen.clear()
-            self._wals.clear()
             self._group_log = None
             self._closed = True
 
@@ -407,52 +398,42 @@ class SeriesDB:
 
         ``digits`` records the values' decimal scaling (§II of the paper)
         in the manifest, like the archive container does; appending to an
-        existing series with a different scaling raises.
-
-        The values are durable when this returns: they land in the series'
-        append log (one fsync'd record) before the in-memory shard is
-        touched, and :meth:`flush` later consolidates them into the shard
-        snapshot.
+        existing series with a different scaling raises.  A one-series
+        :meth:`ingest_many` that never starts a process pool: durable when
+        this returns.
         """
-        values = np.asarray(values, dtype=np.int64)
-        if values.ndim != 1:
-            raise ValueError(f"series {series_id!r}: expected a 1-D array")
-        with self._lock:
-            self._check_open()
-            self._check_digits(series_id, digits)
-            store = self._store_for_ingest(series_id)
-            self._apply_digits(series_id, digits)
-            if len(values):
-                if self._config["group_commit"]:
-                    self._append_wal_group([(series_id, values)])
-                else:
-                    self._append_wal(series_id, values)
-            store.extend(values)
-            self._dirty.add(series_id)
-            return len(store)
+        return self.ingest_many({series_id: values}, workers=1, digits=digits)[
+            series_id
+        ]
 
     def ingest_many(
         self, series_map, *, workers: int | None = None, digits: int | None = None
     ) -> dict:
-        """Batch ingest: append every series in ``series_map``, pooled.
+        """Batch ingest: append every series in ``series_map``, durably.
 
-        Full ``seal_threshold``-sized hot blocks from all series are
-        compressed together through one
+        Each series' new values are cut where :meth:`TieredStore.extend`
+        would seal them: a head topping up a partly filled buffer, full
+        ``seal_threshold``-sized hot blocks, and a tail left in the buffer.
+        Full blocks from all series are compressed together through one
         :func:`~repro.store.compress_many_frames` fan-out (``workers``
-        processes), then adopted into each shard in order; partial-buffer
-        heads and tails take the serial path.  The resulting shards are
-        byte-identical to serial :meth:`ingest` calls.
+        processes); heads and tails are compressed serially.  Every piece
+        becomes one group-log record, the whole batch lands with one write
+        and one fsync, and only then are the shards touched: full blocks
+        are adopted as the very frames just logged, so each is compressed
+        once.  The resulting shards are byte-identical to serial
+        :meth:`ingest` calls.
 
         Returns series id -> new total count.
         """
         with self._lock:
             self._check_open()
             threshold = int(self._config["seal_threshold"])
-            # Phase 1 — validate everything and plan chunk boundaries without
-            # mutating any store, so a bad series (or a pool failure in phase
-            # 2) cannot leave the batch half-applied.
-            chunks: dict = {}
-            plans: list[tuple[str, np.ndarray, int, int]] = []
+            # Phase 1 — validate everything and cut every series into pieces
+            # without mutating any store, so a bad series (or a pool failure
+            # in phase 2) cannot leave the batch half-applied.
+            blocks: dict = {}  # (sid, piece index) -> a full hot block
+            partials: dict = {}  # (sid, piece index) -> a head or a tail
+            plans: list[tuple[str, int]] = []  # (sid, number of pieces)
             for sid, values in series_map.items():
                 values = np.asarray(values, dtype=np.int64)
                 if values.ndim != 1:
@@ -464,55 +445,47 @@ class SeriesDB:
                     if not sid or not isinstance(sid, str):
                         raise ValueError(f"invalid series id {sid!r}")
                     buffered = 0
-                # A partially filled buffer is topped up serially so that
-                # pooled chunk boundaries line up with what extend() produces.
+                # A partly filled buffer is topped up first, so the cuts
+                # line up with the blocks extend() would seal.
                 head = min(threshold - buffered, len(values)) if buffered else 0
-                body = values[head:]
-                n_chunks = len(body) // threshold
-                for i in range(n_chunks):
-                    chunks[(sid, i)] = body[i * threshold : (i + 1) * threshold]
-                plans.append((sid, values, head, n_chunks))
-            # Phase 2 — the pooled fan-out (raises before any store changes).
-            frames = compress_many_frames(
-                chunks,
-                self._config["hot_codec"],
-                workers=workers,
-                **self._config["hot_params"],
-            )
-            # Phase 3 — apply.  Register every series and its log generation
-            # first, so the whole batch needs one manifest commit instead of
-            # one per new series inside _append_wal.
-            counts = {}
-            stores = {}
-            group_mode = bool(self._config["group_commit"])
-            pending_log: list[tuple[str, np.ndarray]] = []
-            for sid, values, head, n_chunks in plans:
+                cuts = range(head, len(values), threshold)
+                pieces = [p for p in np.split(values, cuts) if len(p)]
+                for i, piece in enumerate(pieces):
+                    # A head or a tail is always shorter than a block.
+                    kind = blocks if len(piece) == threshold else partials
+                    kind[(sid, i)] = piece
+                plans.append((sid, len(pieces)))
+            # Phase 2 — compress every piece (raises before any store
+            # changes).  Partial pieces stay in-process: a pool per tick
+            # would cost more than the few values it compresses.
+            hot = self._config["hot_codec"]
+            params = self._config["hot_params"]
+            frames = compress_many_frames(blocks, hot, workers=workers, **params)
+            frames.update(compress_many_frames(partials, hot, workers=1, **params))
+            # Phase 3 — register every series, then log the whole batch
+            # (the group commit: ONE fsync), then apply it.
+            stores: dict[str, TieredStore] = {}
+            records = []
+            for sid, n_pieces in plans:
                 stores[sid] = self._store_for_ingest(sid)
                 # Pin each shard as soon as it is loaded: a batch wider than
                 # the cache must not evict a shard it is about to mutate.
                 self._dirty.add(sid)
                 self._apply_digits(sid, digits)
-                if len(values):
-                    if group_mode:
-                        pending_log.append((sid, values))
-                        if self._group_name is None:
-                            self._group_name = self._group_gen_name()
-                    elif "wal" not in self._series[sid]:
-                        self._series[sid]["wal"] = self._gen_name(sid, ".wal")
-            self._sync_wal_manifest()  # no-op when every log is referenced
-            if pending_log:  # the group commit: ONE fsync for the whole batch
-                self._append_wal_group(pending_log)
-            for sid, values, head, n_chunks in plans:
+                sid_digits = int(self._series[sid].get("digits", 0))
+                records += [
+                    (sid, sid_digits, frames[(sid, i)]) for i in range(n_pieces)
+                ]
+            if records:
+                self._append_log(records)
+            counts = {}
+            for sid, n_pieces in plans:
                 store = stores[sid]
-                if len(values) and not group_mode:
-                    # One durable append-log record per series, routed
-                    # through the coalescing writer shared with group mode.
-                    self._append_wal(sid, values, batched=True)
-                if head:
-                    store.extend(values[:head])
-                for i in range(n_chunks):
-                    store.adopt_sealed(Compressed.from_bytes(frames[(sid, i)]))
-                store.extend(values[head + n_chunks * threshold :])
+                for i in range(n_pieces):
+                    if (sid, i) in blocks:
+                        store.adopt_sealed(Compressed.from_bytes(frames[(sid, i)]))
+                    else:
+                        store.extend(partials[(sid, i)])
                 counts[sid] = len(store)
             return counts
 
@@ -616,10 +589,11 @@ class SeriesDB:
         filename, and the old file is deleted only after the manifest
         commits — a crash mid-flush leaves the manifest pointing at the
         previous intact shards (plus, at worst, some orphan files), never
-        at a shard whose crc it cannot verify.  The same commit rotates
-        each flushed series to a fresh (empty) append-log generation: the
-        snapshot now holds everything the old log held, so the old log
-        file is dropped post-commit alongside the replaced shard.
+        at a shard whose crc it cannot verify.  The same commit rotates the
+        group log to a fresh (empty) generation and forgets any legacy
+        per-series log: the snapshots now hold everything those logs held,
+        so the old log files are dropped post-commit alongside the
+        replaced shards.
         """
         with self._lock:
             self._check_open()
@@ -631,19 +605,19 @@ class SeriesDB:
                 old = self._root / entry["shard"]
                 # Write the snapshot before touching the entry: if the write
                 # raises (disk full), the entry still points at the previous
-                # intact shard and log, and a later manifest commit (e.g.
-                # from _sync_wal_manifest) stays consistent.
+                # intact shard, which the unrotated log still completes.
                 shard = self._shard_name(sid) if old.exists() else entry["shard"]
                 _write_atomic(self._root / shard, blob)
                 if shard != entry["shard"]:  # rewrite: drop old post-commit
                     entry["shard"] = shard
                     replaced.append(old)
                 self._cached_gen[sid] = shard
-                old_wal = entry.get("wal")
-                if old_wal and (self._root / old_wal).exists():
-                    entry["wal"] = self._gen_name(sid, ".wal")
-                    replaced.append(self._root / old_wal)
-                self._wals.pop(sid, None)
+                # The snapshot now holds what a legacy per-series log held;
+                # forget the log with the shard swap, so no later manifest
+                # commit can pair the new snapshot with it.
+                legacy = entry.pop("wal", None)
+                if legacy:
+                    replaced.append(self._root / legacy)
                 report = store.tier_report()
                 entry.update(
                     count=len(store),
@@ -652,15 +626,20 @@ class SeriesDB:
                     cold_values=report["cold_values"],
                     buffer_values=report["buffer_values"],
                 )
-            # Group mode rotates the ONE shared log: everything it held is
-            # dirty, so everything it held was just flushed into snapshots.
+            # A clean series' legacy log holds no complete record (replay
+            # would have marked the shard dirty): forget it too.
+            for entry in self._series.values():
+                legacy = entry.pop("wal", None)
+                if legacy:
+                    replaced.append(self._root / legacy)
+            # Every group-log record belongs to a dirty shard, so the
+            # snapshots just written hold everything the log held.
             if self._group_name and (self._root / self._group_name).exists():
                 replaced.append(self._root / self._group_name)
                 self._group_name = self._group_gen_name()
                 self._group_log = None
             self._dirty.clear()
             self._write_manifest()  # the commit point
-            self._wal_synced = self._wal_names()
             for path in replaced:
                 path.unlink(missing_ok=True)
             self._evict()  # flushed shards are clean and evictable again
@@ -703,75 +682,31 @@ class SeriesDB:
             cold_params=self._config["cold_params"],
         )
 
-    def _gen_name(self, series_id: str, suffix: str) -> str:
-        """A fresh, never-reused generation filename for ``series_id``."""
+    def _shard_name(self, series_id: str) -> str:
+        """A fresh, never-reused shard generation filename for ``series_id``."""
         stem = _UNSAFE.sub("_", series_id)[:48] or "series"
-        name = f"{_SHARD_DIR}/{stem}-{self._next_shard:04d}{suffix}"
+        name = f"{_SHARD_DIR}/{stem}-{self._next_shard:04d}.tier"
         self._next_shard += 1
         return name
 
-    def _shard_name(self, series_id: str) -> str:
-        return self._gen_name(series_id, ".tier")
+    # -- the write-ahead group log ---------------------------------------------
 
-    # -- the write-ahead append log -------------------------------------------
+    def _append_log(self, records: list[tuple[str, int, bytes]]) -> None:
+        """Land a batch's ``(sid, digits, frame)`` records: ONE fsync.
 
-    def _append_wal(
-        self, series_id: str, values: np.ndarray, *, batched: bool = False
-    ) -> None:
-        """Land ``values`` in the series' append log, durably, before the store.
-
-        The log is an appendable archive compressed with the hot codec —
-        the same cheap streaming codec the values are headed for anyway.
-        The manifest is committed first whenever it does not yet reference
-        this log generation (new series, or first append after a rotation
-        on an old-format manifest): crash recovery finds logs through the
-        manifest, so data must never land in an unreferenced file.
-
-        ``batched`` routes the write through
-        :meth:`~repro.codecs.container.AppendableArchive.append_many` —
-        byte-identical on disk, used by :meth:`ingest_many` so the batch
-        path exercises the same coalescing writer group commit relies on.
-        """
-        entry = self._series[series_id]
-        if "wal" not in entry:
-            entry["wal"] = self._gen_name(series_id, ".wal")
-        if entry["wal"] not in self._wal_synced:
-            self._sync_wal_manifest()
-        wal = self._wals.get(series_id)
-        if wal is None:
-            path = self._root / entry["wal"]
-            if path.exists():
-                wal = AppendableArchive.open(path)
-            else:
-                wal = AppendableArchive.create(
-                    path,
-                    codec=self._config["hot_codec"],
-                    digits=int(entry.get("digits", 0)),
-                    **self._config["hot_params"],
-                )
-            self._wals[series_id] = wal
-        if batched:
-            wal.append_many([values])
-        else:
-            wal.append(values)
-
-    def _append_wal_group(self, batches: list[tuple[str, np.ndarray]]) -> None:
-        """Land a whole ingest batch in the shared group log — ONE fsync.
-
-        The group-commit counterpart of :meth:`_append_wal` (called under
-        the lock, group mode only): every ``(series id, values)`` pair in
-        ``batches`` becomes one record of the database's single
-        :class:`~repro.codecs.container.GroupLog`, and all of them share
-        one tail write + fsync.  The same manifest-first discipline
-        applies — the log generation must be referenced by the on-disk
-        manifest before data lands in it.  Records carry series id and
-        digits, so recovery can even re-register a series whose manifest
-        entry never committed.
+        Called under the lock.  Every record of the batch goes to the
+        directory's single :class:`~repro.codecs.container.GroupLog` with
+        one tail write + fsync.  The manifest is committed first whenever
+        it does not yet name this log generation (first ingest, or after a
+        flush that died before its commit): crash recovery finds the log
+        through the manifest, so data must never land in an unreferenced
+        file.  Records carry series id and digits, so recovery can even
+        re-register a series whose manifest entry never committed.
         """
         if self._group_name is None:
             self._group_name = self._group_gen_name()
-        if self._group_name not in self._wal_synced:
-            self._sync_wal_manifest()
+        if self._group_name != self._synced_group:
+            self._write_manifest()
         log = self._group_log
         if log is None:
             path = self._root / self._group_name
@@ -784,10 +719,7 @@ class SeriesDB:
                     **self._config["hot_params"],
                 )
             self._group_log = log
-        log.append_group(
-            (sid, int(self._series[sid].get("digits", 0)), values)
-            for sid, values in batches
-        )
+        log.append_group(records)
 
     def _group_gen_name(self) -> str:
         """A fresh, never-reused generation filename for the group log."""
@@ -795,76 +727,48 @@ class SeriesDB:
         self._next_shard += 1
         return name
 
-    def _wal_names(self) -> set[str]:
-        """Every log generation the manifest must reference to be durable."""
-        names = {e["wal"] for e in self._series.values() if "wal" in e}
-        if self._group_name:
-            names.add(self._group_name)
-        return names
-
-    def _sync_wal_manifest(self) -> None:
-        """Commit the manifest unless it already references every log name."""
-        names = self._wal_names()
-        if not names <= self._wal_synced:
-            self._write_manifest()
-            self._wal_synced = names
-
-    def _replay_wal(self, series_id: str, store: TieredStore) -> None:
+    def _replay(self, series_id: str, store: TieredStore) -> None:
         """Re-apply logged values a crash kept out of the shard snapshot.
 
-        Called on every fresh shard load.  The log referenced by the
-        manifest holds exactly the values appended since the snapshot was
-        committed (flush rotates to an empty generation atomically with
-        the snapshot count), so replay is a plain ``extend`` — and the
-        shard is re-marked dirty so the next flush consolidates it.  In
-        group mode the values were regrouped per series up front (see
-        :meth:`_recover_group_log`) and drain from ``_group_pending``.
+        Called on every fresh shard load.  The logs hold exactly the values
+        appended since the snapshot was committed (flush rotates them away
+        atomically with the snapshot count), so replay is a plain
+        ``extend``, in write order: a legacy per-series log first (read
+        only, eager, so every complete record is crc-checked), then the
+        series' group-log records, which :meth:`_recover_logs` regrouped
+        into ``_group_pending``.  A replayed shard is re-marked dirty so
+        the next flush consolidates it.
         """
-        if self._config["group_commit"]:
-            for values in self._group_pending.pop(series_id, ()):
-                store.extend(values)
+        legacy = self._series[series_id].get("wal")
+        if legacy and (self._root / legacy).exists():
+            log = open_archive(self._root / legacy)
+            if len(log):
+                store.extend(log.decompress())
                 self._dirty.add(series_id)
-            return
-        name = self._series[series_id].get("wal")
-        if not name:
-            return
-        path = self._root / name
-        if not path.exists():
-            return
-        log = open_archive(path)  # eager: every complete record crc-checked
-        if len(log) == 0:
-            return
-        store.extend(log.decompress())
-        self._dirty.add(series_id)
+        for values in self._group_pending.pop(series_id, ()):
+            store.extend(values)
+            self._dirty.add(series_id)
 
-    def _recover_append_logs(self) -> None:
-        """Load (and thereby replay) every series with a surviving append log."""
-        if self._config["group_commit"]:
-            self._recover_group_log()
-            return
-        for sid, entry in self._series.items():
-            name = entry.get("wal")
-            if name and (self._root / name).exists():
-                self._load(sid)
+    def _recover_logs(self) -> None:
+        """Replay every surviving log at open, without writing anything.
 
-    def _recover_group_log(self) -> None:
-        """Replay the shared group log: regroup records, extend each series.
-
-        Records interleave in ingest order; they are regrouped per series
-        (preserving order) into ``_group_pending``, then each touched
-        series is materialised — known series replay inside
-        :meth:`_replay_wal` on load, while a series whose manifest entry
+        Group-log records interleave in ingest order; they are regrouped
+        per series (preserving order) into ``_group_pending`` first.  Then
+        every series with a legacy log or pending records is loaded, which
+        replays both (see :meth:`_replay`).  A series whose manifest entry
         never committed (crash between the group write and a later
         manifest commit) is re-registered from the record's own series id
         and digits before its values are applied.
         """
         name = self._group_name
-        if not name or not (self._root / name).exists():
-            return
         digits_of: dict[str, int] = {}
-        for sid, digits, values in read_group_log(self._root / name):
-            self._group_pending.setdefault(sid, []).append(values)
-            digits_of[sid] = int(digits)
+        if name and (self._root / name).exists():
+            for sid, digits, values in read_group_log(self._root / name):
+                self._group_pending.setdefault(sid, []).append(values)
+                digits_of[sid] = int(digits)
+        for sid, entry in self._series.items():
+            if entry.get("wal") and (self._root / entry["wal"]).exists():
+                self._load(sid)
         for sid in list(self._group_pending):
             known = sid in self._series
             store = self._store_for_ingest(sid)  # known: loads + replays
@@ -900,7 +804,7 @@ class SeriesDB:
         shard_path = self._root / entry["shard"]
         if int(entry["count"]) == 0 and not shard_path.exists():
             # Registered by a durable ingest but never flushed: no snapshot
-            # yet — any surviving values live in the append log alone.
+            # yet — any surviving values live in the logs alone.
             store = self._fresh_store()
         else:
             data = self._read_shard(shard_path)
@@ -919,7 +823,7 @@ class SeriesDB:
                 )
         self._stores[series_id] = store
         self._cached_gen[series_id] = entry["shard"]
-        self._replay_wal(series_id, store)
+        self._replay(series_id, store)
         self._evict(protect=series_id)
         return store
 
@@ -958,12 +862,14 @@ class SeriesDB:
         manifest = {
             "format": MANIFEST_FORMAT,
             **self._config,
+            **LEGACY_MANIFEST_KEYS,
             "next_shard": self._next_shard,
             "series": self._series,
         }
-        if self._group_name:  # absent outside group mode: old bytes unchanged
+        if self._group_name:  # absent until the first ingest names a log
             manifest["group_wal"] = self._group_name
         # No sort_keys: the series mapping keeps ingestion order, and equal
         # states serialise to identical bytes either way.
         blob = json.dumps(manifest, indent=2).encode("utf-8")
         _write_atomic(self._root / MANIFEST_NAME, blob + b"\n")
+        self._synced_group = self._group_name

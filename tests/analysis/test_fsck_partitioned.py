@@ -92,9 +92,9 @@ class TestPartitionProblems:
 class TestGroupWalProblems:
     @pytest.fixture
     def groot(self, tmp_path, rng):
-        """A single-dir group-commit DB abandoned with a live group log."""
+        """A single-dir DB abandoned with a live group log."""
         root = tmp_path / "gdb"
-        db = SeriesDB(root, group_commit=True, hot_codec="gorilla")
+        db = SeriesDB(root, hot_codec="gorilla")
         db.ingest_many(_fleet(rng, k=3), workers=1)
         del db  # crash-style: group log referenced by the manifest
         return root

@@ -1,9 +1,10 @@
 """repro fsck over SeriesDB directories: manifest <-> shards <-> WAL.
 
-The matrix: a healthy database (flushed, and with pending WAL records)
-must pass ``--deep``; a deleted shard, a bit-rotted shard, a manifest that
-lies about counts or digits, a corrupted WAL record, and files no manifest
-entry references must each be flagged with their own problem code.
+The matrix: a healthy database (flushed, and with pending group-log
+records) must pass ``--deep``; a deleted shard, a bit-rotted shard, a
+manifest that lies about counts or digits, a corrupted per-series WAL
+record of a v2.6.0 directory, and files no manifest entry references must
+each be flagged with their own problem code.
 """
 
 import json
@@ -19,7 +20,7 @@ from repro.store import SeriesDB
 
 @pytest.fixture
 def db_root(tmp_path, walk_series):
-    """A flushed two-series database plus un-flushed WAL records on 'cpu'."""
+    """A flushed two-series database plus un-flushed group-log records on 'cpu'."""
     root = tmp_path / "db"
     db = SeriesDB(root, seal_threshold=256)
     db.ingest("cpu", walk_series, digits=2)
@@ -27,6 +28,16 @@ def db_root(tmp_path, walk_series):
     db.flush()
     db.ingest("cpu", walk_series[:100], digits=2)  # durable, not flushed
     return root
+
+
+@pytest.fixture
+def wal_root(legacy_root, walk_series):
+    """A v2.6.0 directory: 'cpu' has 100 values pending in its per-series WAL."""
+    return legacy_root(
+        {"cpu": walk_series, "mem": walk_series[:700]},
+        {"cpu": [walk_series[:100]]},
+        digits=2,
+    )
 
 
 def codes(report):
@@ -65,7 +76,13 @@ def test_deep_replays_wal_on_top_of_snapshots(db_root, walk_series):
     report = fsck_seriesdb(db_root, deep=True)
     assert report.ok
     # the pending 100 WAL values count toward the replayed totals
-    assert report.checked["decoded_values"] == len(walk_series) + 700
+    assert report.checked["decoded_values"] == len(walk_series) + 700 + 100
+
+
+def test_v260_wal_root_passes_deep(wal_root):
+    report = fsck_seriesdb(wal_root, deep=True)
+    assert report.ok, [p.render() for p in report.problems]
+    assert report.checked["wals"] == 1
 
 
 def test_directory_dispatch(db_root):
@@ -157,37 +174,37 @@ def test_tmp_files_are_not_dangling(db_root):
 # -- WAL defects ----------------------------------------------------------------
 
 
-def test_corrupt_wal_record_flagged(db_root):
-    path = wal_path(db_root, "cpu")
+def test_corrupt_wal_record_flagged(wal_root):
+    path = wal_path(wal_root, "cpu")
     blob = bytearray(path.read_bytes())
     blob[-3] ^= 0xFF
     path.write_bytes(bytes(blob))
-    report = fsck_seriesdb(db_root)
+    report = fsck_seriesdb(wal_root)
     assert "FSK026" in codes(report)
     assert report.exit_code == 1
 
 
-def test_wal_digits_conflict(db_root):
-    data = manifest(db_root)
+def test_wal_digits_conflict(wal_root):
+    data = manifest(wal_root)
     data["series"]["cpu"]["digits"] = 7  # WAL header says 2
-    rewrite_manifest(db_root, data)
-    assert "FSK027" in codes(fsck_seriesdb(db_root))
+    rewrite_manifest(wal_root, data)
+    assert "FSK027" in codes(fsck_seriesdb(wal_root))
 
 
-def test_wal_codec_conflict(db_root):
-    data = manifest(db_root)
+def test_wal_codec_conflict(wal_root):
+    data = manifest(wal_root)
     data["hot_codec"] = "leco"  # the WAL was written with gorilla
-    rewrite_manifest(db_root, data)
-    assert "FSK027" in codes(fsck_seriesdb(db_root))
+    rewrite_manifest(wal_root, data)
+    assert "FSK027" in codes(fsck_seriesdb(wal_root))
 
 
-def test_stale_wal_generation_is_dangling(db_root):
+def test_stale_wal_generation_is_dangling(wal_root):
     """A log file left behind by a crash mid-rotation has no reference."""
-    data = manifest(db_root)
-    stale = db_root / "shards" / "cpu-0099.wal"
-    stale.write_bytes(wal_path(db_root, "cpu").read_bytes())
-    rewrite_manifest(db_root, data)
-    assert "FSK028" in codes(fsck_seriesdb(db_root))
+    data = manifest(wal_root)
+    stale = wal_root / "shards" / "cpu-0099.wal"
+    stale.write_bytes(wal_path(wal_root, "cpu").read_bytes())
+    rewrite_manifest(wal_root, data)
+    assert "FSK028" in codes(fsck_seriesdb(wal_root))
 
 
 def test_unopenable_db_caught_by_deep_backstop(db_root):

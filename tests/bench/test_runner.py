@@ -52,47 +52,6 @@ def test_random_access_counts_blocks(written):
         assert 1 <= stats["blocks_decoded_for_point_queries"] <= 3
 
 
-def test_partition_ingest_payload_shape(written):
-    _, paths = written
-    payload = json.loads(
-        next(p for p in paths if "partition_ingest" in p.name).read_text()
-    )
-    configs = payload["configs"]
-    assert set(configs) == {
-        f"p{p}_group_{g}" for p in (1, 2, 4, 8) for g in ("on", "off")
-    }
-    for partitions in (1, 2, 4, 8):
-        on = configs[f"p{partitions}_group_on"]
-        off = configs[f"p{partitions}_group_off"]
-        assert on["ingest_seconds"] > 0 and off["ingest_seconds"] > 0
-        # group commit: one fsync per touched partition; without it, one
-        # per series in the batch
-        assert on["fsyncs_per_batch"] <= partitions
-        assert off["fsyncs_per_batch"] == payload["meta"]["num_series"]
-    assert configs["p1_group_on"]["fsyncs_per_batch"] == 1
-
-
-def test_committed_partition_ingest_records_group_commit():
-    """The repo-root artefact must show group commit collapsing a whole
-    batch to one fsync per partition.  The fan-out speedup claim
-    (>= 1.5x at 4 partitions) only holds with cores to run the workers
-    on, so it is asserted only when the recording box had >= 4."""
-    from pathlib import Path
-
-    root = Path(__file__).resolve().parents[2]
-    payload = json.loads((root / "BENCH_partition_ingest.json").read_text())
-    assert payload["meta"]["n"] == 1_000_000
-    configs = payload["configs"]
-    assert configs["p1_group_on"]["fsyncs_per_batch"] == 1
-    assert configs["p4_group_on"]["fsyncs_per_batch"] <= 4
-    assert (
-        configs["p4_group_off"]["fsyncs_per_batch"]
-        == payload["meta"]["num_series"]
-    )
-    if payload["meta"].get("cpus", 1) >= 4:
-        assert configs["p4_group_on"]["speedup_vs_1_partition"] >= 1.5
-
-
 def test_committed_artifacts_record_the_speedup():
     """The repo-root BENCH files are the acceptance record: the XOR family
     must show the vectorised backend >= 5x over scalar at 1M values."""

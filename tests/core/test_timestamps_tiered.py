@@ -161,6 +161,31 @@ class TestTieredStore:
         with pytest.raises(ValueError):
             TieredStore(seal_threshold=0)
 
+    def test_snapshot_bytes_are_pinned(self):
+        """Cold run, hot block and partial buffer serialise to a pinned
+        digest: the write buffer's in-memory type never leaks into the
+        RPTS0001 layout."""
+        import hashlib
+
+        y = np.cumsum((np.arange(300) * 37) % 101 - 50).astype(np.int64)
+        store = TieredStore(seal_threshold=64, hot_codec="gorilla",
+                            cold_codec="leats")
+        store.extend(y[:200])
+        store.consolidate()
+        store.extend(y[200:])
+        store.append(7)
+        report = store.tier_report()
+        assert (report["cold_runs"], report["hot_blocks"]) == (1, 1)
+        assert report["buffer_values"] == 45
+        blob = store.to_bytes()
+        assert hashlib.sha256(blob).hexdigest() == (
+            "367c792b5f185ae76c33483e3606345c11de00e9e54b2ba54df22f19e9af8d04"
+        )
+        again = TieredStore.from_bytes(memoryview(blob))
+        assert again.to_bytes() == blob
+        assert type(again.access(300)) is int and again.access(300) == 7
+        assert np.array_equal(again.range(290, 301)[:-1], y[290:])
+
 
 class TestExtendBulkEquivalence:
     """extend() seals in bulk but must match the per-value append path exactly."""

@@ -2,10 +2,12 @@
 
 A hypothesis state machine drives a single-dir :class:`SeriesDB` and a
 2-partition :class:`PartitionedSeriesDB` through the same random sequence
-of ``ingest``, ``ingest_many``, ``flush``, ``compact`` and close + reopen,
-with a shard cache of 1-4 entries: batches routinely span more series than
-the cache holds, which is where acknowledged values were once lost to
-eviction.  After every step each store must hold exactly the model's values.
+of ``ingest``, ``ingest_many``, ``flush``, ``compact``, close + reopen, and
+a crash (the handle dropped unclosed, then a reopen), with a shard cache of
+1-4 entries: batches routinely span more series than the cache holds, which
+is where acknowledged values were once lost to eviction.  After every step
+each store must hold exactly the model's values: every acknowledged ingest
+survives a crash.
 """
 
 import shutil
@@ -88,6 +90,14 @@ class StoreMachine(RuleBasedStateMachine):
     def close_and_reopen(self):
         for db in self.stores():
             db.close()
+        self.single = SeriesDB.open(self.tmp / "single", cache_capacity=self.capacity)
+        self.parted = PartitionedSeriesDB.open(
+            self.tmp / "parted", cache_capacity=self.capacity
+        )
+
+    @rule()
+    def crash_and_reopen(self):
+        """Drop both handles without closing them: only the logs survive."""
         self.single = SeriesDB.open(self.tmp / "single", cache_capacity=self.capacity)
         self.parted = PartitionedSeriesDB.open(
             self.tmp / "parted", cache_capacity=self.capacity

@@ -129,6 +129,71 @@ class TestParallelIngestEquivalence:
         fanned.close()
 
 
+class TestIngestPath:
+    """Partitions ingest in this process, and each value is encoded once."""
+
+    def test_steady_state_batch_stays_in_process(self, tmp_path, rng, monkeypatch):
+        import os
+
+        import repro.store.parallel as parallel
+        import repro.store.partitioned as partitioned
+        from repro.baselines.gorilla import GorillaCompressor
+
+        # "Default workers" means a real pool width on any host.
+        monkeypatch.setattr(parallel, "default_workers", lambda: 4)
+        monkeypatch.setattr(partitioned, "default_workers", lambda: 4)
+        data = {
+            f"s{i}": np.cumsum(rng.integers(-5, 6, 2000)).astype(np.int64)
+            for i in range(6)
+        }
+        db = PartitionedSeriesDB(tmp_path / "p", partitions=2, seal_threshold=256)
+        db.ingest_many({sid: v[:512] for sid, v in data.items()}, workers=1)
+        db.flush()
+        assert {db.partition_of(sid) for sid in data} == {0, 1}
+        # the first batch after a flush creates each partition's next log
+        db.ingest_many({sid: v[512:540] for sid, v in data.items()})
+
+        fsyncs, pools, opened = [], [], []
+        real_fsync = os.fsync
+        monkeypatch.setattr(
+            os, "fsync", lambda fd: (fsyncs.append(fd), real_fsync(fd))[1]
+        )
+
+        class CountedPool(parallel.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                pools.append(args)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(parallel, "ProcessPoolExecutor", CountedPool)
+        real_open = SeriesDB.open.__func__
+        monkeypatch.setattr(SeriesDB, "open", classmethod(
+            lambda cls, root, **kw: (opened.append(root), real_open(cls, root, **kw))[1]
+        ))
+        counts = db.ingest_many({sid: v[540:600] for sid, v in data.items()})
+        assert counts == {sid: 600 for sid in data}
+        assert len(fsyncs) == 2  # one group-log write per touched partition
+        assert pools == []
+        assert opened == []
+
+        # A block-bearing batch: the frame a full block is logged as is the
+        # frame its shard adopts, so the hot codec sees each value once.
+        encoded = []
+        real_compress = GorillaCompressor.compress
+        monkeypatch.setattr(GorillaCompressor, "compress", lambda self, values: (
+            encoded.append(len(values)), real_compress(self, values))[1])
+        batch = {f"b{i}": data[f"s{i}"][: 512 + 44 * i] for i in range(4)}
+        db.ingest_many(batch, workers=1)
+        assert sum(encoded) == sum(len(v) for v in batch.values())
+        monkeypatch.undo()
+        db.close()
+        again = PartitionedSeriesDB.open(tmp_path / "p")
+        for sid, values in batch.items():
+            assert np.array_equal(again.decompress(sid), values)
+        for sid, values in data.items():
+            assert np.array_equal(again.decompress(sid), values[:600])
+        again.close()
+
+
 class TestLifecycle:
     def test_close_poisons_and_is_idempotent(self, tmp_path):
         db = PartitionedSeriesDB(tmp_path / "p", partitions=2)
