@@ -2,7 +2,8 @@
 
 The paper's claim: NeaTS decompression is the fastest or near-fastest thanks
 to per-fragment vectorised evaluation; the stdlib C codecs (Xz/Zstd* rows)
-have an unfair compiled-code advantage here — see EXPERIMENTS.md.
+have an unfair compiled-code advantage here.  The full-scale table comes
+from ``python -m repro.bench --experiment table3``.
 """
 
 import numpy as np

@@ -2,7 +2,7 @@
 
 Benchmarks run on small slices of the synthetic datasets (pure-Python
 compression is the slow part); the full paper-scale tables come from
-``python -m repro.bench`` instead (see EXPERIMENTS.md).
+``python -m repro.bench`` instead (``--experiment table3`` and friends).
 """
 
 import numpy as np

@@ -1,10 +1,10 @@
 """Guarded-by inference: which lock guards which attribute, checked statically.
 
-The lock-discipline rule (RPR301) knows *one* class and *one* hand-written
-attribute list.  This module infers the guarded-by relation for **every**
-class that creates a ``threading.Lock``/``RLock`` in its ``__init__`` —
-SeriesDB today, the server state of ``repro serve`` tomorrow — and checks
-three invariants the happens-before race detector
+The lock-discipline rule (RPR301) knows two classes — ``SeriesDB`` and
+``PartitionedSeriesDB`` — and a hand-written attribute list for each.  This
+module infers the guarded-by relation for **every** class that creates a
+``threading.Lock``/``RLock`` in its ``__init__`` and checks three
+invariants the happens-before race detector
 (:mod:`repro.analysis.sanitizer`) can only confirm at runtime:
 
 ``RPR801`` **mixed-guard write** — an attribute written both *under* the
@@ -33,6 +33,12 @@ How a site is classified lock-held:
   site is itself lock-held — the one-level-and-fixpoint callee expansion
   RPR701 pioneered, formalising SeriesDB's "private helpers are documented
   as called-under-lock" convention.
+
+The three rules check writes and escapes; an unlocked *read* of guarded
+state is left to RPR301.  Extending RPR802 to reads would flag the
+deliberately lock-free reads (``SeriesDB.closed``/``.root``,
+``PartitionedSeriesDB.closed``/``.root``/``.partitions``), so RPR301's
+explicit list stays the read check.
 
 Scope notes (deliberate, so the rules stay quiet on legitimate code):
 ``__init__``/``__new__``/``__del__``/``__repr__``/``__enter__``/``__exit__``

@@ -480,7 +480,8 @@ def check_durability(module: Module) -> list[Finding]:
 
 # -- RPR301: SeriesDB lock discipline ------------------------------------------
 
-#: class name -> attributes that form its lock-guarded shared state
+#: class name -> attributes that form its lock-guarded shared state; a
+#: test holds each list equal to the guarded-by inference's locked writes
 GUARDED_STATE: dict[str, frozenset[str]] = {
     "SeriesDB": frozenset({
         "_stores", "_dirty", "_cached_gen", "_series", "_next_shard",

@@ -192,13 +192,15 @@ class _XorBlockCompressed(Compressed):
 
         Zero-copy: block word buffers are adopted as (read-only) views of
         ``payload``, which may be any byte buffer, e.g. an mmapped frame.
+        Every block must hold at least one value and the block counts must
+        sum to the header's ``n``.
         """
         if len(payload) < 24:
             raise ValueError("corrupt XOR payload: header incomplete")
         n, block_size, nblocks = INT64_TRIPLE.unpack_from(payload)
         pos = 24
         blocks = []
-        for _ in range(nblocks):
+        for idx in range(nblocks):
             if pos + 24 > len(payload):
                 raise ValueError("corrupt XOR payload: truncated block header")
             count, bit_length, nwords = INT64_TRIPLE.unpack_from(payload, pos)
@@ -206,9 +208,18 @@ class _XorBlockCompressed(Compressed):
             end = pos + 8 * nwords
             if nwords < 0 or end > len(payload):
                 raise ValueError("corrupt XOR payload: bad block length")
+            if count < 1:
+                raise ValueError(
+                    f"corrupt XOR payload: block {idx} holds {count} values"
+                )
             words = np.frombuffer(payload, dtype=np.uint64, count=nwords, offset=pos)
             blocks.append((words, bit_length, count))
             pos = end
+        total = sum(count for _, _, count in blocks)
+        if total != n:
+            raise ValueError(
+                f"corrupt XOR payload: blocks hold {total} values, header says {n}"
+            )
         return cls(blocks, n, block_size, decode_fn, family)
 
 

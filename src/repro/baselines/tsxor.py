@@ -189,21 +189,34 @@ class _TSXorCompressed(Compressed):
 
     @classmethod
     def from_payload(cls, payload: bytes) -> "_TSXorCompressed":
-        """Rebuild from :meth:`to_payload` output (no context needed)."""
+        """Rebuild from :meth:`to_payload` output (no context needed).
+
+        Every block must hold at least one value and the block counts must
+        sum to the header's ``n``.
+        """
         if len(payload) < 24:
             raise ValueError("corrupt TSXor payload: header incomplete")
         n, block_size, nblocks = INT64_TRIPLE.unpack_from(payload)
         pos = 24
         blocks = []
-        for _ in range(nblocks):
+        for idx in range(nblocks):
             if pos + 16 > len(payload):
                 raise ValueError("corrupt TSXor payload: truncated block header")
             count, length = INT64_PAIR.unpack_from(payload, pos)
             pos += 16
             if length < 0 or pos + length > len(payload):
                 raise ValueError("corrupt TSXor payload: bad block length")
+            if count < 1:
+                raise ValueError(
+                    f"corrupt TSXor payload: block {idx} holds {count} values"
+                )
             blocks.append((payload[pos : pos + length], count))
             pos += length
+        total = sum(count for _, count in blocks)
+        if total != n:
+            raise ValueError(
+                f"corrupt TSXor payload: blocks hold {total} values, header says {n}"
+            )
         return cls(blocks, n, block_size)
 
 

@@ -74,7 +74,7 @@ def _meta(n: int, repeats: int) -> dict:
         "repeats": repeats,
         "python": platform.python_version(),
         "numpy": np.__version__,
-        "backends": kernels.available_backends(),
+        "backends": list(kernels.BACKENDS),
     }
 
 

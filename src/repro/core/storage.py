@@ -226,7 +226,7 @@ class NeaTSStorage:
         return out
 
     def _decompress_batched(self) -> np.ndarray:
-        """One vectorised pass over all fragments (accelerated backends).
+        """One vectorised pass over all fragments (the numpy backend).
 
         Function values come from a single
         :func:`~repro.kernels.segments.evaluate_fragments` call; corrections

@@ -1,28 +1,21 @@
-"""Kernel dispatch: the vectorised/compiled decode hot paths.
+"""Kernel dispatch: the vectorised decode hot paths.
 
 Every decode inner loop that dominates a benchmark — block-level XOR
 decoding (Gorilla/Chimp/TSXor), piecewise segment evaluation (NeaTS and the
 lossy codecs), and fixed-width bit packing — routes through this package, so
 one switch selects the implementation everywhere:
 
-* ``python`` — the original scalar loops (``BitReader`` per value).  Always
-  available; the reference every other backend is parity-tested against.
-* ``numpy``  — word-level vectorised decoders: one cheap control-bit scan
-  followed by bulk field extraction and a single ``bitwise_xor.accumulate``
-  (or ``np.repeat`` segment evaluation) over the whole block.
-* ``numba``  — optional JIT-compiled single-pass loops; auto-detected and
-  used by default when ``numba`` is importable, never required.
+* ``numpy``  — the default: word-level vectorised decoders, one cheap
+  control-bit scan followed by bulk field extraction and a single
+  ``bitwise_xor.accumulate`` (or ``np.repeat`` segment evaluation) over the
+  whole block.
+* ``python`` — the original scalar loops (``BitReader`` per value); the
+  reference the numpy path is parity-tested and benchmarked against.
 
-Selection
----------
-``REPRO_KERNELS=python|numpy|numba`` picks the backend for a process;
-:func:`set_backend` / :func:`use_backend` override it programmatically.
-With nothing set, the default is ``numba`` when available, else ``numpy``.
-Requesting ``numba`` through the environment when it is not importable
-falls back to ``numpy`` with a warning; :func:`set_backend` raises instead
-(an explicit API call should not be silently ignored).
+:func:`use_backend` scopes a backend to a ``with`` block; it is the only
+way to leave the default.
 
-All backends are bit-for-bit interchangeable: the parity suite
+Both backends are bit-for-bit interchangeable: the parity suite
 (``tests/kernels``) asserts byte-identical decode output across backends
 for every registered codec, including bit-offset slices and block
 boundaries.  See ``docs/kernels.md`` for how to add a kernel.
@@ -31,18 +24,12 @@ boundaries.  See ``docs/kernels.md`` for how to add a kernel.
 from __future__ import annotations
 
 import contextlib
-import importlib
-import os
-import warnings
 from collections.abc import Iterator
 
 __all__ = [
     "BACKENDS",
-    "available_backends",
     "get_backend",
-    "set_backend",
     "use_backend",
-    "numba_available",
     "pack_bits",
     "unpack_bits",
     "unpack_fields",
@@ -54,92 +41,33 @@ __all__ = [
     "XOR_FAMILIES",
 ]
 
-#: every backend name this package knows about
-BACKENDS = ("python", "numpy", "numba")
+#: every backend name, the scalar reference first
+BACKENDS = ("python", "numpy")
 
-_ENV_VAR = "REPRO_KERNELS"
-_override: str | None = None
-_has_numba: bool | None = None
-
-
-def numba_available() -> bool:
-    """Whether the optional compiled backend can be used (cached probe)."""
-    global _has_numba
-    if _has_numba is None:
-        try:
-            importlib.import_module("numba")
-        except Exception:
-            _has_numba = False
-        else:
-            _has_numba = True
-    return _has_numba
-
-
-def available_backends() -> tuple[str, ...]:
-    """The backends usable in this process, slowest first."""
-    if numba_available():
-        return BACKENDS
-    return BACKENDS[:2]
+_backend = "numpy"
 
 
 def get_backend() -> str:
-    """The active kernel backend name.
-
-    Resolution order: :func:`set_backend` override, then the
-    ``REPRO_KERNELS`` environment variable, then the auto-detected default
-    (``numba`` when importable, ``numpy`` otherwise).
-    """
-    if _override is not None:
-        return _override
-    env = os.environ.get(_ENV_VAR, "").strip().lower()
-    if env:
-        if env not in BACKENDS:
-            raise ValueError(
-                f"{_ENV_VAR}={env!r} is not a kernel backend; "
-                f"expected one of {', '.join(BACKENDS)}"
-            )
-        if env == "numba" and not numba_available():
-            warnings.warn(
-                f"{_ENV_VAR}=numba but numba is not importable; "
-                "falling back to the numpy backend",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-            return "numpy"
-        return env
-    return "numba" if numba_available() else "numpy"
-
-
-def set_backend(name: str | None) -> None:
-    """Force the backend for this process (``None`` restores resolution).
-
-    Unlike the environment variable, asking for an unavailable backend here
-    raises: an explicit call expresses intent that must not silently degrade.
-    """
-    global _override
-    if name is None:
-        _override = None
-        return
-    if name not in BACKENDS:
-        raise ValueError(
-            f"unknown kernel backend {name!r}; "
-            f"expected one of {', '.join(BACKENDS)}"
-        )
-    if name == "numba" and not numba_available():
-        raise ValueError("the numba backend was requested but numba is not importable")
-    _override = name
+    """The active kernel backend name: ``numpy`` unless :func:`use_backend`
+    has selected another."""
+    return _backend
 
 
 @contextlib.contextmanager
 def use_backend(name: str) -> Iterator[None]:
     """Context manager: run a block under a specific backend."""
-    global _override
-    previous = _override
-    set_backend(name)
+    global _backend
+    if name not in BACKENDS:
+        raise ValueError(
+            f"unknown kernel backend {name!r}; "
+            f"expected one of {', '.join(BACKENDS)}"
+        )
+    previous = _backend
+    _backend = name
     try:
         yield
     finally:
-        _override = previous
+        _backend = previous
 
 
 # The kernel modules import get_backend from here, so they load last.

@@ -130,17 +130,10 @@ def decode_block(data, count: int) -> np.ndarray:
     """Decode ``count`` values of one TSXor byte stream (any byte buffer)."""
     if count <= 0:
         return np.zeros(0, dtype=np.uint64)
-    backend = get_backend()
-    if backend == "python":
+    if get_backend() == "python":
         from ..baselines.tsxor import tsxor_decode  # deferred: import cycle
 
         return tsxor_decode(data, count)
-    if backend == "numba":
-        from . import _numba
-
-        return _numba.decode_tsxor(
-            np.frombuffer(bytes(data) + b"\x00" * 8, dtype=np.uint8), count
-        )
     return _decode_numpy(data, count)
 
 

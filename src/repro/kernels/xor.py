@@ -23,7 +23,7 @@ is vectorised across blocks.  A 1M-value stream is ~1000 blocks, so the
 sequential dimension collapses from 1M Python iterations to ~1000 numpy
 steps.
 
-All backends return the same ``uint64`` array, bit for bit; the parity
+Both backends return the same ``uint64`` array, bit for bit; the parity
 suite in ``tests/kernels`` enforces it per codec and per block boundary.
 """
 
@@ -472,8 +472,6 @@ def _decode_python(family: str, words: np.ndarray, bit_length: int,
 
 def _decode_numpy(family: str, words: np.ndarray, bit_length: int,
                   count: int) -> np.ndarray:
-    if count <= 0:
-        return np.zeros(0, dtype=np.uint64)
     ints = words.tolist()
     ints.append(0)  # lets 2-bit control peeks near the end stay in bounds
     first = ints[0]
@@ -499,28 +497,21 @@ def _decode_numpy(family: str, words: np.ndarray, bit_length: int,
     return out
 
 
-def _decode_numba(family: str, words: np.ndarray, bit_length: int,
-                  count: int) -> np.ndarray:
-    from . import _numba
-
-    return _numba.decode_xor(family, np.ascontiguousarray(words), count)
-
-
 def decode_block(family: str, words: np.ndarray, bit_length: int,
                  count: int) -> np.ndarray:
     """Decode one XOR-family block into a ``uint64`` array.
 
     ``family`` is one of :data:`XOR_FAMILIES`; ``words``/``bit_length`` are
     the block's bit stream exactly as :class:`~repro.bits.io.BitWriter`
-    produced it, ``count`` the number of encoded values.
+    produced it, ``count`` the number of encoded values (``count <= 0``
+    decodes to an empty array on both backends).
     """
     if family not in XOR_FAMILIES:
         raise ValueError(f"unknown XOR family {family!r}")
-    backend = get_backend()
-    if backend == "python":
+    if count <= 0:
+        return np.zeros(0, dtype=np.uint64)
+    if get_backend() == "python":
         return _decode_python(family, words, bit_length, count)
-    if backend == "numba":
-        return _decode_numba(family, words, bit_length, count)
     return _decode_numpy(family, words, bit_length, count)
 
 
@@ -528,8 +519,8 @@ def decode_blocks(family: str, blocks) -> np.ndarray:
     """Decode a whole stream — ``(words, bit_length, count)`` blocks — at once.
 
     Returns the concatenated ``uint64`` values.  On the numpy backend
-    large streams use the lockstep batch scan; small ones (and the other
-    backends) fall back to per-block decoding.
+    large streams use the lockstep batch scan; small ones (and the python
+    backend) fall back to per-block decoding.
     """
     if family not in XOR_FAMILIES:
         raise ValueError(f"unknown XOR family {family!r}")

@@ -7,6 +7,7 @@ The final tests run the linter over the *real* package and require it to
 be clean modulo the committed baseline — the exact gate CI runs.
 """
 
+import ast
 import json
 import textwrap
 from pathlib import Path
@@ -14,18 +15,20 @@ from pathlib import Path
 import pytest
 
 from repro.analysis import Baseline, apply_baseline, run_lint
+from repro.analysis.concurrency import _ClassScan, _guard_attrs
 from repro.analysis.findings import Finding
+from repro.analysis.rules import GUARDED_STATE
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
 
-def lint_tree(tmp_path, files):
+def lint_tree(tmp_path, files, *, dataflow=False):
     """Write ``{relpath: source}`` under tmp_path and lint the tree."""
     for rel, source in files.items():
         path = tmp_path / rel
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(textwrap.dedent(source))
-    return run_lint([str(tmp_path)], check_registry=False)
+    return run_lint([str(tmp_path)], check_registry=False, dataflow=dataflow)
 
 
 def rules_fired(findings):
@@ -297,10 +300,36 @@ def test_unlocked_guarded_state_access_flagged(tmp_path):
 
             def _helper(self, sid):
                 return self._stores[sid]
-    """})
+    """}, dataflow=True)
     flagged = by_rule(findings, "RPR301")
     assert len(flagged) == 1
     assert "count" in flagged[0].message  # access is locked, _helper private
+    # The unlocked *read* in count() is RPR301's alone: the guarded-by
+    # rules RPR801-803 check writes and escapes, so they stay silent here.
+    assert not [f for f in findings if f.rule.startswith("RPR80")]
+
+
+@pytest.mark.parametrize("module, name", [
+    ("store/seriesdb.py", "SeriesDB"),
+    ("store/partitioned.py", "PartitionedSeriesDB"),
+])
+def test_guarded_state_matches_inferred_guarded_writes(module, name):
+    """RPR301's hand-kept list is what the guarded-by inference sees
+    written under ``self._lock``, less ``_closed``: the ``closed`` property
+    reads that flag without the lock on purpose."""
+    tree = ast.parse((REPO_ROOT / "src" / "repro" / module).read_text("utf-8"))
+    cls = next(
+        node for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef) and node.name == name
+    )
+    assert _guard_attrs(cls) == {"_lock"}
+    scan = _ClassScan(cls, {"_lock"})
+    held_methods = scan.held_methods()
+    written = {
+        site.attr for site in scan.sites
+        if site.write and scan.classify(site, held_methods)
+    }
+    assert GUARDED_STATE[name] == written - {"_closed"}
 
 
 def test_missing_lock_creation_flagged(tmp_path):

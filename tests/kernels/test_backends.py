@@ -1,4 +1,4 @@
-"""Backend selection: env var, overrides, and graceful degradation."""
+"""Backend selection: the numpy default and scoped ``use_backend`` overrides."""
 
 import numpy as np
 import pytest
@@ -6,57 +6,21 @@ import pytest
 import repro.kernels as kernels
 
 
-@pytest.fixture(autouse=True)
-def _restore_backend():
-    yield
-    kernels.set_backend(None)
-
-
 class TestResolution:
-    def test_default_is_an_accelerated_backend(self, monkeypatch):
-        monkeypatch.delenv("REPRO_KERNELS", raising=False)
-        kernels.set_backend(None)
-        assert kernels.get_backend() in ("numpy", "numba")
-
-    def test_env_var_selects(self, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNELS", "python")
-        assert kernels.get_backend() == "python"
-        monkeypatch.setenv("REPRO_KERNELS", "numpy")
-        assert kernels.get_backend() == "numpy"
-
-    def test_env_var_unknown_name_raises(self, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNELS", "fortran")
-        with pytest.raises(ValueError, match="not a kernel backend"):
-            kernels.get_backend()
-
-    def test_env_numba_without_numba_warns_and_degrades(self, monkeypatch):
-        if kernels.numba_available():
-            pytest.skip("numba is importable here")
-        monkeypatch.setenv("REPRO_KERNELS", "numba")
-        with pytest.warns(RuntimeWarning, match="falling back"):
-            assert kernels.get_backend() == "numpy"
-
-    def test_override_beats_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNELS", "numpy")
-        kernels.set_backend("python")
-        assert kernels.get_backend() == "python"
-        kernels.set_backend(None)
+    def test_default_is_an_accelerated_backend(self):
         assert kernels.get_backend() == "numpy"
 
 
 class TestSetBackend:
+    """``use_backend`` is the one way to set a backend."""
+
     def test_unknown_name_raises(self):
         with pytest.raises(ValueError, match="unknown kernel backend"):
-            kernels.set_backend("cuda")
-
-    def test_numba_raises_when_missing(self):
-        if kernels.numba_available():
-            pytest.skip("numba is importable here")
-        with pytest.raises(ValueError, match="numba is not importable"):
-            kernels.set_backend("numba")
+            with kernels.use_backend("cuda"):
+                pass
+        assert kernels.get_backend() == "numpy"
 
     def test_use_backend_restores_on_exit(self):
-        kernels.set_backend("numpy")
         with kernels.use_backend("python"):
             assert kernels.get_backend() == "python"
             with kernels.use_backend("numpy"):
@@ -65,17 +29,10 @@ class TestSetBackend:
         assert kernels.get_backend() == "numpy"
 
     def test_use_backend_restores_on_error(self):
-        kernels.set_backend("numpy")
         with pytest.raises(RuntimeError):
             with kernels.use_backend("python"):
                 raise RuntimeError("boom")
         assert kernels.get_backend() == "numpy"
-
-
-def test_available_backends_always_lists_the_parity_pair():
-    backends = kernels.available_backends()
-    assert backends[:2] == ("python", "numpy")
-    assert ("numba" in backends) == kernels.numba_available()
 
 
 def test_backend_switch_changes_decode_route_not_result():
@@ -88,7 +45,7 @@ def test_backend_switch_changes_decode_route_not_result():
     gorilla_encode([int(v) for v in values], writer)
     words, bits = writer.getbuffer(), writer.bit_length
     outs = {}
-    for backend in kernels.available_backends():
+    for backend in kernels.BACKENDS:
         with kernels.use_backend(backend):
             outs[backend] = kernels.decode_xor_block(
                 "gorilla", words, bits, len(values)

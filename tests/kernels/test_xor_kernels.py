@@ -47,7 +47,7 @@ class TestXorBlockParity:
     def test_all_backends_identical(self, family, n):
         values = _mixed_values(n, seed=n)
         words, bits = _encode(family, values)
-        for backend in kernels.available_backends():
+        for backend in kernels.BACKENDS:
             with kernels.use_backend(backend):
                 out = kernels.decode_xor_block(family, words, bits, n)
             assert out.dtype == np.uint64
@@ -64,10 +64,18 @@ class TestXorBlockParity:
             blocks.append((words, bits, n))
             expected.append(values)
         want = np.concatenate(expected)
-        for backend in kernels.available_backends():
+        for backend in kernels.BACKENDS:
             with kernels.use_backend(backend):
                 out = kernels.decode_xor_blocks(family, blocks)
             assert np.array_equal(out, want), (family, backend)
+
+    @pytest.mark.parametrize("family", kernels.XOR_FAMILIES)
+    def test_zero_count_decodes_nothing(self, family):
+        words, bits = _encode(family, _mixed_values(5))
+        for backend in kernels.BACKENDS:
+            with kernels.use_backend(backend):
+                out = kernels.decode_xor_block(family, words, bits, 0)
+            assert out.dtype == np.uint64 and len(out) == 0, (family, backend)
 
     def test_unknown_family_rejected(self):
         with pytest.raises(ValueError, match="unknown XOR family"):
@@ -80,7 +88,7 @@ class TestTSXorParity:
         values = _mixed_values(n, seed=n + 1000)
         blob = tsxor_encode(values)
         want = tsxor_decode(blob, n)
-        for backend in kernels.available_backends():
+        for backend in kernels.BACKENDS:
             with kernels.use_backend(backend):
                 out = kernels.decode_tsxor_block(blob, n)
             assert np.array_equal(out, want), backend
@@ -95,7 +103,7 @@ class TestTSXorParity:
             blocks.append((tsxor_encode(values), n))
             expected.append(values)
         want = np.concatenate(expected)
-        for backend in kernels.available_backends():
+        for backend in kernels.BACKENDS:
             with kernels.use_backend(backend):
                 out = kernels.decode_tsxor_blocks(blocks)
             assert np.array_equal(out, want), backend
@@ -111,7 +119,7 @@ class TestCorruptStreams:
         writer.write(0b01, 2)  # LSB-first ctl == 1
         writer.write(0, 30)
         words, bits = writer.getbuffer(), writer.bit_length
-        for backend in kernels.available_backends():
+        for backend in kernels.BACKENDS:
             with kernels.use_backend(backend):
                 with pytest.raises(ValueError, match="corrupt Chimp stream"):
                     kernels.decode_xor_block("chimp", words, bits, 2)
