@@ -3,10 +3,10 @@
 The paper's deployment sketch (§IV-C1) scaled out: instead of one
 ``TieredStore``, a :class:`repro.SeriesDB` keeps a whole fleet of series
 — one tiered shard per series id, a JSON manifest, and a background
-compaction policy.  Batch ingest fans the hot-tier compression of every
-full block across a process pool (:func:`repro.compress_many` under the
-hood), which is how a multi-tenant ingest node keeps up with many
-streams on many cores.
+compaction policy.  Batch ingest encodes the hot-tier pieces of every
+series in one vectorised Gorilla pass, in the calling process, which is
+how a multi-tenant ingest node keeps up with many streams;
+:func:`repro.compress_many` fans whole series out over a process pool.
 
 Run with::
 
@@ -55,7 +55,7 @@ def demo(root: Path) -> None:
     # --- the durable store: ingest the same fleet -------------------------------
     db = SeriesDB(root, seal_threshold=1024, hot_codec="gorilla",
                   cold_codec="neats")
-    db.ingest_many(fleet, workers=4)
+    db.ingest_many(fleet)
     db.flush()
     print(f"\ningested into {db.root} "
           f"({len(db)} shards, manifest + one .tier file per series)")

@@ -59,12 +59,12 @@ and skipped with every sealed record intact::
 
 Many series at once: :func:`compress_many` fans compression out over a
 process pool, and :class:`SeriesDB` is a durable shard-per-series store
-(one tiered-store shard per series id, pooled batch ingest, background
-compaction)::
+(one tiered-store shard per series id, batch ingest in one compression
+pass, background compaction)::
 
     out = repro.compress_many(series_by_id, codec="gorilla", workers=4)
     db = repro.SeriesDB("dbdir", hot_codec="gorilla", cold_codec="neats")
-    db.ingest_many(series_by_id, workers=4); db.compact(); db.flush()
+    db.ingest_many(series_by_id); db.compact(); db.flush()
 
 Past one directory: :class:`PartitionedSeriesDB` shards the keyspace over
 N independent SeriesDB partitions (hash-placed series, per-partition
@@ -73,7 +73,7 @@ fan-out for compaction, scatter-gather reads), behind the same
 ``SeriesStore`` protocol — :func:`open_store` opens either kind::
 
     pdb = repro.PartitionedSeriesDB("bigdir", partitions=4)
-    pdb.ingest_many(series_by_id, workers=4)   # one fsync per partition
+    pdb.ingest_many(series_by_id)   # one fsync per partition
     repro.open_store("bigdir").access("cpu", 123)
 
 Integrity tooling: :func:`fsck` structurally verifies any archive or

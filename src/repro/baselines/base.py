@@ -263,6 +263,11 @@ class LosslessCompressor(ABC):
     def compress(self, values: np.ndarray) -> Compressed:
         """Compress a 1-D int64 array losslessly."""
 
+    def compress_many(self, series) -> list[Compressed]:
+        """Compress each array in ``series``; codecs that can batch the
+        work (Gorilla) override this."""
+        return [self.compress(values) for values in series]
+
     @staticmethod
     def _check_input(values: np.ndarray) -> np.ndarray:
         values = np.asarray(values)

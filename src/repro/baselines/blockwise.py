@@ -17,9 +17,25 @@ import numpy as np
 from ._native import INT64, INT64_TRIPLE
 from .base import Compressed, LosslessCompressor
 
-__all__ = ["BlockwiseCompressed", "ByteCompressor", "BlockwiseCompressor"]
+__all__ = [
+    "BlockwiseCompressed",
+    "ByteCompressor",
+    "BlockwiseCompressor",
+    "check_block_size",
+]
 
 DEFAULT_BLOCK = 1000
+
+
+def check_block_size(block_size) -> int:
+    """``block_size`` as an int, refused unless a positive integer.
+
+    Every block-wise constructor checks it: zero would fail deep inside
+    ``range``, and a negative size would build objects holding no blocks.
+    """
+    if isinstance(block_size, (int, np.integer)) and block_size >= 1:
+        return int(block_size)
+    raise ValueError(f"block_size must be a positive integer, got {block_size!r}")
 
 
 class ByteCompressor:
@@ -126,7 +142,7 @@ class BlockwiseCompressor(LosslessCompressor):
 
     def __init__(self, codec: ByteCompressor, block_size: int = DEFAULT_BLOCK) -> None:
         self._codec = codec
-        self._block_size = block_size
+        self._block_size = check_block_size(block_size)
         self.name = codec.name
 
     def compress(self, values: np.ndarray) -> BlockwiseCompressed:

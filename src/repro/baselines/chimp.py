@@ -23,7 +23,7 @@ import numpy as np
 
 from ..bits import BitReader, BitWriter
 from .base import LosslessCompressor
-from .blockwise import DEFAULT_BLOCK
+from .blockwise import DEFAULT_BLOCK, check_block_size
 from .gorilla import _XorBlockCompressed, _clz, _ctz
 
 __all__ = ["ChimpCompressor", "Chimp128Compressor"]
@@ -119,7 +119,7 @@ class ChimpCompressor(LosslessCompressor):
     name = "Chimp"
 
     def __init__(self, block_size: int = DEFAULT_BLOCK) -> None:
-        self._block_size = block_size
+        self._block_size = check_block_size(block_size)
 
     def compress(self, values: np.ndarray) -> _XorBlockCompressed:
         values = self._check_input(values)
@@ -231,7 +231,7 @@ class Chimp128Compressor(LosslessCompressor):
     name = "Chimp128"
 
     def __init__(self, block_size: int = DEFAULT_BLOCK) -> None:
-        self._block_size = block_size
+        self._block_size = check_block_size(block_size)
 
     def compress(self, values: np.ndarray) -> _XorBlockCompressed:
         values = self._check_input(values)

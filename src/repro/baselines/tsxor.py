@@ -19,7 +19,7 @@ import numpy as np
 
 from ._native import INT64_PAIR, INT64_TRIPLE
 from .base import Compressed, LosslessCompressor
-from .blockwise import DEFAULT_BLOCK
+from .blockwise import DEFAULT_BLOCK, check_block_size
 
 __all__ = ["TSXorCompressor"]
 
@@ -226,7 +226,7 @@ class TSXorCompressor(LosslessCompressor):
     name = "TSXor"
 
     def __init__(self, block_size: int = DEFAULT_BLOCK) -> None:
-        self._block_size = block_size
+        self._block_size = check_block_size(block_size)
 
     def compress(self, values: np.ndarray) -> _TSXorCompressed:
         values = self._check_input(values).astype(np.uint64)

@@ -14,7 +14,7 @@ Usage::
     python -m repro generate   IT out.csv --n 10000
 
     python -m repro db init    dbdir --hot-codec gorilla --cold-codec neats
-    python -m repro db ingest  dbdir a.csv b.csv --workers 4
+    python -m repro db ingest  dbdir a.csv b.csv
     python -m repro db query   dbdir a --at 123 456
     python -m repro db compact dbdir
     python -m repro db info    dbdir
@@ -35,8 +35,8 @@ only *new* violations fail.  Exit codes for both: 0 = clean, 1 =
 violations/defects, 2 = target unusable.
 
 The ``db`` family drives a :class:`repro.store.SeriesDB`: a directory of
-per-series tiered-store shards with a JSON manifest, batch-ingested
-through a process pool and recompressed in the background by ``compact``.
+per-series tiered-store shards with a JSON manifest, batch-ingested in
+one compression pass and recompressed in the background by ``compact``.
 
 Any codec from ``repro.codecs.available_codecs()`` can write an archive
 (``codecs`` lists them with their capability flags); the self-describing
@@ -436,9 +436,7 @@ def _cmd_db_ingest(args) -> int:
     }
     t0 = time.perf_counter()
     with open_store(args.root) as db:
-        counts = db.ingest_many(
-            series_map, workers=args.workers, digits=args.digits,
-        )
+        counts = db.ingest_many(series_map, digits=args.digits)
         db.flush()
     elapsed = time.perf_counter() - t0
     total = sum(len(v) for v in series_map.values())
@@ -567,10 +565,6 @@ def _add_db_parsers(sub) -> None:
                    help="comma-separated series ids (default: file stems)")
     p.add_argument("--digits", type=int, default=0,
                    help="fractional decimal digits of the input values")
-    p.add_argument("--workers", type=int, default=None,
-                   help="process-pool size for compressing full hot blocks; "
-                        "partitions ingest one after another in this process "
-                        "(default: one per core)")
     p.set_defaults(func=_cmd_db_ingest)
 
     p = dbsub.add_parser("query", help="point/range queries against one series")

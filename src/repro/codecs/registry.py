@@ -147,7 +147,8 @@ class _RegisteredCodec:
     Wrapping (instead of monkey-patching ``compress`` onto the factory's
     instance, as earlier versions did) keeps ``__slots__``-bearing and
     frozen compressor classes usable as codec factories.  Every attribute
-    other than ``compress`` delegates to the wrapped compressor.
+    other than ``compress`` and ``compress_many`` delegates to the wrapped
+    compressor.
     """
 
     __slots__ = ("_inner", "_spec", "_params")
@@ -163,7 +164,20 @@ class _RegisteredCodec:
         return self._spec
 
     def compress(self, values):
-        compressed = self._inner.compress(values)
+        return self._stamp(self._inner.compress(values))
+
+    def compress_many(self, series) -> list:
+        """Compress each array in ``series``, stamped like :meth:`compress`.
+
+        A factory need only define ``compress``; one without
+        ``compress_many`` is mapped over the series.
+        """
+        many = getattr(self._inner, "compress_many", None)
+        if many is None:
+            return [self.compress(values) for values in series]
+        return [self._stamp(compressed) for compressed in many(series)]
+
+    def _stamp(self, compressed):
         compressed.codec_id = self._spec.codec_id
         compressed.codec_params = dict(self._params)
         return compressed

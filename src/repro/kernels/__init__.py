@@ -1,4 +1,4 @@
-"""Kernel dispatch: the vectorised decode hot paths.
+"""Kernel dispatch: the vectorised decode hot paths, and Gorilla encode.
 
 Every decode inner loop that dominates a benchmark — block-level XOR
 decoding (Gorilla/Chimp/TSXor), piecewise segment evaluation (NeaTS and the
@@ -18,7 +18,9 @@ way to leave the default.
 Both backends are bit-for-bit interchangeable: the parity suite
 (``tests/kernels``) asserts byte-identical decode output across backends
 for every registered codec, including bit-offset slices and block
-boundaries.  See ``docs/kernels.md`` for how to add a kernel.
+boundaries.  :func:`encode_gorilla_blocks`, the Gorilla block encoder,
+has one path under both backends; the scalar ``gorilla_encode`` is its
+test oracle.  See ``docs/kernels.md`` for how to add a kernel.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ __all__ = [
     "unpack_fields",
     "decode_xor_block",
     "decode_xor_blocks",
+    "encode_gorilla_blocks",
     "decode_tsxor_block",
     "decode_tsxor_blocks",
     "evaluate_fragments",
@@ -78,3 +81,4 @@ from .tsxor import decode_blocks as decode_tsxor_blocks  # noqa: E402
 from .xor import XOR_FAMILIES  # noqa: E402
 from .xor import decode_block as decode_xor_block  # noqa: E402
 from .xor import decode_blocks as decode_xor_blocks  # noqa: E402
+from .xor import encode_gorilla_blocks  # noqa: E402

@@ -21,7 +21,13 @@ import numpy as np
 
 from ..bits.packed import unpack_bits, unpack_fields
 
-__all__ = ["FieldGather", "pack_bits", "unpack_bits", "unpack_fields"]
+__all__ = [
+    "FieldGather",
+    "pack_bits",
+    "scatter_fields",
+    "unpack_bits",
+    "unpack_fields",
+]
 
 
 class FieldGather:
@@ -72,13 +78,23 @@ def pack_bits(values: np.ndarray, width: int) -> np.ndarray:
     words = np.zeros(total // 64 + 1, dtype=np.uint64)
     if width == 0 or n == 0:
         return words
-    starts = np.arange(n, dtype=np.uint64) * np.uint64(width)
-    idx = (starts >> np.uint64(6)).astype(np.int64)
-    off = starts & np.uint64(63)
+    scatter_fields(words, np.arange(n, dtype=np.int64) * width, values)
+    return words
+
+
+def scatter_fields(words: np.ndarray, starts: np.ndarray, values: np.ndarray) -> None:
+    """OR each ``uint64`` value into ``words`` at bit offset ``starts``.
+
+    The fields must not overlap, and each value must fit the field it is
+    written to (callers validate; stray high bits would corrupt the next
+    field).  A field may cross one word boundary.
+    """
+    idx = starts >> 6
+    off = (starts & 63).astype(np.uint64)
     # Low part: shifting uint64 left is modular, exactly the in-word bits.
     np.bitwise_or.at(words, idx, values << off)
-    spill = off.astype(np.int64) + width > 64
-    if spill.any():
-        hi = values[spill] >> (np.uint64(64) - off[spill])
-        np.bitwise_or.at(words, idx[spill] + 1, hi)
-    return words
+    # The bits past a field's first word (two shifts keep each below 64).
+    # Fields never overlap, so at most one spills into each word.
+    hi = (values >> np.uint64(1)) >> (np.uint64(63) - off)
+    spill = hi != 0
+    words[idx[spill] + 1] |= hi[spill]

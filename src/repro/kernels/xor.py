@@ -25,6 +25,11 @@ steps.
 
 Both backends return the same ``uint64`` array, bit for bit; the parity
 suite in ``tests/kernels`` enforces it per codec and per block boundary.
+
+The encode side has one vectorised kernel, :func:`encode_gorilla_blocks`:
+it writes whole Gorilla blocks in three passes and is byte-identical to
+the scalar :func:`repro.baselines.gorilla.gorilla_encode`, which stays as
+the reference the parity tests compare against.
 """
 
 from __future__ import annotations
@@ -32,9 +37,9 @@ from __future__ import annotations
 import numpy as np
 
 from . import get_backend
-from .bitpack import FieldGather
+from .bitpack import FieldGather, scatter_fields
 
-__all__ = ["XOR_FAMILIES", "decode_block", "decode_blocks"]
+__all__ = ["XOR_FAMILIES", "decode_block", "decode_blocks", "encode_gorilla_blocks"]
 
 #: family keys understood by :func:`decode_block`
 XOR_FAMILIES = ("gorilla", "chimp", "chimp128")
@@ -536,3 +541,127 @@ def decode_blocks(family: str, blocks) -> np.ndarray:
     return np.concatenate(
         [decode_block(family, words, bl, count) for words, bl, count in blocks]
     )
+
+# -- Gorilla block encode ------------------------------------------------------
+#
+# Pass 1 XORs every value with its predecessor and counts leading and
+# trailing zeros with numpy.  Pass 2 is the only sequential part: the
+# window choice, a loop over small ints.  Pass 3 gives every value its
+# field, lays the fields out with one cumsum and scatters them into words
+# with pack_bits' scatter_fields.
+
+#: values per vectorised encode pass: bounds the temporaries, a few hundred
+#: bytes per value, however large the batch is
+_ENCODE_CHUNK = 8192
+
+
+def _window_opens(lz: np.ndarray, tz: np.ndarray, block_starts: np.ndarray):
+    """Mark the nonzero XORs that open a new window (pass 2).
+
+    A value reuses the open window iff its meaningful bits fit inside it:
+    ``lz >= window lz`` and ``tz >= window tz``.  Its predecessor fit the
+    window too, so a value whose counts are no smaller than its
+    predecessor's always reuses it; the loop visits only the others, plus
+    each block's first XOR, which always opens.
+    """
+    m = len(lz)
+    visit = np.ones(m, dtype=bool)
+    visit[1:] = (lz[1:] < lz[:-1]) | (tz[1:] < tz[:-1])
+    visit[block_starts[block_starts < m]] = True
+    idx = np.flatnonzero(visit)
+    lzs, tzs = lz[idx].tolist(), tz[idx].tolist()
+    bounds = np.searchsorted(idx, block_starts).tolist() + [len(idx)]
+    opens = []
+    for a, b in zip(bounds, bounds[1:]):
+        win_lz = win_tz = 64
+        for k in range(a, b):
+            if lzs[k] < win_lz or tzs[k] < win_tz:
+                win_lz, win_tz = lzs[k], tzs[k]
+                opens.append(k)
+    is_open = np.zeros(m, dtype=bool)
+    is_open[idx[opens]] = True
+    return is_open
+
+
+def _encode_gorilla_pass(blocks: list[np.ndarray]) -> list:
+    """Encode ``blocks`` in one vectorised pass."""
+    values = np.concatenate(blocks)
+    if values.dtype != np.uint64:
+        values = values.astype(np.int64, copy=False).view(np.uint64)
+    counts = np.array([len(block) for block in blocks], dtype=np.int64)
+    n = len(values)
+    firsts = np.cumsum(counts) - counts
+    xors = np.zeros(n, dtype=np.uint64)
+    np.bitwise_xor(values[1:], values[:-1], out=xors[1:])
+    xors[firsts] = 0  # a block's first value is written whole
+    nz = np.flatnonzero(xors)
+    x = xors[nz]
+    # lz is clamped at 31, so only the high half's bit length matters; it
+    # is exact in a float64 exponent.
+    lz = np.minimum(32 - np.frexp((x >> np.uint64(32)).astype(np.float64))[1], 31)
+    tz = np.bitwise_count(~x & (x - np.uint64(1))).astype(np.int64)
+    is_open = _window_opens(lz, tz, np.searchsorted(nz, firsts))
+    # Every value's window is the one its latest opener set.
+    win = np.maximum.accumulate(np.where(is_open, np.arange(len(nz)), 0))
+    win_tz = tz[win]
+    width = 64 - lz[win] - win_tz
+    # A repeat is the 1-bit '0'.  A nonzero XOR is a header, '10'
+    # (LSB-first 0b01) to reuse the window or '11' + 5-bit lz + 6-bit
+    # length - 1 to open one, followed by the window's bits.
+    head = np.where(is_open, 13, 2)
+    bits = np.ones(n, dtype=np.int64)
+    bits[firsts] = 64
+    bits[nz] = head + width
+    ends = np.cumsum(bits)
+    # Each block starts on a fresh word and ends with a spare one, as a
+    # BitWriter leaves it: bit_length // 64 + 1 words.
+    block_start = ends[firsts] - 64
+    bit_lengths = np.append(block_start[1:], ends[-1]) - block_start
+    word_counts = bit_lengths // 64 + 1
+    word_base = np.cumsum(word_counts) - word_counts
+    starts = ends - bits + np.repeat(64 * word_base - block_start, counts)
+    # One field per value; a header plus bits wider than 64 bits puts
+    # the excess in a second field, 64 bits on.
+    payload = x >> win_tz.astype(np.uint64)
+    header = np.where(is_open, 3 | (lz << 2) | ((width - 1) << 7), 1)
+    shift = head.astype(np.uint64)
+    wide = head + width > 64
+    at = starts[nz]
+    field_starts = np.concatenate((starts[firsts], at, at[wide] + 64))
+    fields = np.concatenate((
+        values[firsts],
+        header.astype(np.uint64) | (payload << shift),
+        payload[wide] >> (np.uint64(64) - shift[wide]),
+    ))
+    words = np.zeros(int(word_base[-1] + word_counts[-1]), dtype=np.uint64)
+    scatter_fields(words, field_starts, fields)
+    parts = np.split(words, np.cumsum(word_counts)[:-1])
+    return list(zip(parts, bit_lengths.tolist(), counts.tolist()))
+
+
+def encode_gorilla_blocks(blocks) -> list[tuple[np.ndarray, int, int]]:
+    """Gorilla-encode each block: ``[(words, bit_length, count)]``.
+
+    ``blocks`` is an iterable of non-empty 1-D ``int64`` or ``uint64``
+    arrays.  Each result is byte-identical to what
+    :func:`repro.baselines.gorilla.gorilla_encode` leaves in a fresh
+    :class:`~repro.bits.io.BitWriter` for that block.  Whole blocks are
+    grouped into vectorised passes of at most :data:`_ENCODE_CHUNK`
+    values, so memory stays flat however many blocks there are; a block
+    longer than that is a pass of its own.
+    """
+    out: list = []
+    batch: list[np.ndarray] = []
+    size = 0
+    for block in blocks:
+        block = np.asarray(block)
+        if block.ndim != 1 or len(block) == 0:
+            raise ValueError("every Gorilla block must be a non-empty 1-D array")
+        if batch and size + len(block) > _ENCODE_CHUNK:
+            out += _encode_gorilla_pass(batch)
+            batch, size = [], 0
+        batch.append(block)
+        size += len(block)
+    if batch:
+        out += _encode_gorilla_pass(batch)
+    return out

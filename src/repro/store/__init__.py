@@ -8,9 +8,9 @@ registry and the framed ``Compressed`` serialisation:
   so results are byte-identical to serial ``repro.compress``;
 * :class:`SeriesDB` — a durable shard-per-series store (one
   :class:`~repro.core.tiered.TieredStore` snapshot per series id plus a
-  JSON manifest and one group log), with pooled batch ingest, per-series
-  ``access`` / ``range``, and a cross-shard :meth:`~SeriesDB.compact`
-  policy;
+  JSON manifest and one group log), with in-process batch ingest (one
+  compression pass per batch), per-series ``access`` / ``range``, and a
+  cross-shard :meth:`~SeriesDB.compact` policy;
 * :class:`PartitionedSeriesDB` — N independent ``SeriesDB`` partition
   directories behind one façade: hash-placed series, per-partition
   locks/logs/manifests, in-process batch ingest (one fsync per partition

@@ -101,13 +101,7 @@ class SeriesStore(Protocol):
         """Durably append ``values`` to ``series_id``; returns its count."""
         ...
 
-    def ingest_many(
-        self,
-        series_map: Any,
-        *,
-        workers: int | None = None,
-        digits: int | None = None,
-    ) -> dict:
+    def ingest_many(self, series_map: Any, *, digits: int | None = None) -> dict:
         """Batch ingest; returns series id -> new total count."""
         ...
 

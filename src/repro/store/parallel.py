@@ -17,8 +17,10 @@ the pooled result is byte-identical to serial ``repro.compress`` +
 Throughput note: codecs *without* a native payload (currently ``dac``,
 ``leco``, ``alp`` — see ROADMAP) recompress in the parent when
 :func:`compress_many` decodes their frames, which erases the pool win;
-use :func:`compress_many_frames` (bytes out, what :class:`SeriesDB`
-ingest does) or a native-payload codec for throughput.
+use :func:`compress_many_frames` (bytes out) or a native-payload codec
+for throughput.  The pool pays off for CPU-heavy codecs such as NeaTS;
+:class:`SeriesDB` ingest does not use it, since its hot codec compresses
+a whole batch in one vectorised pass in-process.
 
 >>> import numpy as np
 >>> from repro.store import compress_many

@@ -21,9 +21,9 @@ Because partitions share nothing, the façade can split work up:
 
 * ``ingest_many`` splits the batch by partition and ingests each
   sub-batch in this process, partition by partition.  Each partition
-  lands its sub-batch in its own group log, so one batch costs one write
-  and one fsync *per partition*, not one per series; ``workers`` is the
-  process-pool width each partition compresses full hot blocks with.
+  compresses its sub-batch in one pass and lands it in its own group log,
+  so one batch costs one write and one fsync *per partition*, not one per
+  series.
 * ``compact`` runs partitions concurrently in worker processes
   (:func:`repro.store.parallel.process_map`): NeaTS compaction is
   CPU-bound, so real CPU parallelism pays there.
@@ -54,8 +54,7 @@ failure leaves completed partitions ingested and reports the error.
 >>> from repro.store import PartitionedSeriesDB
 >>> root = tempfile.mkdtemp()
 >>> db = PartitionedSeriesDB(root, partitions=2, seal_threshold=256)
->>> _ = db.ingest_many({"a": np.arange(500), "b": np.arange(300) * 2},
-...                    workers=1)
+>>> _ = db.ingest_many({"a": np.arange(500), "b": np.arange(300) * 2})
 >>> int(db.access("b", 10)), sorted(db.series_ids())
 (20, ['a', 'b'])
 >>> db.flush(); db2 = PartitionedSeriesDB.open(root)
@@ -459,23 +458,19 @@ class PartitionedSeriesDB:
     def ingest(self, series_id: str, values, *, digits: int | None = None) -> int:
         """Durably append ``values`` to ``series_id``; returns its count.
 
-        A one-series :meth:`ingest_many` that never starts a process pool.
+        A one-series :meth:`ingest_many`.
         """
-        return self.ingest_many({series_id: values}, workers=1, digits=digits)[
-            series_id
-        ]
+        return self.ingest_many({series_id: values}, digits=digits)[series_id]
 
-    def ingest_many(
-        self, series_map, *, workers: int | None = None, digits: int | None = None
-    ) -> dict:
+    def ingest_many(self, series_map, *, digits: int | None = None) -> dict:
         """Batch ingest: split by partition, each sub-batch in this process.
 
         A new series is assigned a partition and the assignment committed
         to the root manifest *before* any data lands in the partition —
         recovery must never find data the map cannot place.  Each
         partition then runs :meth:`SeriesDB.ingest_many` on its sub-batch:
-        one group-log write and one fsync per touched partition, with
-        ``workers`` processes compressing full hot blocks.
+        one compression pass, one group-log write and one fsync per
+        touched partition.
 
         Atomic per partition, not across partitions: each partition
         validates its whole sub-batch before mutating anything, so a bad
@@ -505,9 +500,7 @@ class PartitionedSeriesDB:
             counts: dict[str, int] = {}
             for part in sorted(groups):
                 counts.update(
-                    self._handles[part].ingest_many(
-                        groups[part], workers=workers, digits=digits
-                    )
+                    self._handles[part].ingest_many(groups[part], digits=digits)
                 )
             return counts
 

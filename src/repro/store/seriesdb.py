@@ -16,10 +16,10 @@ Ingestion follows the paper's §IV-C1 deployment: values stream into each
 shard's hot tier (a cheap codec like Gorilla), and :meth:`compact`
 plays the "run NeaTS later on (or in the background)" role across the
 whole fleet of shards — any shard whose hot tier exceeds a threshold is
-consolidated into its strongly-compressed cold tier.  Batch ingest fans
-hot-block compression out over a process pool via
-:func:`repro.store.compress_many_frames`, and each value is compressed
-once: the same frame goes to the log and to the shard.
+consolidated into its strongly-compressed cold tier.  Batch ingest
+compresses every piece of a batch with one ``compress_many`` call of the
+hot codec, in this process, and each value is compressed once: the same
+frame goes to the log and to the shard.
 
 >>> import numpy as np, tempfile
 >>> from repro.store import SeriesDB
@@ -86,6 +86,7 @@ from pathlib import Path
 import numpy as np
 
 from ..baselines.base import Compressed
+from ..codecs import get_codec
 from ..codecs.container import (
     GroupLog,
     mmap_view,
@@ -94,7 +95,6 @@ from ..codecs.container import (
 )
 from ..codecs.container import write_atomic as _write_atomic
 from ..core.tiered import TieredStore
-from .parallel import compress_many_frames
 
 __all__ = ["SeriesDB"]
 
@@ -399,25 +399,19 @@ class SeriesDB:
         ``digits`` records the values' decimal scaling (§II of the paper)
         in the manifest, like the archive container does; appending to an
         existing series with a different scaling raises.  A one-series
-        :meth:`ingest_many` that never starts a process pool: durable when
-        this returns.
+        :meth:`ingest_many`: durable when this returns.
         """
-        return self.ingest_many({series_id: values}, workers=1, digits=digits)[
-            series_id
-        ]
+        return self.ingest_many({series_id: values}, digits=digits)[series_id]
 
-    def ingest_many(
-        self, series_map, *, workers: int | None = None, digits: int | None = None
-    ) -> dict:
+    def ingest_many(self, series_map, *, digits: int | None = None) -> dict:
         """Batch ingest: append every series in ``series_map``, durably.
 
         Each series' new values are cut where :meth:`TieredStore.extend`
         would seal them: a head topping up a partly filled buffer, full
         ``seal_threshold``-sized hot blocks, and a tail left in the buffer.
-        Full blocks from all series are compressed together through one
-        :func:`~repro.store.compress_many_frames` fan-out (``workers``
-        processes); heads and tails are compressed serially.  Every piece
-        becomes one group-log record, the whole batch lands with one write
+        Every piece of every series is compressed by one
+        ``compress_many`` call of the hot codec, in this process, and
+        becomes one group-log record; the whole batch lands with one write
         and one fsync, and only then are the shards touched: full blocks
         are adopted as the very frames just logged, so each is compressed
         once.  The resulting shards are byte-identical to serial
@@ -429,10 +423,9 @@ class SeriesDB:
             self._check_open()
             threshold = int(self._config["seal_threshold"])
             # Phase 1 — validate everything and cut every series into pieces
-            # without mutating any store, so a bad series (or a pool failure
-            # in phase 2) cannot leave the batch half-applied.
-            blocks: dict = {}  # (sid, piece index) -> a full hot block
-            partials: dict = {}  # (sid, piece index) -> a head or a tail
+            # without mutating any store, so a bad series (or a codec
+            # failure in phase 2) cannot leave the batch half-applied.
+            pieces: dict = {}  # (sid, piece index) -> values
             plans: list[tuple[str, int]] = []  # (sid, number of pieces)
             for sid, values in series_map.items():
                 values = np.asarray(values, dtype=np.int64)
@@ -449,19 +442,19 @@ class SeriesDB:
                 # line up with the blocks extend() would seal.
                 head = min(threshold - buffered, len(values)) if buffered else 0
                 cuts = range(head, len(values), threshold)
-                pieces = [p for p in np.split(values, cuts) if len(p)]
-                for i, piece in enumerate(pieces):
-                    # A head or a tail is always shorter than a block.
-                    kind = blocks if len(piece) == threshold else partials
-                    kind[(sid, i)] = piece
-                plans.append((sid, len(pieces)))
-            # Phase 2 — compress every piece (raises before any store
-            # changes).  Partial pieces stay in-process: a pool per tick
-            # would cost more than the few values it compresses.
-            hot = self._config["hot_codec"]
-            params = self._config["hot_params"]
-            frames = compress_many_frames(blocks, hot, workers=workers, **params)
-            frames.update(compress_many_frames(partials, hot, workers=1, **params))
+                split = [p for p in np.split(values, cuts) if len(p)]
+                for i, piece in enumerate(split):
+                    pieces[(sid, i)] = piece
+                plans.append((sid, len(split)))
+            # Phase 2 — compress every piece in one pass (raises before any
+            # store changes).
+            hot = get_codec(self._config["hot_codec"], **self._config["hot_params"])
+            frames = {
+                key: compressed.to_bytes()
+                for key, compressed in zip(
+                    pieces, hot.compress_many(pieces.values())
+                )
+            }
             # Phase 3 — register every series, then log the whole batch
             # (the group commit: ONE fsync), then apply it.
             stores: dict[str, TieredStore] = {}
@@ -482,10 +475,12 @@ class SeriesDB:
             for sid, n_pieces in plans:
                 store = stores[sid]
                 for i in range(n_pieces):
-                    if (sid, i) in blocks:
+                    piece = pieces[(sid, i)]
+                    # A head or a tail is always shorter than a block.
+                    if len(piece) == threshold:
                         store.adopt_sealed(Compressed.from_bytes(frames[(sid, i)]))
                     else:
-                        store.extend(partials[(sid, i)])
+                        store.extend(piece)
                 counts[sid] = len(store)
             return counts
 

@@ -21,7 +21,7 @@ def _fleet(rng, k=6, n=400):
 def proot(tmp_path, rng):
     root = tmp_path / "pdb"
     db = PartitionedSeriesDB(root, partitions=3)
-    db.ingest_many(_fleet(rng), workers=1)
+    db.ingest_many(_fleet(rng))
     db.flush()
     db.close()
     return root
@@ -95,7 +95,7 @@ class TestGroupWalProblems:
         """A single-dir DB abandoned with a live group log."""
         root = tmp_path / "gdb"
         db = SeriesDB(root, hot_codec="gorilla")
-        db.ingest_many(_fleet(rng, k=3), workers=1)
+        db.ingest_many(_fleet(rng, k=3))
         del db  # crash-style: group log referenced by the manifest
         return root
 
@@ -138,7 +138,7 @@ class TestGroupWalProblems:
     def test_group_log_surfaces_through_partitioned_root(self, tmp_path, rng):
         root = tmp_path / "pdb"
         db = PartitionedSeriesDB(root, partitions=2)
-        db.ingest_many(_fleet(rng, k=4), workers=1)
+        db.ingest_many(_fleet(rng, k=4))
         del db  # group logs live in the partitions
         report = fsck_path(root, deep=True)
         assert report.ok, [p.render() for p in report.problems]

@@ -6,8 +6,8 @@ partition's own (sanitized) lock orders its WAL and shard-cache writes.
 Under every explored interleaving of concurrent ingest / compact / query
 / close through one :class:`PartitionedSeriesDB`, the vector-clock ledger
 must stay free of races and the façade-then-partition nesting free of
-lock-order inversions.  All fan-outs run with ``workers=1`` so the
-scheduler controls every thread in play.
+lock-order inversions.  Every fan-out runs with ``workers=1``, and ingest
+never fans out, so the scheduler controls every thread in play.
 
 Seeds can be pinned with ``REPRO_SCHED_SEED`` — the CI ``race`` job runs
 this file once per fixed seed.
@@ -64,8 +64,7 @@ class TestPartitionedStress:
         db = PartitionedSeriesDB(
             tmp_path / f"stress-{seed}", partitions=2, seal_threshold=128,
         )
-        db.ingest_many({"warm/a": _values(90), "warm/b": _values(91)},
-                       workers=1)
+        db.ingest_many({"warm/a": _values(90), "warm/b": _values(91)})
         errors: list = []
 
         def guard(fn):
@@ -83,7 +82,7 @@ class TestPartitionedStress:
         def ingests():
             for chunk in range(3):
                 # new ids each round: every one mutates the partition map
-                db.ingest_many({f"hot/{chunk}": _values(chunk, 80)}, workers=1)
+                db.ingest_many({f"hot/{chunk}": _values(chunk, 80)})
 
         def compacts():
             for _ in range(2):
@@ -134,7 +133,7 @@ class TestPartitionedStress:
             sched.add(
                 "ingest",
                 tolerant(
-                    lambda: db.ingest_many({"s": _values(1, 50)}, workers=1)
+                    lambda: db.ingest_many({"s": _values(1, 50)})
                 ),
             )
             sched.add(

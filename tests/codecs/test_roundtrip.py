@@ -138,6 +138,29 @@ class TestRegistry:
         finally:
             unregister_codec("slotted")
 
+    def test_compress_many_stamps_provenance(self, series):
+        """A batch is stamped like single calls, whether the factory batches
+        (gorilla) or only defines ``compress`` (mapped over the series)."""
+        from repro.baselines.gorilla import GorillaCompressor
+
+        class _CompressOnly:
+            def compress(self, values):
+                return GorillaCompressor(64).compress(values)
+
+        register_codec("compressonly", description="compress only")(_CompressOnly)
+        try:
+            pieces = [series[:700], series[700:], series[:1]]
+            for cid, params in (("gorilla", {"block_size": 256}), ("compressonly", {})):
+                codec = get_codec(cid, **params)
+                batch = codec.compress_many(pieces)
+                assert len(batch) == len(pieces)
+                for piece, compressed in zip(pieces, batch):
+                    assert compressed.codec_id == cid
+                    assert compressed.codec_params == params
+                    assert compressed.to_bytes() == codec.compress(piece).to_bytes()
+        finally:
+            unregister_codec("compressonly")
+
 
 @pytest.mark.parametrize("cid", sorted(EXPECTED_IDS))
 class TestFrameRoundTrip:

@@ -58,7 +58,7 @@ def legacy_root(tmp_path):
     def make(flushed, pending, *, digits=0, name="legacy"):
         root = tmp_path / name
         with SeriesDB(root, seal_threshold=256, cold_codec="leats") as db:
-            db.ingest_many(flushed, workers=1, digits=digits)
+            db.ingest_many(flushed, digits=digits)
         manifest = json.loads((root / "MANIFEST.json").read_text())
         manifest.pop("group_wal", None)
         manifest["group_commit"] = False

@@ -209,7 +209,7 @@ class TestDbFamily:
         assert main(["db", "init", str(root), "--seal-threshold", "256",
                      "--cold-codec", "leats"]) == 0
         assert main(["db", "ingest", str(root), str(tmp_path / "a.csv"),
-                     str(tmp_path / "b.csv"), "--workers", "2"]) == 0
+                     str(tmp_path / "b.csv")]) == 0
         return root
 
     def test_init_twice_fails(self, db_root, capsys):

@@ -9,6 +9,8 @@ input series, any registered codec, and both backends,
   included) decode to identical values.
 
 The ``python`` backend is the reference; ``numpy`` must match it exactly.
+The Gorilla block encoder has one path, so it is held to the scalar
+``gorilla_encode`` instead, block by block and frame by frame.
 """
 
 import numpy as np
@@ -17,6 +19,9 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 import repro
 import repro.kernels as kernels
+from repro.baselines.gorilla import gorilla_encode
+from repro.bits import BitWriter
+from repro.codecs import get_codec
 from repro.codecs.registry import available_codecs, codec_spec
 
 SETTINGS = dict(
@@ -91,3 +96,63 @@ def test_block_boundary_slices(cid):
             for w in windows:
                 assert np.array_equal(fresh.decompress_range(*w), want[w]), w
                 assert np.array_equal(compressed.decompress_range(*w), want[w])
+
+
+I64_MIN, I64_MAX = -(2**63), 2**63 - 1
+_SPECIAL = np.array([I64_MIN, I64_MAX, 0, -1], dtype=np.int64)
+
+
+def _piece(recipe):
+    """A piece of ``length`` values mixing extremes, repeats and walks."""
+    length, seed, kinds = recipe
+    rng = np.random.default_rng(seed)
+    parts = []
+    for i, kind in enumerate(kinds):
+        n = length // len(kinds) + (i < length % len(kinds))
+        if kind == "special":
+            parts.append(rng.choice(_SPECIAL, n))
+        elif kind == "repeat":
+            parts.append(np.repeat(rng.choice(_SPECIAL, max(1, n // 8)), 8)[:n])
+        elif kind == "walk":
+            parts.append(np.cumsum(rng.integers(-4, 5, n)) + int(rng.integers(-99, 99)))
+        else:
+            parts.append(rng.integers(I64_MIN, I64_MAX, n, dtype=np.int64, endpoint=True))
+    out = np.concatenate(parts).astype(np.int64)
+    return out if len(out) else rng.choice(_SPECIAL, 1)
+
+
+pieces_st = st.lists(
+    st.one_of(
+        st.lists(
+            st.one_of(st.sampled_from([I64_MIN, I64_MAX, 0, -1]), st.integers(-8, 8)),
+            min_size=1, max_size=64,
+        ).map(lambda xs: np.array(xs, dtype=np.int64)),
+        st.tuples(
+            st.integers(1, 4096),
+            st.integers(0, 2**32 - 1),
+            st.lists(
+                st.sampled_from(["special", "repeat", "walk", "wild"]),
+                min_size=1, max_size=4,
+            ),
+        ).map(_piece),
+    ),
+    min_size=1, max_size=40,
+)
+
+
+@given(pieces=pieces_st)
+@settings(max_examples=25, deadline=None)
+def test_gorilla_batch_encode_matches_scalar(pieces):
+    blocks = [p[i : i + 1000] for p in pieces for i in range(0, len(p), 1000)]
+    for block, (words, bit_length, count) in zip(
+        blocks, kernels.encode_gorilla_blocks(blocks), strict=True
+    ):
+        writer = BitWriter()
+        gorilla_encode(block.astype(np.uint64).tolist(), writer)
+        assert (bit_length, count) == (writer.bit_length, len(block))
+        assert np.array_equal(words, writer.getbuffer())
+    compressor = get_codec("gorilla")
+    batch = compressor.compress_many(pieces)
+    assert len(batch) == len(pieces)
+    for piece, compressed in zip(pieces, batch):
+        assert compressed.to_bytes() == compressor.compress(piece).to_bytes()

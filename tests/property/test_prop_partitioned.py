@@ -42,8 +42,8 @@ def test_partitioned_equals_single(tmp_path, fleet, partitions):
     parted = PartitionedSeriesDB(
         tmp_path / "parted", partitions=partitions, seal_threshold=64
     )
-    single.ingest_many(fleet, workers=1)
-    parted.ingest_many(fleet, workers=1)
+    single.ingest_many(fleet)
+    parted.ingest_many(fleet)
 
     def check(a, b):
         assert sorted(a.series_ids()) == sorted(b.series_ids())

@@ -71,8 +71,8 @@ class StoreMachine(RuleBasedStateMachine):
             sid: len(self.model.get(sid, [])) + len(values)
             for sid, values in batch.items()
         }
-        assert self.single.ingest_many(batch, workers=1) == expected
-        assert self.parted.ingest_many(batch, workers=1) == expected
+        assert self.single.ingest_many(batch) == expected
+        assert self.parted.ingest_many(batch) == expected
         for sid, values in batch.items():
             self.model.setdefault(sid, []).extend(values)
 

@@ -71,7 +71,7 @@ class TestDurability:
             f"s{i}": rng.integers(0, 1000, 700 + 100 * i).astype(np.int64)
             for i in range(3)
         }
-        db.ingest_many(fleet, workers=1)
+        db.ingest_many(fleet)
         crashed = SeriesDB.open(root)
         for sid, values in fleet.items():
             assert np.array_equal(crashed.decompress(sid), values)
@@ -299,7 +299,7 @@ class TestIngestValidation:
         serial.flush()
         assert np.array_equal(serial.decompress("s"), np.array([1, 2, 3]))
         pooled = make_db(root.with_name("db2"))
-        pooled.ingest_many({"s": [1, 2, 3]}, workers=1)
+        pooled.ingest_many({"s": [1, 2, 3]})
         pooled.flush()
         a = (serial.root / serial.info()["series"]["s"]["shard"]).read_bytes()
         b = (pooled.root / pooled.info()["series"]["s"]["shard"]).read_bytes()

@@ -96,7 +96,7 @@ class TestSeriesDBGroupCommit:
         db = SeriesDB(tmp_path / "db")
         a = np.cumsum(rng.integers(-5, 6, 400)).astype(np.int64)
         b = np.cumsum(rng.integers(-5, 6, 300)).astype(np.int64)
-        db.ingest_many({"a": a, "b": b}, workers=1)
+        db.ingest_many({"a": a, "b": b})
         db.ingest("a", a[:50])
         del db  # crash: no flush, no close — only the group log is durable
         again = SeriesDB.open(tmp_path / "db")
@@ -113,18 +113,14 @@ class TestSeriesDBGroupCommit:
             f"s{i}": np.cumsum(rng.integers(-5, 6, 200)).astype(np.int64)
             for i in range(6)
         }
-        db.ingest_many(first, workers=1)  # registers series + group log name
+        db.ingest_many(first)  # registers series + group log name
         db.flush()
         # first post-flush batch pays the one-time log-creation fsyncs
-        db.ingest_many(
-            {sid: values[:100] for sid, values in first.items()}, workers=1
-        )
+        db.ingest_many({sid: values[:100] for sid, values in first.items()})
         calls = []
         real = os.fsync
         monkeypatch.setattr(os, "fsync", lambda fd: (calls.append(fd), real(fd)))
-        db.ingest_many(
-            {sid: values[100:150] for sid, values in first.items()}, workers=1
-        )
+        db.ingest_many({sid: values[100:150] for sid, values in first.items()})
         assert len(calls) == 1  # the whole 6-series batch, one fsync
         db.close()
 
@@ -173,12 +169,11 @@ class TestSeriesDBGroupCommit:
         legacy = SeriesDB.open(legacy_root(base, pending))
         grouped = SeriesDB(tmp_path / "grouped", seal_threshold=256,
                            cold_codec="leats")
-        grouped.ingest_many(base, workers=1)
+        grouped.ingest_many(base)
         grouped.flush()
         for part in (0, 1):
             grouped.ingest_many(
-                {sid: batches[part] for sid, batches in pending.items()},
-                workers=1,
+                {sid: batches[part] for sid, batches in pending.items()}
             )
         grouped = SeriesDB.open(tmp_path / "grouped")  # crash, then reopen
         for sid, values in fleet.items():

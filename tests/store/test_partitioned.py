@@ -32,7 +32,7 @@ def pdb(tmp_path, fleet):
         tmp_path / "pdb", partitions=3, seal_threshold=512,
         hot_codec="gorilla", cold_codec="leats",
     )
-    db.ingest_many(fleet, workers=2)
+    db.ingest_many(fleet)
     db.flush()
     return db
 
@@ -114,21 +114,6 @@ class TestCompaction:
             assert np.array_equal(pdb.decompress(sid), values)
 
 
-class TestParallelIngestEquivalence:
-    def test_process_fanout_matches_serial(self, tmp_path, fleet):
-        serial = PartitionedSeriesDB(tmp_path / "a", partitions=3)
-        serial.ingest_many(fleet, workers=1)
-        serial.flush()
-        fanned = PartitionedSeriesDB(tmp_path / "b", partitions=3)
-        fanned.ingest_many(fleet, workers=3)
-        fanned.flush()
-        for sid, values in fleet.items():
-            assert np.array_equal(serial.decompress(sid), values)
-            assert np.array_equal(fanned.decompress(sid), values)
-        serial.close()
-        fanned.close()
-
-
 class TestIngestPath:
     """Partitions ingest in this process, and each value is encoded once."""
 
@@ -147,7 +132,7 @@ class TestIngestPath:
             for i in range(6)
         }
         db = PartitionedSeriesDB(tmp_path / "p", partitions=2, seal_threshold=256)
-        db.ingest_many({sid: v[:512] for sid, v in data.items()}, workers=1)
+        db.ingest_many({sid: v[:512] for sid, v in data.items()})
         db.flush()
         assert {db.partition_of(sid) for sid in data} == {0, 1}
         # the first batch after a flush creates each partition's next log
@@ -175,15 +160,26 @@ class TestIngestPath:
         assert pools == []
         assert opened == []
 
-        # A block-bearing batch: the frame a full block is logged as is the
-        # frame its shard adopts, so the hot codec sees each value once.
-        encoded = []
-        real_compress = GorillaCompressor.compress
-        monkeypatch.setattr(GorillaCompressor, "compress", lambda self, values: (
-            encoded.append(len(values)), real_compress(self, values))[1])
+        # A block-bearing batch at default settings: every partition
+        # encodes its pieces in one compress_many call, in this process,
+        # and the frame a full block is logged as is the frame its shard
+        # adopts, so the hot codec sees each value once.
+        calls, encoded = [], []
+        real_many = GorillaCompressor.compress_many
+
+        def counted_many(self, series):
+            series = list(series)
+            calls.append(len(series))
+            encoded.extend(len(values) for values in series)
+            return real_many(self, series)
+
+        monkeypatch.setattr(GorillaCompressor, "compress_many", counted_many)
         batch = {f"b{i}": data[f"s{i}"][: 512 + 44 * i] for i in range(4)}
-        db.ingest_many(batch, workers=1)
+        db.ingest_many(batch)
+        touched = {db.partition_of(sid) for sid in batch}
+        assert len(calls) == len(touched)
         assert sum(encoded) == sum(len(v) for v in batch.values())
+        assert pools == []
         monkeypatch.undo()
         db.close()
         again = PartitionedSeriesDB.open(tmp_path / "p")
@@ -243,7 +239,7 @@ class TestMigrate:
         root = tmp_path / "db"
         src = SeriesDB(root, seal_threshold=512, hot_codec="gorilla",
                        cold_codec="leats")
-        src.ingest_many(fleet, workers=1)
+        src.ingest_many(fleet)
         src.flush()
         shard_bytes = {
             sid: (root / src.info()["series"][sid]["shard"]).read_bytes()

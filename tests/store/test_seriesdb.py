@@ -24,7 +24,7 @@ def fleet(rng):
 def db(tmp_path, fleet):
     db = SeriesDB(tmp_path / "db", seal_threshold=512, hot_codec="gorilla",
                   cold_codec="leats")
-    db.ingest_many(fleet, workers=2)
+    db.ingest_many(fleet)
     db.flush()
     return db
 
@@ -76,13 +76,14 @@ class TestRoundTrip:
         for sid, values in fleet.items():
             serial.ingest(sid, values)
         serial.flush()
-        pooled = SeriesDB(tmp_path / "pooled", seal_threshold=512,
-                          hot_codec="gorilla", cold_codec="leats")
-        pooled.ingest_many(fleet, workers=2)
-        pooled.flush()
+        # one batch: every series' pieces encoded in one compress_many pass
+        batched = SeriesDB(tmp_path / "batched", seal_threshold=512,
+                           hot_codec="gorilla", cold_codec="leats")
+        batched.ingest_many(fleet)
+        batched.flush()
         for sid in fleet:
             a = (serial.root / serial.info()["series"][sid]["shard"]).read_bytes()
-            b = (pooled.root / pooled.info()["series"][sid]["shard"]).read_bytes()
+            b = (batched.root / batched.info()["series"][sid]["shard"]).read_bytes()
             assert a == b
 
     def test_context_manager_flushes(self, tmp_path, fleet):
@@ -105,8 +106,8 @@ class TestIngest:
     def test_ingest_many_appends_across_buffer_boundary(self, tmp_path):
         values = np.arange(1300, dtype=np.int64)
         db = SeriesDB(tmp_path / "db", seal_threshold=512)
-        db.ingest_many({"s": values[:700]}, workers=1)  # buffer holds 188
-        db.ingest_many({"s": values[700:]}, workers=1)
+        db.ingest_many({"s": values[:700]})  # buffer holds 188
+        db.ingest_many({"s": values[700:]})
         assert np.array_equal(db.decompress("s"), values)
         report = db.store("s").tier_report()
         assert report["hot_blocks"] == 2
@@ -138,12 +139,10 @@ class TestIngest:
         sid = next(iter(fleet))
         before = db.count(sid)
         with pytest.raises(ValueError, match="1-D"):
-            db.ingest_many(
-                {sid: np.arange(900), "bad": np.zeros((3, 3))}, workers=1
-            )
+            db.ingest_many({sid: np.arange(900), "bad": np.zeros((3, 3))})
         assert db.count(sid) == before
         with pytest.raises(ValueError, match="invalid series id"):
-            db.ingest_many({sid: np.arange(900), "": np.arange(5)}, workers=1)
+            db.ingest_many({sid: np.arange(900), "": np.arange(5)})
         assert db.count(sid) == before
 
     def test_unsafe_ids_get_distinct_shards(self, db, fleet):
@@ -233,6 +232,13 @@ class TestCorruption:
     def test_invalid_seal_threshold_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="seal_threshold"):
             SeriesDB(tmp_path / "db", seal_threshold=0)
+        assert not (tmp_path / "db" / "MANIFEST.json").exists()
+
+    @pytest.mark.parametrize("block_size", [0, -5])
+    def test_invalid_hot_block_size_rejected(self, tmp_path, block_size):
+        with pytest.raises(ValueError, match="invalid hot tier configuration"):
+            SeriesDB(tmp_path / "db", seal_threshold=4,
+                     hot_params={"block_size": block_size})
         assert not (tmp_path / "db" / "MANIFEST.json").exists()
 
     def test_manifest_crc_check_uses_zlib(self, db, fleet):
