@@ -1,10 +1,10 @@
-"""Ablation benchmarks: succinct-structure choices inside NeaTS.
+"""Ablation benchmarks: design choices inside NeaTS.
 
 Covers the design decisions DESIGN.md §5 calls out:
 
-* Elias-Fano rank vs the O(1) bitvector rank for fragment lookup (§III-C);
 * the E-grid density (stride) for Algorithm 1;
-* micro-benchmarks of the underlying rank/select primitives.
+* micro-benchmarks of the rank/select primitives behind DAC, LeCo, the
+  timestamp codec and NeaTS's ``size_bits()`` accounting.
 """
 
 import numpy as np
@@ -12,26 +12,6 @@ import pytest
 
 from repro.bits import BitVector, EliasFano, WaveletTree
 from repro.core import NeaTS
-
-
-@pytest.fixture(scope="module")
-def access_positions(bench_series):
-    rng = np.random.default_rng(1)
-    return rng.integers(0, len(bench_series), 200).tolist()
-
-
-@pytest.mark.parametrize("mode", ["ef", "bitvector"])
-def test_rank_mode_access(benchmark, bench_series, access_positions, mode):
-    compressed = NeaTS(rank_mode=mode).compress(bench_series)
-
-    def run():
-        acc = 0
-        for k in access_positions:
-            acc ^= compressed.access(k)
-        return acc
-
-    benchmark(run)
-    benchmark.extra_info["size_bits"] = compressed.size_bits()
 
 
 @pytest.mark.parametrize("stride", [1, 2, 4])

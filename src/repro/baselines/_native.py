@@ -78,7 +78,9 @@ DAC_LEVEL = struct.Struct("<BB")  # chunk width, has-bitmap flag
 LECO_HDR = struct.Struct("<qq")  # n, number of blocks
 LECO_BLOCK = struct.Struct("<qddq")  # start, slope, intercept, base
 LOSSY_HDR = struct.Struct("<qqdI")  # n, shift, eps, n_segments/fragments
-NEATS_HDR = struct.Struct("<qqqqB")  # n, m, shift, name_len, has_bv
+# The last NeaTS field is a legacy flag: 0 written, 0 or 1 read (1 marked a
+# frame from the retired bitvector rank; its arrays are the same).
+NEATS_HDR = struct.Struct("<qqqqB")  # n, m, shift, name_len, flag
 TSI64_HDR = struct.Struct("<qi")  # value count, decimal digits
 
 

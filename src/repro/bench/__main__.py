@@ -7,7 +7,7 @@ Experiments
 ``fig2``       ratio vs compression speed (incl. LeaTS, SNeaTS)
 ``fig3``       ratio vs decompression and random-access speed
 ``fig4``       range-query throughput across range sizes
-``ablations``  variant/structure/grid/model-set ablations
+``ablations``  variant/grid/model-set ablations
 ``all``        everything above
 """
 
@@ -85,7 +85,6 @@ def main(argv: list[str] | None = None) -> int:
     if wants("ablations"):
         print("== Running ablations ==", flush=True)
         sections.append(ablations.run_variant_ablation(args.datasets, args.n))
-        sections.append(ablations.run_rank_ablation(args.datasets, args.n))
         sections.append(ablations.run_eps_grid_ablation(args.datasets, args.n))
         sections.append(ablations.run_model_set_ablation(args.datasets, args.n))
 

@@ -5,11 +5,9 @@ These go beyond the paper's headline tables and quantify:
 1. **Variants** — NeaTS vs LeaTS vs SNeaTS compression time and ratio
    (the §IV-C1 in-text claims: LeaTS ≈5x and SNeaTS ≈13x faster, ratios
    0.89% and 8.18% worse);
-2. **Rank structures** — Elias-Fano rank vs the O(1) bitvector rank for the
-   fragment lookup of Algorithm 3 (§III-C last paragraph);
-3. **Error-bound grid** — the ``E`` stride: denser grids cost partitioning
+2. **Error-bound grid** — the ``E`` stride: denser grids cost partitioning
    time, sparser grids cost compression ratio;
-4. **Model set** — leave-one-out over the default four function kinds.
+3. **Model set** — leave-one-out over the default four function kinds.
 """
 
 from __future__ import annotations
@@ -21,12 +19,10 @@ import numpy as np
 from ..core import NeaTS
 from ..core.models import DEFAULT_MODELS
 from ..data import DATASETS
-from .measure import measure_random_access
 from .render import render_table
 
 __all__ = [
     "run_variant_ablation",
-    "run_rank_ablation",
     "run_eps_grid_ablation",
     "run_model_set_ablation",
 ]
@@ -65,26 +61,6 @@ def run_variant_ablation(datasets=None, n=None) -> str:
         ["Dataset", "Variant", "Ratio(%)", "Time(s)", "Speedup", "Ratio delta"],
         rows,
         title="Ablation: NeaTS variants (paper §IV-C1: LeaTS ~5x, SNeaTS ~13x)",
-    )
-
-
-def run_rank_ablation(datasets=None, n=None, queries=2000) -> str:
-    """Elias-Fano rank vs bitvector rank for random access."""
-    datasets = datasets or ["IT", "US"]
-    rows = []
-    for ds in datasets:
-        y = DATASETS[ds].generate(n)
-        for mode in ("ef", "bitvector"):
-            compressed = NeaTS(rank_mode=mode).compress(y)
-            spq = measure_random_access(compressed, y, queries=queries)
-            rows.append([
-                ds, mode, f"{100 * compressed.compression_ratio():.2f}",
-                f"{1e6 * spq:.2f}",
-            ])
-    return render_table(
-        ["Dataset", "S.rank via", "Ratio(%)", "us/query"],
-        rows,
-        title="Ablation: fragment lookup structure (§III-C, O(1) alternative)",
     )
 
 

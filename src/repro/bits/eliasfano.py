@@ -1,14 +1,17 @@
 """Elias-Fano encoding of monotone integer sequences.
 
-NeaTS stores the fragment-start array ``S`` and the cumulative correction
-offsets ``O`` with Elias-Fano (paper §III-C): ``m`` non-decreasing integers
-bounded by ``u`` take ``m * (2 + ceil(log2(u/m)))`` bits and support
+``m`` non-decreasing integers bounded by ``u`` take
+``m * (2 + ceil(log2(u/m)))`` bits and support
 
 * ``access(i)`` in O(1) (a ``select1`` on the high bits), and
 * ``rank(x)`` — the number of elements ``<= x`` — in
-  O(min(log m, log(u/m))) via a ``select0`` jump plus a bounded scan,
-  which is exactly the operation Algorithm 3 uses to find the fragment
-  covering a queried position.
+  O(min(log m, log(u/m))) via a ``select0`` jump plus a bounded scan.
+
+The paper stores NeaTS's fragment starts ``S`` and correction offsets ``O``
+this way (§III-C).  Here ``NeaTSStorage.size_bits()`` builds both only to
+charge that space, while its fragment lookup bisects a plain start list;
+LeCo ranks its block starts, and the timestamp codec stores its timestamps,
+with this class.
 """
 
 from __future__ import annotations

@@ -4,7 +4,9 @@ The paper represents the per-fragment function-kind array ``K`` as a wavelet
 tree (Grossi-Gupta-Vitter [48]) so that ``K.rank_f(i)`` — the number of
 occurrences of kind ``f`` in ``K[1, i]`` — runs in O(log |F|) time, which is
 how random access locates a fragment's parameters inside the per-kind
-parameter array ``P_f`` (Algorithm 3, line 4).
+parameter array ``P_f`` (Algorithm 3, line 4).  Here
+``NeaTSStorage.size_bits()`` builds one only to charge that space; random
+access reads each fragment's parameters from a table made at load.
 """
 
 from __future__ import annotations

@@ -99,11 +99,9 @@ def _codec_params(args) -> dict:
     if args.codec in _NEATS_FAMILY:
         if args.models:
             params["models"] = tuple(args.models.split(","))
-        if args.rank_mode != "ef":
-            params["rank_mode"] = args.rank_mode
-    elif args.models or args.rank_mode != "ef":
+    elif args.models:
         print(
-            f"warning: --models/--rank-mode only apply to the NeaTS family, "
+            f"warning: --models only applies to the NeaTS family, "
             f"ignored for codec {args.codec!r}",
             file=sys.stderr,
         )
@@ -222,7 +220,6 @@ def _cmd_info(args) -> int:
         if storage is not None:
             print(f"fragments:     {storage.m:,}")
             print(f"model kinds:   {', '.join(storage.model_names)}")
-            print(f"rank mode:     {storage.rank_mode}")
             widths = storage._widths_list
             print(f"correction widths: min {min(widths)} / max {max(widths)} "
                   "bits")
@@ -626,8 +623,6 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--models", default=None,
                    help="NeaTS family: comma-separated model kinds "
                         "(default: paper's four)")
-    p.add_argument("--rank-mode", choices=("ef", "bitvector"), default="ef",
-                   help="NeaTS family: fragment rank structure")
     p.set_defaults(func=_cmd_compress)
 
     p = sub.add_parser("decompress", help="archive -> CSV")

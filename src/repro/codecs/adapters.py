@@ -65,6 +65,15 @@ class NeaTSCompressor(LosslessCompressor):
     _make = staticmethod(NeaTS)
 
     def __init__(self, **kwargs) -> None:
+        # Archives, appendable headers and store manifests written while a
+        # bitvector rank was selectable persist rank_mode; the layout is the
+        # same for both values, so they are read and ignored.
+        legacy = kwargs.pop("rank_mode", "ef")
+        if legacy not in ("ef", "bitvector"):
+            raise ValueError(
+                f"unknown rank_mode {legacy!r}: the option is retired, and only "
+                "its old values 'ef' and 'bitvector' are still read"
+            )
         self._inner = self._make(**kwargs)
 
     def compress(self, values: np.ndarray) -> CompressedSeries:

@@ -5,7 +5,7 @@ layout (§III-C) into the compressor evaluated in the paper, together with the
 two speed-oriented variants of §IV-C1:
 
 * :class:`NeaTS` — the full compressor: nonlinear kinds × error bounds,
-  optimal partitioning, Elias-Fano/wavelet-tree layout;
+  optimal partitioning, the ``⟨S, B, O, C, K, P⟩`` layout;
 * :func:`NeaTS.linear_only` (**LeaTS**) — restricts ``F`` to linear functions;
 * :func:`NeaTS.with_model_selection` (**SNeaTS**) — first partitions a prefix
   sample of the series, keeps the top-``k`` most used ``(f, ε)`` pairs, and
@@ -133,9 +133,9 @@ class NeaTS:
     eps_stride:
         Width subsampling for the default ``E`` (ignored when ``eps_set``
         is given).
-    rank_mode:
-        ``"ef"`` (Elias-Fano rank) or ``"bitvector"`` (O(1) rank) for the
-        fragment lookup of Algorithm 3.
+
+    Random access (Algorithm 3) finds a fragment by bisecting its start
+    list; see :mod:`repro.core.storage` for the layout.
     """
 
     def __init__(
@@ -143,14 +143,12 @@ class NeaTS:
         models: tuple[str, ...] | list[str] = DEFAULT_MODELS,
         eps_set: list[int] | None = None,
         eps_stride: int = 1,
-        rank_mode: str = "ef",
     ) -> None:
         self.models = list(models)
         for name in self.models:
             get_model(name)  # fail fast on typos
         self.eps_set = eps_set
         self.eps_stride = eps_stride
-        self.rank_mode = rank_mode
 
     # -- constructors for the paper's variants --------------------------------
 
@@ -190,7 +188,7 @@ class NeaTS:
         z = y.astype(np.float64) + shift  # fitting precision only
         z_exact = y + shift  # int64: exact, used for residual measurement
         result = partition(z, list(self.models), [float(e) for e in eps_set])
-        storage = NeaTSStorage(z_exact, result.fragments, shift, self.rank_mode)
+        storage = NeaTSStorage(z_exact, result.fragments, shift)
         return CompressedSeries(storage, result.fragments, 64 * len(y))
 
     @staticmethod
@@ -244,5 +242,5 @@ class _SNeaTS(NeaTS):
         kept_models = sorted({name for name, _ in top})
         kept_eps = sorted({eps for _, eps in top})
         result = partition(z, kept_models, kept_eps)
-        storage = NeaTSStorage(y + shift, result.fragments, shift, self.rank_mode)
+        storage = NeaTSStorage(y + shift, result.fragments, shift)
         return CompressedSeries(storage, result.fragments, 64 * len(y))

@@ -1,20 +1,25 @@
 """The NeaTS compressed layout ``⟨S, B, O, C, K, P⟩`` (§III-C).
 
-Given the fragments produced by Algorithm 1, this module builds the succinct
-representation the paper describes:
+Given the fragments produced by Algorithm 1, this module stores
 
-* ``S``  — fragment start positions; Elias-Fano (default) or a plain
-  bitvector of length ``n`` with O(1) rank (the paper's constant-time
-  alternative).
-* ``B``  — per-fragment correction bit widths, packed.
-* ``O``  — cumulative correction bit offsets, Elias-Fano.
+* ``S``  — fragment start positions;
+* ``B``  — per-fragment correction bit widths;
+* ``O``  — cumulative correction bit offsets;
 * ``C``  — the corrections themselves, a bit string; correction ``c`` of a
-  fragment with width ``w`` is stored biased as ``c + 2^(w-1)``.
-* ``K``  — per-fragment function kinds, a wavelet tree.
-* ``P``  — per-kind concatenated parameter arrays, indexed by ``K.rank``.
+  fragment with width ``w`` is stored biased as ``c + 2^(w-1)``;
+* ``K``  — per-fragment function kinds;
+* ``P``  — per-kind concatenated parameter arrays,
 
 and implements Algorithm 2 (full decompression, vectorised per fragment) and
 Algorithm 3 (random access).
+
+The frame stores ``S``, ``B``, ``K`` and ``P`` as plain arrays and ``C`` as
+64-bit words; ``O`` is one prefix sum over ``B`` and the fragment lengths.
+Loading checks that these arrays split ``[0, n)`` consistently and adopts
+them as they are; the fragment lookup (``S.rank`` in Algorithm 3) bisects
+the start list.  :meth:`NeaTSStorage.size_bits` charges the paper's succinct
+layout instead (``S`` and ``O`` Elias-Fano, ``B`` packed, ``K`` a wavelet
+tree), building those structures on request, since no query reads them.
 
 A note on exactness: the fitted parameters come from float64 geometry, so a
 residual can land one past ±ε.  The builder measures the *actual* residuals of
@@ -25,10 +30,12 @@ per-fragment anyway), making the lossless guarantee unconditional.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
+
 import numpy as np
 
 from ..baselines._native import INT64, INT64_PAIR, NEATS_HDR
-from ..bits import BitReader, BitWriter, BitVector, EliasFano, PackedArray, WaveletTree
+from ..bits import BitReader, BitWriter, EliasFano, PackedArray, WaveletTree
 from ..bits.packed import unpack_bits, unpack_fields
 from .models import Model, get_model
 from .partition import Fragment, correction_bits
@@ -41,6 +48,9 @@ _MAGIC = b"NeaTS101"
 # float -> int cast; encoder and decoder apply the same clamp, so residuals
 # cancel exactly even when a model overflows between data points.
 _CLAMP = float(1 << 62)
+
+# Correction bit offsets reach 63·n: n < 2^57 keeps every one inside int64.
+_MAX_N = 1 << 57
 
 
 def _floor_i64(values: np.ndarray) -> np.ndarray:
@@ -76,6 +86,14 @@ def _required_width(cmin: int, cmax: int, base_width: int) -> int:
     raise OverflowError("corrections do not fit in 64 bits")
 
 
+def _take(data, pos: int, dtype, count: int) -> tuple[np.ndarray, int]:
+    """``count`` items of ``dtype`` at ``pos`` (zero-copy) and the next position."""
+    if count < 0:
+        raise ValueError(f"corrupt NeaTS layout: negative array length {count}")
+    arr = np.frombuffer(data, dtype=dtype, count=count, offset=pos)
+    return arr, pos + arr.nbytes
+
+
 class NeaTSStorage:
     """Immutable compressed representation of one integer time series."""
 
@@ -84,7 +102,6 @@ class NeaTSStorage:
         z: np.ndarray,
         fragments: list[Fragment],
         shift: int,
-        rank_mode: str = "ef",
     ) -> None:
         """Build the layout from shifted values ``z`` and a fragment partition.
 
@@ -103,9 +120,6 @@ class NeaTSStorage:
             Consecutive fragments covering ``[0, len(z))``.
         shift:
             The global positivity shift, stored so decoding returns ``y``.
-        rank_mode:
-            ``"ef"`` for Elias-Fano starts (compressed, O(log) rank) or
-            ``"bitvector"`` for the O(1)-rank bitvector of length ``n``.
         """
         n = len(z)
         if fragments and (fragments[0].start != 0 or fragments[-1].end != n):
@@ -113,17 +127,8 @@ class NeaTSStorage:
         for a, b in zip(fragments, fragments[1:]):
             if a.end != b.start:
                 raise ValueError("fragments must be consecutive")
-        if rank_mode not in ("ef", "bitvector"):
-            raise ValueError(f"unknown rank mode {rank_mode!r}")
-
-        self.n = n
-        self.m = len(fragments)
-        self.shift = shift
-        self.rank_mode = rank_mode
 
         model_names = sorted({f.model_name for f in fragments})
-        self.model_names = model_names
-        self._models: list[Model] = [get_model(name) for name in model_names]
         kind_of = {name: i for i, name in enumerate(model_names)}
 
         starts: list[int] = []
@@ -131,7 +136,6 @@ class NeaTSStorage:
         kinds: list[int] = []
         params_per_kind: list[list[float]] = [[] for _ in model_names]
         corrections = BitWriter()
-        offsets: list[int] = [0]
 
         z_exact = np.asarray(z)
         if z_exact.dtype != np.int64:
@@ -150,52 +154,94 @@ class NeaTSStorage:
             widths.append(width)
             kinds.append(kind_of[frag.model_name])
             params_per_kind[kind_of[frag.model_name]].extend(frag.params)
-            offsets.append(offsets[-1] + width * frag.length)
 
-        self.S = EliasFano(starts, universe=max(n, 1))
-        if rank_mode == "bitvector":
-            bits = np.zeros(n, dtype=np.uint8)
-            bits[starts] = 1
-            self.S_bv: BitVector | None = BitVector(bits.tolist())
-        else:
-            self.S_bv = None
-        self.B = PackedArray(widths, width=6)
-        self.O = EliasFano(offsets, universe=offsets[-1] + 1)
-        self._corrections = BitReader(corrections.getbuffer(), corrections.bit_length)
-        self.K = WaveletTree(kinds, sigma=len(model_names))
-        self.P = [
-            np.array(p, dtype=np.float64).reshape(-1, self._models[i].n_params)
-            for i, p in enumerate(params_per_kind)
-        ]
+        self._adopt(
+            n,
+            shift,
+            model_names,
+            np.array(starts, dtype=np.int64),
+            np.array(widths, dtype=np.int64),
+            np.array(kinds, dtype=np.int64),
+            [np.array(p, dtype=np.float64) for p in params_per_kind],
+            corrections.getbuffer(),
+            corrections.bit_length,
+        )
+
+    def _adopt(
+        self,
+        n: int,
+        shift: int,
+        names: list[str],
+        starts: np.ndarray,
+        widths: np.ndarray,
+        kinds: np.ndarray,
+        params: list[np.ndarray],
+        words: np.ndarray,
+        cbits: int,
+    ) -> None:
+        """Check a layout's arrays and take them as they are.
+
+        Both constructors end here: :meth:`__init__` with the arrays it
+        computed, :meth:`from_bytes` with views into the frame.  A layout
+        whose starts do not split ``[0, n)`` into non-empty fragments, or
+        whose widths, kinds, parameter counts or correction bits disagree
+        with it, is refused: served, it would decode wrong values.  The
+        checks are numpy passes over the ``m``-length arrays.
+        """
+        m = len(starts)
+        if not 0 <= n < _MAX_N or (m == 0) != (n == 0):
+            raise ValueError(f"corrupt NeaTS layout: {m} fragments for {n} values")
+        # Non-negative starts keep every difference exact in int64.
+        lengths = np.diff(starts, append=n)
+        if m and (starts[0] != 0 or starts.min() < 0 or lengths.min() < 1):
+            raise ValueError(f"corrupt NeaTS layout: starts do not split [0, {n})")
+        if ((widths < 0) | (widths >= 64)).any():
+            raise ValueError("corrupt NeaTS layout: correction width outside [0, 64)")
+        if ((kinds < 0) | (kinds >= len(names))).any():
+            raise ValueError("corrupt NeaTS layout: function kind without a name")
+        models = [get_model(name) for name in names]
+        uses = np.bincount(kinds, minlength=len(names))
+        for name, model, p, count in zip(names, models, params, uses.tolist()):
+            if p.size != count * model.n_params:
+                raise ValueError(
+                    f"corrupt NeaTS layout: {p.size} parameters for {count} "
+                    f"{name} fragments"
+                )
+        offsets = np.zeros(m + 1, dtype=np.int64)
+        np.cumsum(widths * lengths, out=offsets[1:])
+        if offsets[-1] != cbits or 64 * len(words) < cbits:
+            raise ValueError(
+                f"corrupt NeaTS layout: fragments need {offsets[-1]} correction "
+                f"bits, header says {cbits} in {len(words)} words"
+            )
+
+        self.n = n
+        self.m = m
+        self.shift = shift
+        self.model_names = names
+        self._models: list[Model] = models
+        self.P = [p.reshape(-1, model.n_params) for p, model in zip(params, models)]
+        self._corrections = BitReader(words, cbits)
 
         # Hot-path caches for random access: python lists avoid numpy scalars.
-        self._widths_list = widths
-        self._starts_list = starts
-        self._kinds_list = kinds
-        self._offsets_list = offsets
-        self._param_index = []
-        counters = [0] * len(model_names)
-        for kind in kinds:
-            self._param_index.append(counters[kind])
-            counters[kind] += 1
-        self._params_cache = [
-            tuple(map(float, self.P[kind][pi]))
-            for kind, pi in zip(kinds, self._param_index)
-        ]
+        self._starts_list = starts.tolist()
+        self._widths_list = widths.tolist()
+        self._kinds_list = kinds.tolist()
+        self._offsets_list = offsets.tolist()
+        rows = [iter(p.tolist()) for p in self.P]
+        self._params_cache = [tuple(next(rows[kind])) for kind in self._kinds_list]
 
     # -- queries -------------------------------------------------------------
 
     def fragment_index(self, k: int) -> int:
         """The index of the fragment covering 0-based position ``k``.
 
-        Uses ``S.rank`` (Elias-Fano mode) or the O(1) bitvector rank, exactly
-        as discussed at the end of §III-C.
+        ``S.rank(k) - 1`` of Algorithm 3, answered by bisecting the start
+        list.
         """
         if not 0 <= k < self.n:
             raise IndexError(f"position {k} out of range [0, {self.n})")
-        if self.S_bv is not None:
-            return self.S_bv.rank1(k + 1) - 1
-        return self.S.rank(k) - 1
+        return bisect_right(self._starts_list, k) - 1
 
     def access(self, k: int) -> int:
         """Algorithm 3: the original value at 0-based position ``k``."""
@@ -303,15 +349,20 @@ class NeaTSStorage:
     # -- size accounting -------------------------------------------------------
 
     def size_bits(self) -> int:
-        """Total space of the compressed representation, in bits."""
+        """Space of the paper's succinct layout (§III-C), in bits.
+
+        ``S`` and ``O`` are charged as Elias-Fano, ``B`` packed at 6 bits and
+        ``K`` as a wavelet tree, plus ``C``, ``P`` and the headers.  No query
+        reads those structures, so each call builds them and drops them:
+        O(m) Python work, not a field read.
+        """
+        offsets = self._offsets_list
         total = 64 * 4  # header: n, m, shift, flags
-        total += self.S.size_bits()
-        if self.S_bv is not None:
-            total += self.S_bv.size_bits()
-        total += self.B.size_bits()
-        total += self.O.size_bits()
+        total += EliasFano(self._starts_list, universe=max(self.n, 1)).size_bits()
+        total += PackedArray(self._widths_list, width=6).size_bits()
+        total += EliasFano(offsets, universe=offsets[-1] + 1).size_bits()
         total += self._corrections.bit_length
-        total += self.K.size_bits()
+        total += WaveletTree(self._kinds_list, sigma=len(self.model_names)).size_bits()
         total += sum(p.size * 64 for p in self.P)
         total += 16 * len(self.model_names)  # kind directory
         return total
@@ -326,10 +377,7 @@ class NeaTSStorage:
         """Serialise to a portable byte string."""
         out = bytearray(_MAGIC)
         names = ",".join(self.model_names).encode()
-        out += NEATS_HDR.pack(
-            self.n, self.m, self.shift, len(names),
-            1 if self.S_bv is not None else 0,
-        )
+        out += NEATS_HDR.pack(self.n, self.m, self.shift, len(names), 0)
         out += names
         out += INT64.pack(len(self._starts_list))
         out += np.array(self._starts_list, dtype=np.int64).tobytes()
@@ -349,83 +397,37 @@ class NeaTSStorage:
         """Rebuild a storage object from :meth:`to_bytes` output.
 
         ``data`` may be any byte buffer (``bytes``, ``memoryview``, an mmap
-        slice); the big arrays are adopted zero-copy via ``np.frombuffer``.
+        slice).  The parameter arrays and correction words are adopted
+        zero-copy via ``np.frombuffer``, so the buffer must outlive the
+        object.  A layout that fails the checks of :meth:`_adopt` raises
+        ``ValueError``.
         """
         if data[:8] != _MAGIC:
             raise ValueError("not a NeaTS byte string")
         pos = 8
-        n, m, shift, name_len, has_bv = NEATS_HDR.unpack_from(data, pos)
+        n, m, shift, name_len, flag = NEATS_HDR.unpack_from(data, pos)
         pos += NEATS_HDR.size
-        names = (
-            bytes(data[pos : pos + name_len]).decode().split(",")
-            if name_len
-            else []
-        )
-        pos += name_len
-        (m2,) = INT64.unpack_from(data, pos)
-        pos += 8
-        starts = np.frombuffer(data, dtype=np.int64, count=m2, offset=pos)
-        pos += 8 * m2
-        widths = np.frombuffer(data, dtype=np.int8, count=m2, offset=pos)
-        pos += m2
-        kinds = np.frombuffer(data, dtype=np.int8, count=m2, offset=pos)
-        pos += m2
+        # 1 marks a frame of the retired bitvector rank (see NEATS_HDR).
+        if flag not in (0, 1):
+            raise ValueError(f"corrupt NeaTS layout: unknown flag byte {flag}")
+        raw_names, pos = _take(data, pos, np.uint8, name_len)
+        names = raw_names.tobytes().decode().split(",") if name_len else []
+        (m_stored,) = INT64.unpack_from(data, pos)
+        if m_stored != m:
+            raise ValueError(
+                f"corrupt NeaTS layout: header says {m} fragments, the arrays "
+                f"hold {m_stored}"
+            )
+        starts, pos = _take(data, pos + 8, np.int64, m)
+        widths, pos = _take(data, pos, np.int8, m)
+        kinds, pos = _take(data, pos, np.int8, m)
         params = []
         for _ in names:
-            (cnt,) = INT64.unpack_from(data, pos)
-            pos += 8
-            arr = np.frombuffer(data, dtype=np.float64, count=cnt, offset=pos)
-            pos += 8 * cnt
+            (count,) = INT64.unpack_from(data, pos)
+            arr, pos = _take(data, pos + 8, np.float64, count)
             params.append(arr)
         cbits, nwords = INT64_PAIR.unpack_from(data, pos)
-        pos += 16
-        words = np.frombuffer(data, dtype=np.uint64, count=nwords, offset=pos)
-
-        # Reassemble fragments and rebuild through the normal constructor by
-        # reconstructing values: decode directly instead (cheaper): we bypass
-        # __init__ and fill the fields by hand.
+        words, _ = _take(data, pos + 16, np.uint64, nwords)
         obj = cls.__new__(cls)
-        obj.n = n
-        obj.m = m
-        obj.shift = shift
-        obj.rank_mode = "bitvector" if has_bv else "ef"
-        obj.model_names = names
-        obj._models = [get_model(name) for name in names]
-        starts_list = starts.tolist()
-        widths_list = widths.tolist()
-        kinds_list = kinds.tolist()
-        obj._starts_list = starts_list
-        obj._widths_list = widths_list
-        obj._kinds_list = kinds_list
-        lengths = [
-            (starts_list[i + 1] if i + 1 < m else n) - starts_list[i]
-            for i in range(m)
-        ]
-        offsets = [0]
-        for w, length in zip(widths_list, lengths):
-            offsets.append(offsets[-1] + w * length)
-        obj._offsets_list = offsets
-        obj.S = EliasFano(starts_list, universe=max(n, 1))
-        if has_bv:
-            bits = np.zeros(n, dtype=np.uint8)
-            bits[starts_list] = 1
-            obj.S_bv = BitVector(bits.tolist())
-        else:
-            obj.S_bv = None
-        obj.B = PackedArray(widths_list, width=6)
-        obj.O = EliasFano(offsets, universe=offsets[-1] + 1)
-        obj._corrections = BitReader(words.copy(), cbits)
-        obj.K = WaveletTree(kinds_list, sigma=max(len(names), 1))
-        obj.P = [
-            params[i].reshape(-1, obj._models[i].n_params) for i in range(len(names))
-        ]
-        obj._param_index = []
-        counters = [0] * len(names)
-        for kind in kinds_list:
-            obj._param_index.append(counters[kind])
-            counters[kind] += 1
-        obj._params_cache = [
-            tuple(map(float, obj.P[kind][pi]))
-            for kind, pi in zip(kinds_list, obj._param_index)
-        ]
+        obj._adopt(n, shift, names, starts, widths, kinds, params, words, cbits)
         return obj

@@ -360,7 +360,7 @@ class TieredStore:
         return total
 
     def tier_report(self) -> dict:
-        """Occupancy by tier — handy for examples and tests."""
+        """Value and block counts by tier; :meth:`size_bits` gives the footprint."""
         return {
             "buffer_values": len(self._buffer),
             "hot_blocks": len(self._hot),
@@ -369,7 +369,6 @@ class TieredStore:
             "cold_values": sum(self._cold_counts),
             "hot_codec": self._hot_id,
             "cold_codec": self._cold_id,
-            "total_bits": self.size_bits(),
         }
 
     # -- persistence ------------------------------------------------------------------

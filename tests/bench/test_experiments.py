@@ -90,10 +90,6 @@ class TestAblations:
         out = ablations.run_variant_ablation(datasets=["BP"], n=800)
         assert "LeaTS" in out and "SNeaTS" in out
 
-    def test_rank_ablation(self):
-        out = ablations.run_rank_ablation(datasets=["BP"], n=800, queries=50)
-        assert "bitvector" in out and "ef" in out
-
     def test_eps_grid_ablation(self):
         out = ablations.run_eps_grid_ablation(datasets=["BP"], n=800)
         assert "E stride" in out

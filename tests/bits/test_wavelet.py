@@ -88,7 +88,7 @@ class TestRank:
 
 class TestRankAccessConsistency:
     def test_param_indexing_pattern(self):
-        # The NeaTS storage uses rank(symbol, i) as the index of fragment i's
+        # Algorithm 3 uses rank(symbol, i) as the index of fragment i's
         # parameters inside the per-kind array; verify the identity.
         rng = np.random.default_rng(11)
         symbols = rng.integers(0, 4, 300).tolist()

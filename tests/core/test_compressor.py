@@ -121,12 +121,6 @@ class TestVariants:
         with pytest.raises(ValueError):
             NeaTS.with_model_selection(sample_fraction=0.0)
 
-    def test_rank_modes_equivalent(self, smooth_series, rng):
-        c_ef = NeaTS(rank_mode="ef").compress(smooth_series)
-        c_bv = NeaTS(rank_mode="bitvector").compress(smooth_series)
-        for k in rng.integers(0, len(smooth_series), 100).tolist():
-            assert c_ef.access(k) == c_bv.access(k)
-
 
 class TestDeterminism:
     def test_same_input_same_output(self, smooth_series):

@@ -9,13 +9,18 @@ Both model sets use only correctly rounded float operations (``+``, ``-``,
 ``*``, ``/`` and ``sqrt``), so the digests hold on any CPU.  The
 ``exponential`` model goes through ``log``/``exp``, whose last bit may depend
 on the CPU's vector path, so the default model set is not pinned here.
+
+``size_bits()`` is pinned beside the digests, fresh and after a
+``from_bytes`` round trip: it charges the paper's succinct layout, which the
+storage builds only when asked, so a load path that forgot a field or
+rebuilt one differently would move it.
 """
 
 import hashlib
 
 import pytest
 
-from repro.core import NeaTS
+from repro.core import NeaTS, NeaTSStorage
 from repro.data import DATASETS
 
 GOLDEN = {
@@ -57,6 +62,21 @@ GOLDEN = {
     },
 }
 
+SIZE_BITS = {
+    "leats": {
+        "AP": 15628, "BM": 13428, "BP": 25005, "BT": 35876,
+        "BW": 28706, "CT": 8311, "DP": 9651, "DU": 13245,
+        "ECG": 12112, "GE": 10354, "IT": 7212, "LAT": 3521,
+        "LON": 2317, "UK": 4124, "US": 8236, "WD": 12740,
+    },
+    "neats_lqr": {
+        "AP": 15542, "BM": 13340, "BP": 24382, "BT": 35876,
+        "BW": 28706, "CT": 8209, "DP": 9681, "DU": 13544,
+        "ECG": 12112, "GE": 10471, "IT": 7507, "LAT": 3569,
+        "LON": 2317, "UK": 4124, "US": 8198, "WD": 12740,
+    },
+}
+
 COMPRESSORS = {
     "leats": NeaTS.linear_only,
     "neats_lqr": lambda: NeaTS(models=("linear", "quadratic", "radical")),
@@ -69,3 +89,12 @@ def test_frame_digest_is_unchanged(kind, name):
     y = DATASETS[name].generate(1024)
     frame = COMPRESSORS[kind]().compress(y).storage.to_bytes()
     assert hashlib.sha256(frame).hexdigest() == GOLDEN[kind][name]
+
+
+@pytest.mark.parametrize("kind", sorted(SIZE_BITS))
+@pytest.mark.parametrize("name", sorted(DATASETS))
+def test_size_bits_is_unchanged(kind, name):
+    y = DATASETS[name].generate(1024)
+    storage = COMPRESSORS[kind]().compress(y).storage
+    reloaded = NeaTSStorage.from_bytes(storage.to_bytes())
+    assert storage.size_bits() == reloaded.size_bits() == SIZE_BITS[kind][name]

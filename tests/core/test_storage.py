@@ -8,12 +8,14 @@ from repro.core.partition import partition
 from repro.core.storage import NeaTSStorage, _required_width
 from repro.data import DATASETS
 
+_FLAG_BYTE = 8 + 4 * 8  # after the magic and the n, m, shift, name_len fields
 
-def build_storage(y, rank_mode="ef", models=("linear", "quadratic"), eps=(1.0, 7.0)):
+
+def build_storage(y, models=("linear", "quadratic"), eps=(1.0, 7.0)):
     shift = int(1 + max(eps) - int(y.min()))
     z = y.astype(np.float64) + shift
     result = partition(z, list(models), list(eps))
-    return NeaTSStorage(z, result.fragments, shift, rank_mode), z
+    return NeaTSStorage(z, result.fragments, shift), z
 
 
 class TestRequiredWidth:
@@ -107,17 +109,6 @@ class TestRangeQueries:
 
 
 class TestRankModes:
-    def test_bitvector_mode_equivalent(self, smooth_series, rng):
-        st_ef, _ = build_storage(smooth_series, rank_mode="ef")
-        st_bv, _ = build_storage(smooth_series, rank_mode="bitvector")
-        for k in rng.integers(0, len(smooth_series), 150).tolist():
-            assert st_ef.fragment_index(k) == st_bv.fragment_index(k)
-            assert st_ef.access(k) == st_bv.access(k)
-
-    def test_unknown_mode_raises(self, smooth_series):
-        with pytest.raises(ValueError):
-            build_storage(smooth_series, rank_mode="magic")
-
     def test_fragment_index_boundaries(self, smooth_series):
         st, _ = build_storage(smooth_series)
         starts = st._starts_list
@@ -156,11 +147,26 @@ class TestSerialisation:
         for k in rng.integers(0, len(smooth_series), 50).tolist():
             assert st2.access(k) == st.access(k)
 
-    def test_bytes_roundtrip_bitvector_mode(self, smooth_series):
-        st, _ = build_storage(smooth_series, rank_mode="bitvector")
-        st2 = NeaTSStorage.from_bytes(st.to_bytes())
-        assert st2.rank_mode == "bitvector"
+    def test_bytes_roundtrip_bitvector_mode(self, smooth_series, rng):
+        """Flag byte 1 marks a frame of the retired bitvector rank: it holds
+        the same arrays, so it decodes the same and is charged the same."""
+        st, _ = build_storage(smooth_series)
+        blob = bytearray(st.to_bytes())
+        assert blob[_FLAG_BYTE] == 0
+        blob[_FLAG_BYTE] = 1
+        st2 = NeaTSStorage.from_bytes(bytes(blob))
         assert np.array_equal(st2.decompress(), smooth_series)
+        for k in rng.integers(0, len(smooth_series), 50).tolist():
+            assert st2.access(k) == st.access(k)
+        assert st2.size_bits() == st.size_bits()
+        assert st2.to_bytes() == st.to_bytes()  # rewritten with flag 0
+
+    def test_unknown_flag_byte_refused(self, smooth_series):
+        st, _ = build_storage(smooth_series)
+        blob = bytearray(st.to_bytes())
+        blob[_FLAG_BYTE] = 2
+        with pytest.raises(ValueError, match="flag byte 2"):
+            NeaTSStorage.from_bytes(bytes(blob))
 
     def test_bad_magic_rejected(self):
         with pytest.raises(ValueError):

@@ -36,14 +36,6 @@ class TestCompressDecompress:
         ])
         assert code == 0
 
-    def test_bitvector_rank_mode(self, csv_file, tmp_path):
-        path, _ = csv_file
-        archive = tmp_path / "out.neats"
-        assert main([
-            "compress", str(path), str(archive),
-            "--digits", "2", "--rank-mode", "bitvector",
-        ]) == 0
-
 
 class TestInfoAccess:
     @pytest.fixture
