@@ -1,6 +1,6 @@
 """Ablation benchmarks: design choices inside NeaTS.
 
-Covers the design decisions DESIGN.md §5 calls out:
+Covers two design choices:
 
 * the E-grid density (stride) for Algorithm 1;
 * micro-benchmarks of the rank/select primitives behind DAC, LeCo, the

@@ -185,9 +185,7 @@ class AaCompressor(LossyCompressor):
 
     def compress(self, values: np.ndarray) -> AaSeries:
         """Greedy adaptive segmentation of an integer series."""
-        y = np.asarray(values, dtype=np.float64)
-        if len(y) == 0:
-            raise ValueError("cannot compress an empty series")
+        y = self._check_input(values).astype(np.float64)
         n = len(y)
         eps = self.eps
         segments: list[AaSegment] = []

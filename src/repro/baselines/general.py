@@ -1,8 +1,8 @@
 """The five general-purpose lossless compressors of the paper's evaluation.
 
 The paper benchmarks Xz, Brotli, Zstd, Lz4 and Snappy through the Squash
-library.  Offline we map each one to the closest available codec (see
-DESIGN.md §3 for the substitution rationale):
+library.  This package needs numpy alone, so each one maps to the closest
+compressor of the same design in the standard library or in this package:
 
 ========  =====================  ==========================================
 Paper     Here                   Notes

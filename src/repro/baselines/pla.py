@@ -110,9 +110,7 @@ class PlaCompressor(LossyCompressor):
 
     def compress(self, values: np.ndarray) -> PlaSeries:
         """Build the optimal PLA of an integer series."""
-        y = np.asarray(values, dtype=np.int64)
-        if len(y) == 0:
-            raise ValueError("cannot compress an empty series")
+        y = self._check_input(values)
         shift = 0  # linear fitting needs no positivity
         z = y.astype(np.float64)
         segments = piecewise_approximation(z, "linear", self.eps)

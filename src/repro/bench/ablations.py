@@ -1,4 +1,4 @@
-"""Ablation studies for the design choices called out in DESIGN.md §5.
+"""Ablation studies of NeaTS's design choices.
 
 These go beyond the paper's headline tables and quantify:
 

@@ -3,7 +3,8 @@
 Speeds follow the paper's units: MB/s where a "byte" is a byte of the
 *uncompressed* representation (8 per value), and random access speed counts
 8 bytes per accessed value (Table III bottom).  Absolute numbers are
-interpreter-bound (see DESIGN.md §3); the harness is about *relative* shapes.
+interpreter-bound: every codec here is Python and numpy, where the paper's
+are C++, so the harness is about *relative* shapes.
 """
 
 from __future__ import annotations

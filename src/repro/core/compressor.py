@@ -187,9 +187,13 @@ class NeaTS:
         shift = self._shift_for(y, eps_set)
         z = y.astype(np.float64) + shift  # fitting precision only
         z_exact = y + shift  # int64: exact, used for residual measurement
-        result = partition(z, list(self.models), [float(e) for e in eps_set])
-        storage = NeaTSStorage(z_exact, result.fragments, shift)
-        return CompressedSeries(storage, result.fragments, 64 * len(y))
+        fragments = self._partition(z, [float(e) for e in eps_set])
+        storage = NeaTSStorage(z_exact, fragments, shift)
+        return CompressedSeries(storage, fragments, 64 * len(y))
+
+    def _partition(self, z: np.ndarray, eps_set: list[float]) -> list[Fragment]:
+        """Algorithm 1 over the shifted values ``z`` with the whole ``F × E``."""
+        return partition(z, list(self.models), eps_set).fragments
 
     @staticmethod
     def _shift_for(y: np.ndarray, eps_set: list[int]) -> int:
@@ -222,25 +226,14 @@ class _SNeaTS(NeaTS):
         self.sample_fraction = sample_fraction
         self.top_k = top_k
 
-    def compress(self, values: np.ndarray) -> CompressedSeries:
-        y = np.asarray(values, dtype=np.int64)
-        if len(y) == 0:
-            raise ValueError("cannot compress an empty series")
-        self._check_domain(y)
-        eps_set = self.eps_set or default_eps_set(y, self.eps_stride)
-        shift = self._shift_for(y, eps_set)
-        z = y.astype(np.float64) + shift
-
-        sample_len = min(max(int(len(y) * self.sample_fraction), 64), len(y))
-        sample = partition(
-            z[:sample_len], list(self.models), [float(e) for e in eps_set]
-        )
+    def _partition(self, z: np.ndarray, eps_set: list[float]) -> list[Fragment]:
+        """Partition a prefix sample with ``F × E``, then ``z`` with its top pairs."""
+        sample_len = min(max(int(len(z) * self.sample_fraction), 64), len(z))
+        sample = partition(z[:sample_len], list(self.models), eps_set)
         usage = Counter(
             (frag.model_name, frag.eps) for frag in sample.fragments
         )
         top = [pair for pair, _ in usage.most_common(self.top_k)]
         kept_models = sorted({name for name, _ in top})
         kept_eps = sorted({eps for _, eps in top})
-        result = partition(z, kept_models, kept_eps)
-        storage = NeaTSStorage(y + shift, result.fragments, shift)
-        return CompressedSeries(storage, result.fragments, 64 * len(y))
+        return partition(z, kept_models, kept_eps).fragments

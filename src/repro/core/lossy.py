@@ -170,9 +170,7 @@ class NeaTSLossy(LossyCompressor):
 
     def compress(self, values: np.ndarray) -> LossySeries:
         """Build the minimum-space lossy ε-representation of ``values``."""
-        y = np.asarray(values, dtype=np.int64)
-        if len(y) == 0:
-            raise ValueError("cannot compress an empty series")
+        y = self._check_input(values)
         shift = int(1 + np.ceil(self.eps) - int(y.min()))
         z = y.astype(np.float64) + shift
         result = partition_lossy(z, list(self.models), self.eps)

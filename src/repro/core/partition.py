@@ -14,11 +14,18 @@ constant :data:`FRAGMENT_OVERHEAD_BITS` for the fragment's metadata, so the
 optimal ``cost_bits`` is not ``NeaTSStorage.size_bits()``.  On the 16 bundled
 generators at 4096 values the two differ by -775 to +1242 bits per series.
 
-Edges are enumerated *on the fly*: for every ``(f, ε)`` pair we keep only the
-extent of the single fragment overlapping the node being relaxed, as in the
-paper, which brings the memory down to O(n + |F||E|) and the time to
+Edges are enumerated from each ``(f, ε)`` pair's *greedy chain*: the
+fragments the pair opens from node 0, each as long as MAKE-APPROXIMATION
+allows and each starting where the previous one ends.  A chain does not
+depend on the distances, so the chains are built one pair at a time: the
+pair's transform lives only while its chain is walked, and only the chain's
+ends are kept.  The relaxation then holds, for every pair, the extent of the
+single fragment overlapping the node being relaxed, as in the paper.  Memory
+is O(n) transient per pair plus the chain ends, one int64 per fragment of
+every chain (the paper's O(n + |F||E|) fits each pair's fragment when the
+relaxation reaches it, which needs every transform at once); time is
 O(|F| |E| n).  Parameters are fitted again only for the fragments of the
-shortest path.
+shortest path, one pair's transform at a time.
 
 The same routine with ``E = {ε}`` and a weight of ``κ_f`` alone yields the
 lossy partitioner of NeaTS-L (§III-B, "Partitioning for lossy compression").
@@ -27,13 +34,14 @@ lossy partitioner of NeaTS-L (§III-B, "Partitioning for lossy compression").
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
 
 from .convex import RangeLineFitter
 from .models import Model, get_model, make_approximation
-from .transforms import PairTransform, precompute_transform
+from .transforms import precompute_transform, two_point_starts
 
 __all__ = [
     "Fragment",
@@ -45,8 +53,9 @@ __all__ = [
 
 #: bits charged per stored function parameter (float64)
 PARAM_BITS = 64
-#: estimated per-fragment metadata bits: S/B/O/K entries plus their share of
-#: the rank/select directories (measured on the actual layout, see DESIGN.md)
+#: estimated per-fragment metadata bits: the S/B/O/K entries of the succinct
+#: layout that ``NeaTSStorage.size_bits()`` counts, plus their share of its
+#: rank/select directories
 FRAGMENT_OVERHEAD_BITS = 96
 
 
@@ -122,45 +131,26 @@ def partition(
         raise ValueError("need at least one error bound")
 
     # Per-pair state in flat lists, indexed by pair: the (f, ε) pair, its
-    # precomputed transform (None for anchored kinds), its per-point
-    # correction bits and κ_f, and the current fragment [starts, ends).
+    # per-point correction bits and κ_f, and the ends of its greedy chain.
     pairs: list[tuple[Model, float]] = []
-    cached: list[PairTransform | None] = []
     cbits: list[int] = []
     kappa: list[int] = []
     for model in resolved:
         kap = _model_cost_bits(model)
         for eps in eps_set:
             pairs.append((model, eps))
-            cached.append(precompute_transform(model, eps, z))
             cbits.append(0 if lossy else correction_bits(eps))
             kappa.append(kap)
     n_pairs = len(pairs)
-    starts = [0] * n_pairs
-    ends = [0] * n_pairs  # ends[p] <= k: pair p opens a new fragment at k
 
     # One fitter serves every pair: a fragment is fitted to its end before
-    # the next one starts, and only its extent is kept.  The few fragments
-    # on the shortest path are fitted again from their start for their
-    # parameters; the fit is deterministic, so they come out the same.
+    # the next one starts, and only its extent is kept.  Pair p's current
+    # fragment is [starts[p], ends[p]); it takes the next end of its chain
+    # when it opens a new one.
     fitter = RangeLineFitter()
-    reset, extend = fitter.reset, fitter.extend
-
-    def longest(p: int, k: int) -> tuple[int, tuple[float, ...] | None]:
-        """MAKE-APPROXIMATION for pair ``p`` from ``k``: its end (and params)."""
-        pre = cached[p]
-        if pre is None:
-            model, eps = pairs[p]
-            fit = make_approximation(z, k, model, eps)
-            return fit.end, fit.params
-        reset()
-        end = extend(pre.t, pre.lo, pre.hi, k, n)
-        if end == k:  # first point rejected: cannot happen post-shift
-            raise RuntimeError(
-                f"model {pairs[p][0].name!r} cannot start at index {k}"
-            )
-        return end, None
-
+    next_end = [iter(_chain(model, eps, z, fitter)).__next__ for model, eps in pairs]
+    starts = [0] * n_pairs
+    ends = [0] * n_pairs
     INF = float("inf")
     distance = [INF] * (n + 1)
     distance[0] = 0.0
@@ -173,7 +163,7 @@ def partition(
         for p in range(n_pairs):
             if ends[p] <= k:
                 # A new edge must be opened at k (line 10 of Algorithm 1).
-                ends[p] = longest(p, k)[0]
+                ends[p] = next_end[p]()
                 starts[p] = k
             else:
                 # Relax the prefix edge (starts[p], k) — lines 12-15.
@@ -191,21 +181,80 @@ def partition(
                 previous[j] = (k, p, starts[p])
 
     # Read the shortest path backwards (lines 21-26).
-    fragments: list[Fragment] = []
+    path: list[tuple[int, int, int, int]] = []
     v = n
     while v > 0:
         entry = previous[v]
         if entry is None:  # pragma: no cover - the DAG is always connected
             raise RuntimeError(f"no path reaches node {v}")
         u, p, s = entry
-        _, params = longest(p, s)
-        model, eps = pairs[p]
-        if params is None:
-            params = model.params_from_line(*fitter.line())
-        fragments.append(Fragment(u, v, model.name, eps, params))
+        path.append((u, v, p, s))
         v = u
-    fragments.reverse()
+    path.reverse()
+
+    # Fit the path's fragments again from their starts for their parameters,
+    # one pair's transform at a time; the fit is deterministic, so they come
+    # out as in the chains.
+    by_pair: dict[int, list[int]] = {}
+    for at, (_, _, p, _) in enumerate(path):
+        by_pair.setdefault(p, []).append(at)
+    params: list[tuple[float, ...]] = [()] * len(path)
+    for p, ats in by_pair.items():
+        model, eps = pairs[p]
+        pre = precompute_transform(model, eps, z)
+        if pre is None:
+            for at in ats:
+                params[at] = make_approximation(z, path[at][3], model, eps).params
+            continue
+        t, lo, hi = pre.t.tolist(), pre.lo.tolist(), pre.hi.tolist()
+        del pre
+        for at in ats:
+            fitter.reset()
+            fitter.extend(t, lo, hi, path[at][3], n)
+            params[at] = model.params_from_line(*fitter.line())
+    fragments = [
+        Fragment(u, v, pairs[p][0].name, pairs[p][1], params[at])
+        for at, (u, v, p, _) in enumerate(path)
+    ]
     return PartitionResult(fragments, distance[n])
+
+
+def _chain(
+    model: Model, eps: float, z: np.ndarray, fitter: RangeLineFitter
+) -> array[int]:
+    """The ends of the greedy chain of ``(model, eps)`` over ``z``.
+
+    The chain starts a fragment at 0 and each next one where the previous
+    ends, every fragment as long as MAKE-APPROXIMATION allows: these are the
+    fragments Algorithm 1 opens for the pair.  The pair's transform lives
+    only for this call.
+    """
+    n = len(z)
+    chain = array("q")
+    append = chain.append
+    pre = precompute_transform(model, eps, z)
+    if pre is None:
+        k = 0
+        while k < n:
+            k = make_approximation(z, k, model, eps).end
+            append(k)
+        return chain
+    two = two_point_starts(pre).tolist()
+    t, lo, hi = pre.t.tolist(), pre.lo.tolist(), pre.hi.tolist()
+    del pre
+    reset, extend = fitter.reset, fitter.extend
+    k = 0
+    while k < n:
+        if two[k]:
+            k += 2
+        else:
+            reset()
+            end = extend(t, lo, hi, k, n)
+            if end == k:  # first point rejected: cannot happen post-shift
+                raise RuntimeError(f"model {model.name!r} cannot start at index {k}")
+            k = end
+        append(k)
+    return chain
 
 
 def partition_lossy(

@@ -3,10 +3,13 @@
 For the two-parameter models every transform of Table I is a pure function of
 the position ``x`` (known upfront) and of ``z ± ε`` (vectorisable with
 numpy).  :func:`precompute_transform` builds the ``(t, lo, hi)`` sequences of
-one ``(f, ε)`` pair once, and Algorithm 1 (:func:`repro.core.partition.partition`)
+one ``(f, ε)`` pair, and Algorithm 1 (:func:`repro.core.partition.partition`)
 hands them to :meth:`~repro.core.convex.RangeLineFitter.extend`, which fits
-each fragment in one pass with no per-point ``model.transform`` call.  This
-is an interpreter-level optimisation with no algorithmic effect.
+each fragment in one pass with no per-point ``model.transform`` call.
+:func:`two_point_starts` finds, over the same arrays, every start whose
+longest fragment is exactly two points, so the partitioner needs no
+``extend`` call there.  Both are interpreter-level optimisations with no
+algorithmic effect.
 
 Anchored (three-parameter) models depend on the fragment's first point and
 cannot be precomputed; they keep the scalar path of
@@ -21,18 +24,18 @@ import numpy as np
 
 from .models import Model
 
-__all__ = ["PairTransform", "precompute_transform"]
+__all__ = ["PairTransform", "precompute_transform", "two_point_starts"]
 
 
 class PairTransform(NamedTuple):
     """Precomputed ``(t, lo, hi)`` of one ``(model, ε)`` pair, per position.
 
-    Python lists: the fastest sequences for scalar indexing.
+    Three float64 arrays of the series' length.
     """
 
-    t: list[float]
-    lo: list[float]
-    hi: list[float]
+    t: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
 
 
 def precompute_transform(
@@ -71,4 +74,34 @@ def precompute_transform(
     else:
         # Unknown two-parameter model: fall back to the scalar path.
         return None
-    return PairTransform(t.tolist(), lo.tolist(), hi.tolist())
+    return PairTransform(t, lo, hi)
+
+
+def two_point_starts(pre: PairTransform) -> np.ndarray:
+    """Mark every start ``k`` whose longest fragment is ``[k, k + 2)``.
+
+    ``mark[k]`` is true iff ``RangeLineFitter().extend(t, lo, hi, k, n)``
+    returns ``k + 2``: one line stabs any two ranges, so this is exactly
+    ``extend``'s test on its third range, run here for every start at once
+    with the same float operations in the same order.  A start from which
+    ``extend`` would raise (an empty range or a non-increasing abscissa among
+    its three points) is left unmarked, and so are the last two starts, which
+    have no third range to reject.
+    """
+    t, lo, hi = pre
+    mark = np.zeros(len(t), dtype=bool)
+    if len(t) < 3:
+        return mark
+    t0, t1, t2 = t[:-2], t[1:-1], t[2:]
+    l0, l1, l2 = lo[:-2], lo[1:-1], lo[2:]
+    h0, h1, h2 = hi[:-2], hi[1:-1], hi[2:]
+    # After two ranges both extreme-slope directions run from t0 to t1.
+    dx = t1 - t0
+    step = t2 - t1
+    rejected = ((h2 - l1) * dx < (l1 - h0) * step) | (
+        (h1 - l0) * step < (l2 - h1) * dx
+    )
+    empty = lo > hi
+    raises = empty[:-2] | empty[1:-1] | empty[2:] | (t1 <= t0) | (t2 <= t1)
+    mark[:-2] = rejected & ~raises
+    return mark

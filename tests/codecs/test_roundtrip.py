@@ -25,6 +25,7 @@ from repro.codecs import (
 )
 from repro.codecs.container import ARCHIVE_MAGIC
 from repro.codecs.serialize import read_frame
+from repro.core import NeaTS
 
 LOSSLESS_IDS = {
     "neats", "leats", "sneats",
@@ -338,6 +339,24 @@ class TestErrorCases:
         c = GorillaCompressor().compress(series)  # bypasses the registry
         with pytest.raises(ValueError, match="no codec id"):
             c.to_bytes()
+
+
+class TestInputShape:
+    """Every compressor checks its input before fitting: a 2-D array is
+    refused with one message, not a numpy error from inside the fit."""
+
+    @pytest.mark.parametrize("cid", available_codecs())
+    def test_codec_refuses_2d(self, cid):
+        with pytest.raises(ValueError, match="1-D"):
+            repro.compress(np.ones((20, 10)), codec=cid, **_params(cid))
+
+    @pytest.mark.parametrize(
+        "make", [NeaTS, NeaTS.linear_only, NeaTS.with_model_selection],
+        ids=["neats", "leats", "sneats"],
+    )
+    def test_core_api_refuses_2d(self, make):
+        with pytest.raises(ValueError, match="1-D"):
+            make().compress(np.ones((20, 10)))
 
 
 class TestTieredStorePersistence:

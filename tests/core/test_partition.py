@@ -1,18 +1,24 @@
 """Unit tests for Algorithm 1 (optimal partitioning)."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.core.models import get_model, make_approximation
+from repro.core.convex import RangeLineFitter
+from repro.core.models import ALL_MODELS, get_model, make_approximation
 from repro.core.partition import (
     FRAGMENT_OVERHEAD_BITS,
     PARAM_BITS,
+    Fragment,
+    PartitionResult,
     correction_bits,
     partition,
     partition_lossy,
 )
+from repro.core.transforms import precompute_transform
 
 
 def brute_force_optimal_cost(z, models, eps_set, lossy=False):
@@ -162,3 +168,155 @@ class TestLossyMode:
             xs = np.arange(frag.start + 1, frag.end + 1, dtype=np.float64)
             err = np.max(np.abs(model.evaluate(frag.params, xs) - z[frag.start:frag.end]))
             assert err <= eps + 1e-6
+
+
+# -- oracle: Algorithm 1 as it ran before the chains were stored ---------------
+
+
+def _reference_partition(z, models, eps_set, lossy=False):
+    """Algorithm 1 with every pair's transform held at once and each fragment
+    fitted when the relaxation reaches its start (the implementation the
+    chain-based one replaced), kept as a test oracle."""
+    n = len(z)
+    if n == 0:
+        return PartitionResult([], 0.0)
+    resolved = [get_model(m) if isinstance(m, str) else m for m in models]
+    pairs, cached, cbits, kappa = [], [], [], []
+    for model in resolved:
+        kap = model.n_params * PARAM_BITS + FRAGMENT_OVERHEAD_BITS
+        for eps in eps_set:
+            pairs.append((model, eps))
+            pre = precompute_transform(model, eps, z)
+            cached.append(
+                None if pre is None
+                else (pre.t.tolist(), pre.lo.tolist(), pre.hi.tolist())
+            )
+            cbits.append(0 if lossy else correction_bits(eps))
+            kappa.append(kap)
+    n_pairs = len(pairs)
+    starts = [0] * n_pairs
+    ends = [0] * n_pairs
+    fitter = RangeLineFitter()
+    reset, extend = fitter.reset, fitter.extend
+
+    def longest(p, k):
+        pre = cached[p]
+        if pre is None:
+            model, eps = pairs[p]
+            fit = make_approximation(z, k, model, eps)
+            return fit.end, fit.params
+        reset()
+        end = extend(pre[0], pre[1], pre[2], k, n)
+        if end == k:
+            raise RuntimeError(f"model {pairs[p][0].name!r} cannot start at index {k}")
+        return end, None
+
+    INF = float("inf")
+    distance = [INF] * (n + 1)
+    distance[0] = 0.0
+    previous = [None] * (n + 1)
+    for k in range(n):
+        dk = distance[k]
+        for p in range(n_pairs):
+            if ends[p] <= k:
+                ends[p] = longest(p, k)[0]
+                starts[p] = k
+            else:
+                i = starts[p]
+                cand = distance[i] + ((k - i) * cbits[p] + kappa[p])
+                if cand < dk:
+                    distance[k] = dk = cand
+                    previous[k] = (i, p, i)
+        for p in range(n_pairs):
+            j = ends[p]
+            cand = dk + ((j - k) * cbits[p] + kappa[p])
+            if cand < distance[j]:
+                distance[j] = cand
+                previous[j] = (k, p, starts[p])
+    fragments = []
+    v = n
+    while v > 0:
+        u, p, s = previous[v]
+        _, params = longest(p, s)
+        model, eps = pairs[p]
+        if params is None:
+            params = model.params_from_line(*fitter.line())
+        fragments.append(Fragment(u, v, model.name, eps, params))
+        v = u
+    fragments.reverse()
+    return PartitionResult(fragments, distance[n])
+
+
+def _build_series(pieces):
+    """Concatenate noise, constant and exactly collinear pieces, cut to 600."""
+    parts = []
+    for kind, length, level, slope, seed in pieces:
+        if kind == "noise":
+            rng = np.random.default_rng(seed)
+            parts.append(level + rng.integers(-abs(slope), abs(slope) + 1, length))
+        elif kind == "constant":
+            parts.append(np.full(length, level))
+        else:
+            parts.append(level + slope * np.arange(length))
+    return np.concatenate(parts).astype(np.int64)[:600]
+
+
+#: integer series of 1-600 values with constant runs and collinear stretches
+shaped_series = st.lists(
+    st.tuples(
+        st.sampled_from(("noise", "constant", "line")),
+        st.integers(1, 150),
+        st.integers(-(10**6), 10**6),
+        st.integers(-40, 40),
+        st.integers(0, 2**32 - 1),
+    ),
+    min_size=1,
+    max_size=10,
+).map(_build_series)
+
+
+def _shifted(y, eps_set):
+    """``z = y + shift`` with NeaTS's positivity shift (paper footnote 2)."""
+    return y.astype(np.float64) + (1 + max(eps_set) - int(y.min()))
+
+
+class TestAgainstReference:
+    @given(
+        y=shaped_series,
+        models=st.lists(
+            st.sampled_from(ALL_MODELS), min_size=1, max_size=4, unique=True
+        ),
+        eps=st.lists(st.integers(1, 2**12), max_size=3, unique=True),
+        zero_at=st.integers(0, 3),
+        lossy=st.booleans(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_same_fragments_and_cost(self, y, models, eps, zero_at, lossy):
+        eps_set = [float(e) for e in eps]
+        eps_set.insert(min(zero_at, len(eps_set)), 0.0)
+        z = _shifted(y, eps_set)
+        got = partition(z, models, eps_set, lossy=lossy)
+        want = _reference_partition(z, models, eps_set, lossy=lossy)
+        assert got.fragments == want.fragments
+        assert got.cost_bits == want.cost_bits
+
+
+class TestMemory:
+    def test_one_pair_transform_at_a_time(self):
+        """44 (f, ε) pairs over 1,024 values: holding every pair's transform
+        as Python floats peaked at 4.2 MiB traced; one transform at a time
+        plus the chain ends peaks near 0.4 MiB."""
+        rng = np.random.default_rng(7)
+        y = np.cumsum(rng.integers(-50, 51, 1024))
+        eps_set = [0.0] + [float((1 << b) - 1) for b in range(1, 11)]
+        z = _shifted(y, eps_set)
+        models = ["linear", "exponential", "quadratic", "radical"]
+        partition(z[:64], models, eps_set)  # warm up before tracing
+        tracemalloc.start()
+        try:
+            result = partition(z, models, eps_set)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert result.fragments[-1].end == len(z)
+        assert peak < 1.5 * 2**20
