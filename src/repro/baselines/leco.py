@@ -9,12 +9,16 @@ whenever the merge lowers the estimated size — exactly the split/merge scheme
 the paper criticises as sub-optimal (§V.b), and the reason NeaTS beats LeCo
 on compression ratio.
 
-Random access is native (no block-wise adapter): block starts go into an
-Elias-Fano sequence, each access is one predecessor search plus one residual
-fetch (matching LeCo's own layout).
+Random access is native (no block-wise adapter): each access is one
+predecessor search over the block starts plus one residual fetch.  The size
+is charged for LeCo's own layout, an Elias-Fano sequence over the starts;
+lookups bisect a plain list of them, and :meth:`size_bits` builds the
+Elias-Fano sequence only to measure it.
 """
 
 from __future__ import annotations
+
+from bisect import bisect_right
 
 import numpy as np
 
@@ -75,16 +79,17 @@ class _LeCoCompressed(Compressed):
     def __init__(self, blocks: list[_LeCoBlock], n: int) -> None:
         self._blocks = blocks
         self._n = n
-        self._starts = EliasFano([b.start for b in blocks], universe=max(n, 1))
+        self._starts = [b.start for b in blocks]
 
     def size_bits(self) -> int:
-        total = 64 + self._starts.size_bits()
+        starts = EliasFano(self._starts, universe=max(self._n, 1))
+        total = 64 + starts.size_bits()
         for b in self._blocks:
             total += 2 * 64 + 64 + 8 + b.resid.size_bits()
         return total
 
     def _block_of(self, k: int) -> int:
-        return self._starts.rank(k) - 1
+        return bisect_right(self._starts, k) - 1
 
     def access(self, k: int) -> int:
         if not 0 <= k < self._n:
@@ -129,11 +134,7 @@ class _LeCoCompressed(Compressed):
         return np.concatenate(out)
 
     def to_payload(self) -> bytes:
-        """Native frame payload: per-block model params + packed residuals.
-
-        The Elias-Fano start index is not stored — it is rebuilt
-        deterministically from the block starts on load (O(#blocks)).
-        """
+        """Native frame payload: per-block model params + packed residuals."""
         parts = [_LECO_HDR.pack(self._n, len(self._blocks))]
         for b in self._blocks:
             parts.append(_LECO_BLOCK.pack(b.start, b.slope, b.intercept, b.base))

@@ -154,9 +154,12 @@ def partition(
     INF = float("inf")
     distance = [INF] * (n + 1)
     distance[0] = 0.0
-    # previous[v] = (u, p, s): edge [u, v) of the fragment of pair p that
-    # starts at s.
-    previous: list[tuple[int, int, int] | None] = [None] * (n + 1)
+    # The back-pointer of node v is edge [prev_u[v], v) of the fragment of
+    # pair prev_p[v] that starts at prev_s[v]; -1 marks a node never reached.
+    # Three int64 columns take 24 B a node; a tuple took 64 B plus its ints.
+    prev_u = array("q", [-1]) * (n + 1)
+    prev_p = array("q", [-1]) * (n + 1)
+    prev_s = array("q", [-1]) * (n + 1)
 
     for k in range(n):
         dk = distance[k]
@@ -171,25 +174,25 @@ def partition(
                 cand = distance[i] + ((k - i) * cbits[p] + kappa[p])
                 if cand < dk:
                     distance[k] = dk = cand
-                    previous[k] = (i, p, i)
+                    prev_u[k], prev_p[k], prev_s[k] = i, p, i
         # Relax suffix edges (k, ends[p]) — lines 16-20.
         for p in range(n_pairs):
             j = ends[p]
             cand = dk + ((j - k) * cbits[p] + kappa[p])
             if cand < distance[j]:
                 distance[j] = cand
-                previous[j] = (k, p, starts[p])
+                prev_u[j], prev_p[j], prev_s[j] = k, p, starts[p]
 
     # Read the shortest path backwards (lines 21-26).
     path: list[tuple[int, int, int, int]] = []
     v = n
     while v > 0:
-        entry = previous[v]
-        if entry is None:  # pragma: no cover - the DAG is always connected
+        u = prev_u[v]
+        if u < 0:  # pragma: no cover - the DAG is always connected
             raise RuntimeError(f"no path reaches node {v}")
-        u, p, s = entry
-        path.append((u, v, p, s))
+        path.append((u, v, prev_p[v], prev_s[v]))
         v = u
+    del prev_u, prev_p, prev_s
     path.reverse()
 
     # Fit the path's fragments again from their starts for their parameters,

@@ -8,7 +8,8 @@ the long run".  :class:`TieredStore` is that architecture:
 
 * appends land in an uncompressed **write buffer**;
 * full buffers are sealed into a **hot tier** with a cheap streaming codec
-  (``"gorilla"`` by default — microsecond sealing, weak ratio);
+  (``"gorilla"`` by default — microsecond sealing, weak ratio), which must
+  be lossless: the store refuses a lossy hot codec;
 * :meth:`consolidate` migrates sealed hot blocks into the **cold tier**
   (``"neats"`` by default) — the "background" recompression step.  With a
   lossless cold codec the whole tier is re-merged into one run; with a
@@ -25,7 +26,12 @@ Both tiers take *any* codec from the registry, by id::
 
 and every sealed block implements the unified ``Compressed`` protocol, so
 the whole store serialises: :meth:`to_bytes` / :meth:`from_bytes` persist
-buffer, hot blocks, and cold run in their native framed layouts.
+cold runs and hot blocks in their native framed layouts, and a non-empty
+write buffer as one more frame of the hot codec (the *tail frame*), so a
+flushed tail is stored compressed, never as raw int64.  A reloaded store
+answers from the tail frame and decodes it into the write buffer only on
+its first append; block boundaries never depend on when a snapshot was
+taken.
 
 All three tiers answer ``access``/``range`` transparently.
 
@@ -98,6 +104,22 @@ class RunIndex:
             yield i, max(lo, start) - start, min(hi, int(self._cum[i])) - start
 
 
+def _is_lossy(codec, codec_id: str | None) -> bool:
+    """Whether a tier codec is error-bounded (the registry flag wins)."""
+    from .. import codecs
+    from ..baselines.base import LossyCompressor
+
+    if codec_id is not None:
+        return codecs.codec_spec(codec_id).lossy
+    # A pre-built instance may be a registry proxy (get_codec output): its
+    # spec knows; otherwise unwrap and check the compressor itself.
+    spec = getattr(codec, "spec", None)
+    if isinstance(spec, codecs.CodecSpec):
+        return spec.lossy
+    inner = getattr(codec, "_inner", codec)
+    return isinstance(inner, LossyCompressor)
+
+
 def _resolve(codec, params: dict | None):
     """A (compressor, codec_id, params) triple from an id or an instance."""
     from ..codecs import get_codec
@@ -120,7 +142,9 @@ class TieredStore:
     hot_codec / cold_codec:
         Registry id (e.g. ``"gorilla"``, ``"zstd"``, ``"neats"``) or a
         pre-built compressor instance.  Ids are required for
-        :meth:`to_bytes` persistence.
+        :meth:`to_bytes` persistence.  The hot codec must be lossless: a
+        snapshot encodes the write buffer with it and consolidation decodes
+        it, so a lossy one would approximate values twice.
     hot_params / cold_params:
         Constructor params forwarded to the codec factories.
     """
@@ -147,12 +171,23 @@ class TieredStore:
         self._hot_codec, self._hot_id, self._hot_params = _resolve(
             hot_codec, hot_params
         )
+        if _is_lossy(self._hot_codec, self._hot_id):
+            raise ValueError(
+                f"hot tier cannot use lossy codec {self._hot_id or hot_codec!r}: "
+                "snapshots encode the write buffer with it and consolidation "
+                "decodes it, and re-approximating an approximation would "
+                "compound the error beyond any bound"
+            )
         self._cold_codec, self._cold_id, self._cold_params = _resolve(
             cold_codec, cold_params
         )
         # Native int64, 8 B per value (a list of ints costs ~36 B): a
         # SeriesDB keeps every dirty shard's buffer in memory until it flushes.
         self._buffer = array("q")
+        # The write buffer as :meth:`from_bytes` found it: a hot-codec frame,
+        # answered from in place until the first mutation decodes it into
+        # ``_buffer`` (see :meth:`_thaw`).  ``_buffer`` is empty meanwhile.
+        self._tail = None
         self._hot: list = []  # sealed Compressed blocks, in order
         self._hot_counts: list[int] = []
         self._cold: list = []  # consolidated Compressed runs, in order
@@ -180,6 +215,7 @@ class TieredStore:
         (see ``_guard``).
         """
         self._assert_guarded()
+        self._thaw()
         self._buffer.append(int(value))
         if len(self._buffer) >= self._seal_threshold:
             self._seal()
@@ -200,6 +236,7 @@ class TieredStore:
         values = np.asarray(values, dtype=np.int64)
         if values.ndim != 1:
             raise ValueError("expected a 1-D array")
+        self._thaw()
         pos, n = 0, len(values)
         # Top up a partially filled buffer first so chunk boundaries match
         # the per-value path exactly.
@@ -240,10 +277,23 @@ class TieredStore:
         n = len(block)  # O(1) for registry codecs and loaded frames
         if n < 1:
             raise ValueError("adopted block must hold at least one value")
+        self._thaw()
         self._seal()
         self._hot.append(block)
         self._hot_counts.append(n)
         self._run_index = None
+
+    def _thaw(self) -> None:
+        """Decode an adopted tail frame into the write buffer.
+
+        Runs before every mutation, so values are only ever sealed from the
+        raw buffer and hot blocks stay byte-identical to serial ingest.
+        """
+        if self._tail is not None:
+            values = np.asarray(self._tail.decompress(), dtype=np.int64)
+            self._buffer.frombytes(values.tobytes())
+            self._tail = None
+            self._run_index = None
 
     def _seal(self) -> None:
         if not self._buffer:
@@ -253,23 +303,6 @@ class TieredStore:
         self._hot_counts.append(len(chunk))
         self._run_index = None
         del self._buffer[:]
-
-    def _cold_is_lossy(self) -> bool:
-        """Whether the cold codec is error-bounded (registry flag wins)."""
-        if self._cold_id is not None:
-            from ..codecs import codec_spec
-
-            return codec_spec(self._cold_id).lossy
-        from ..baselines.base import LossyCompressor
-        from .. import codecs
-
-        # A pre-built instance may be a registry proxy (get_codec output):
-        # its spec knows; otherwise unwrap and check the compressor itself.
-        spec = getattr(self._cold_codec, "spec", None)
-        if isinstance(spec, codecs.CodecSpec):
-            return spec.lossy
-        inner = getattr(self._cold_codec, "_inner", self._cold_codec)
-        return isinstance(inner, LossyCompressor)
 
     def consolidate(self) -> None:
         """Migrate all sealed hot blocks into the cold tier.
@@ -289,7 +322,7 @@ class TieredStore:
         if not self._hot:
             return
         parts = []
-        remerge = bool(self._cold) and not self._cold_is_lossy()
+        remerge = bool(self._cold) and not _is_lossy(self._cold_codec, self._cold_id)
         if remerge:
             parts.extend(run.decompress() for run in self._cold)
         parts.extend(block.decompress() for block in self._hot)
@@ -308,17 +341,25 @@ class TieredStore:
     # -- queries ------------------------------------------------------------------
 
     def __len__(self) -> int:
-        return sum(self._cold_counts) + sum(self._hot_counts) + len(self._buffer)
+        return sum(self._cold_counts) + sum(self._hot_counts) + self._buffered()
+
+    def _buffered(self) -> int:
+        """Values in the write buffer, raw or still in the tail frame."""
+        return len(self._buffer) if self._tail is None else len(self._tail)
 
     def _index(self) -> RunIndex:
-        """The cumulative-count index over cold runs then hot blocks."""
+        """The cumulative-count index over cold runs, hot blocks, tail frame."""
         if self._run_index is None:
-            self._run_index = RunIndex(self._cold_counts + self._hot_counts)
+            tail = [] if self._tail is None else [len(self._tail)]
+            self._run_index = RunIndex(self._cold_counts + self._hot_counts + tail)
         return self._run_index
 
     def _run_at(self, i: int):
-        """The ``i``-th sealed block in global order (cold first, then hot)."""
-        return self._cold[i] if i < len(self._cold) else self._hot[i - len(self._cold)]
+        """The ``i``-th frame in global order: cold, then hot, then the tail."""
+        if i < len(self._cold):
+            return self._cold[i]
+        i -= len(self._cold)
+        return self._hot[i] if i < len(self._hot) else self._tail
 
     def access(self, k: int) -> int:
         """The value at global position ``k``, whatever tier holds it."""
@@ -339,7 +380,7 @@ class TieredStore:
             self._run_at(i).decompress_range(a, b)
             for i, a, b in index.spans(lo, min(hi, index.total))
         ]
-        if hi > index.total:  # tail lives in the write buffer
+        if hi > index.total:  # tail lives in the raw write buffer
             local_lo = max(lo, index.total) - index.total
             out.append(
                 np.array(self._buffer[local_lo : hi - index.total], dtype=np.int64)
@@ -353,8 +394,13 @@ class TieredStore:
     # -- accounting ------------------------------------------------------------------
 
     def size_bits(self) -> int:
-        """Total compressed footprint plus the raw write buffer."""
+        """Total compressed footprint plus the write buffer.
+
+        A raw buffer counts 64 bits per value, a tail frame its own size.
+        """
         total = 64 * len(self._buffer)
+        if self._tail is not None:
+            total += self._tail.size_bits()
         total += sum(block.size_bits() for block in self._hot)
         total += sum(run.size_bits() for run in self._cold)
         return total
@@ -362,7 +408,7 @@ class TieredStore:
     def tier_report(self) -> dict:
         """Value and block counts by tier; :meth:`size_bits` gives the footprint."""
         return {
-            "buffer_values": len(self._buffer),
+            "buffer_values": self._buffered(),
             "hot_blocks": len(self._hot),
             "hot_values": sum(self._hot_counts),
             "cold_runs": len(self._cold),
@@ -374,11 +420,17 @@ class TieredStore:
     # -- persistence ------------------------------------------------------------------
 
     def to_bytes(self) -> bytes:
-        """Serialise the whole store: buffer, hot blocks, and cold run.
+        """Serialise the whole store: cold runs, hot blocks, and buffer.
 
         Sealed blocks are written in their codecs' framed layouts (see
-        :mod:`repro.codecs.serialize`), so nothing is recompressed.
-        Requires both tiers to be configured by codec id.
+        :mod:`repro.codecs.serialize`), so nothing is recompressed.  A
+        non-empty write buffer is written as one frame of the hot codec
+        after the hot blocks: encoded here from the raw buffer, or the
+        adopted tail frame written back as-is.  ``buffer_len`` in the
+        header counts its values, and ``tail_frame_len`` (present only
+        with a tail frame) its bytes, so a store with an empty buffer
+        serialises as it always did.  Requires both tiers to be
+        configured by codec id.
         """
         if self._hot_id is None or self._cold_id is None:
             raise ValueError(
@@ -388,6 +440,9 @@ class TieredStore:
             )
         frames = [block.to_bytes() for block in self._hot]
         cold_frames = [run.to_bytes() for run in self._cold]
+        tail = self._tail
+        if tail is None and self._buffer:
+            tail = self._hot_codec.compress(np.array(self._buffer, dtype=np.int64))
         meta = {
             "seal_threshold": self._seal_threshold,
             "hot_codec": self._hot_id,
@@ -396,14 +451,16 @@ class TieredStore:
             "cold_params": self._cold_params,
             "hot_counts": self._hot_counts,
             "cold_counts": self._cold_counts,
-            "buffer_len": len(self._buffer),
+            "buffer_len": self._buffered(),
             "frame_lens": [len(f) for f in frames],
             "cold_frame_lens": [len(f) for f in cold_frames],
         }
+        if tail is not None:
+            frames.append(tail.to_bytes())
+            meta["tail_frame_len"] = len(frames[-1])
         meta_b = json.dumps(meta, sort_keys=True).encode("utf-8")
         body = bytearray(INT64.pack(len(meta_b)))
         body += meta_b
-        body += self._buffer.tobytes()
         for frame in cold_frames:
             body += frame
         for frame in frames:
@@ -418,7 +475,13 @@ class TieredStore:
 
         ``data`` may be any byte buffer; passing a ``memoryview`` (e.g. over
         an mmapped shard file) parses the sealed frames zero-copy — they
-        keep referencing the underlying buffer, which must stay alive.
+        keep referencing the underlying buffer, which must stay alive.  A
+        tail frame is adopted the same way and answers reads in place; the
+        first ``append``/``extend``/``adopt_sealed`` decodes it into the
+        write buffer.  A snapshot with a raw int64 buffer (written before
+        tail frames) loads into the write buffer, and its next
+        :meth:`to_bytes` encodes it.  A tail frame whose value count is not
+        ``buffer_len``, or whose codec is not the hot codec, is refused.
         """
         from ..baselines.base import Compressed
 
@@ -465,14 +528,22 @@ class TieredStore:
                 f"frames but {len(cold_counts)} cold counts"
             )
         buf_len = int(meta["buffer_len"])
-        if buf_len < 0 or any(c < 1 for c in hot_counts + cold_counts):
+        # A tail frame holds the write buffer after the hot blocks; without
+        # one (an empty buffer, or a snapshot written before tail frames)
+        # the buffer is raw int64 right after the header.
+        tail_frame_lens = [meta["tail_frame_len"]] if "tail_frame_len" in meta else []
+        tail_counts = [buf_len] * len(tail_frame_lens)
+        if buf_len < 0 or any(c < 1 for c in hot_counts + cold_counts + tail_counts):
             raise ValueError("corrupt TieredStore snapshot: negative tier count")
-        buffer = np.frombuffer(data, dtype=np.int64, count=buf_len, offset=pos)
-        store._buffer.frombytes(buffer.tobytes())
-        pos += 8 * buf_len
+        if not tail_frame_lens:
+            buffer = np.frombuffer(data, dtype=np.int64, count=buf_len, offset=pos)
+            store._buffer.frombytes(buffer.tobytes())
+            pos += 8 * buf_len
+        tail: list = []
         for what, frames, counts, blocks in (
             ("cold run", cold_frame_lens, cold_counts, store._cold),
             ("hot block", frame_lens, hot_counts, store._hot),
+            ("tail frame", tail_frame_lens, tail_counts, tail),
         ):
             for frame_len, count in zip(frames, counts):
                 end = pos + frame_len
@@ -484,6 +555,12 @@ class TieredStore:
                     )
                 blocks.append(block)
                 pos = end
+        if tail and tail[0].codec_id != store._hot_id:
+            raise ValueError(
+                f"corrupt TieredStore snapshot: tail frame was compressed with "
+                f"{tail[0].codec_id!r}, but the hot tier is {store._hot_id!r}"
+            )
+        store._tail = tail[0] if tail else None
         store._hot_counts = hot_counts
         store._cold_counts = cold_counts
         if pos != len(data):

@@ -9,8 +9,8 @@ ids, value counts, and a crc32 of the shard bytes::
     db-root/
       MANIFEST.json
       shards/
-        cpu-0000.tier        # TieredStore snapshot (RPTS0001)
-        mem-0001.tier
+        cpu-0000.tier        # TieredStore snapshot (RPTS0001): sealed frames,
+        mem-0001.tier        # plus the write buffer as one hot-codec frame
 
 Ingestion follows the paper's §IV-C1 deployment: values stream into each
 shard's hot tier (a cheap codec like Gorilla), and :meth:`compact`
@@ -128,8 +128,7 @@ class SeriesDB:
         ``cold_codec`` (e.g. ``"neats_l"`` with ``cold_params={"eps":
         ...}``) is accepted and recorded in the manifest; queries over
         compacted ranges then answer within that ε.  The *hot* tier can
-        never be lossy — consolidation decodes it, and re-approximating
-        an approximation would compound the error beyond any bound.
+        never be lossy — :class:`TieredStore` itself refuses one.
     cache_capacity:
         Maximum number of *clean* open shards kept parsed in the LRU
         cache (``None`` = unbounded).  Dirty shards are pinned until
@@ -234,21 +233,15 @@ class SeriesDB:
         cold_params: dict | None,
         allow_lossy: bool,
     ) -> None:
-        """Enforce the lossy-tier policy and probe both codec constructions.
+        """Enforce the lossy-tier policy and probe a shard's construction.
 
         Runs at database creation time, before the manifest is written: an
         invalid configuration (unknown codec, missing or nonsense ``eps``,
-        bad constructor param) must fail here rather than persist a
-        manifest whose first ingest dies.
+        bad constructor param, a lossy hot codec) must fail here rather
+        than persist a manifest whose first ingest dies.
         """
         from ..codecs import codec_spec, get_codec
 
-        if codec_spec(hot_codec).lossy:
-            raise ValueError(
-                f"hot tier cannot use lossy codec {hot_codec!r}: compaction "
-                "decodes the hot tier, and re-approximating an approximation "
-                "would compound the error beyond any bound"
-            )
         if codec_spec(cold_codec).lossy and not allow_lossy:
             raise ValueError(
                 f"cold codec {cold_codec!r} is lossy; pass allow_lossy=True "
@@ -264,6 +257,13 @@ class SeriesDB:
                 raise ValueError(
                     f"invalid {label} tier configuration: {exc}"
                 ) from exc
+        # A shard refuses a lossy hot codec itself.
+        TieredStore(
+            hot_codec=hot_codec,
+            hot_params=hot_params,
+            cold_codec=cold_codec,
+            cold_params=cold_params,
+        )
 
     # -- lifecycle ------------------------------------------------------------
 
@@ -432,8 +432,13 @@ class SeriesDB:
                 if values.ndim != 1:
                     raise ValueError(f"series {sid!r}: expected a 1-D array")
                 self._check_digits(sid, digits)
-                if sid in self._series:
+                if sid in self._stores:  # a cache hit unless its generation is stale
                     buffered = self._load(sid).tier_report()["buffer_values"]
+                elif sid in self._series:
+                    # An evicted shard is clean, so the manifest entry its
+                    # last flush wrote is current; reading it loads nothing
+                    # and so evicts nothing.
+                    buffered = int(self._series[sid]["buffer_values"])
                 else:
                     if not sid or not isinstance(sid, str):
                         raise ValueError(f"invalid series id {sid!r}")
@@ -456,14 +461,16 @@ class SeriesDB:
                 )
             }
             # Phase 3 — register every series, then log the whole batch
-            # (the group commit: ONE fsync), then apply it.
+            # (the group commit: ONE fsync), then apply it.  Cached shards
+            # come first and each shard is pinned as soon as it is loaded:
+            # a batch wider than the cache must not evict a shard it is
+            # about to mutate.
             stores: dict[str, TieredStore] = {}
+            for sid, _ in sorted(plans, key=lambda plan: plan[0] not in self._stores):
+                stores[sid] = self._store_for_ingest(sid)
+                self._dirty.add(sid)
             records = []
             for sid, n_pieces in plans:
-                stores[sid] = self._store_for_ingest(sid)
-                # Pin each shard as soon as it is loaded: a batch wider than
-                # the cache must not evict a shard it is about to mutate.
-                self._dirty.add(sid)
                 self._apply_digits(sid, digits)
                 sid_digits = int(self._series[sid].get("digits", 0))
                 records += [
@@ -586,13 +593,13 @@ class SeriesDB:
         previous intact shards (plus, at worst, some orphan files), never
         at a shard whose crc it cannot verify.  The same commit rotates the
         group log to a fresh (empty) generation and forgets any legacy
-        per-series log: the snapshots now hold everything those logs held,
-        so the old log files are dropped post-commit alongside the
-        replaced shards.
+        per-series log: the snapshots now hold everything those logs held.
+        Post-commit, every file in ``shards/`` the manifest does not name
+        is deleted — replaced shards, old logs, and any generation an
+        earlier flush orphaned by failing before its commit.
         """
         with self._lock:
             self._check_open()
-            replaced: list[Path] = []
             for sid in sorted(self._dirty):
                 store = self._stores[sid]
                 blob = store.to_bytes()
@@ -603,16 +610,12 @@ class SeriesDB:
                 # intact shard, which the unrotated log still completes.
                 shard = self._shard_name(sid) if old.exists() else entry["shard"]
                 _write_atomic(self._root / shard, blob)
-                if shard != entry["shard"]:  # rewrite: drop old post-commit
-                    entry["shard"] = shard
-                    replaced.append(old)
+                entry["shard"] = shard
                 self._cached_gen[sid] = shard
                 # The snapshot now holds what a legacy per-series log held;
                 # forget the log with the shard swap, so no later manifest
                 # commit can pair the new snapshot with it.
-                legacy = entry.pop("wal", None)
-                if legacy:
-                    replaced.append(self._root / legacy)
+                entry.pop("wal", None)
                 report = store.tier_report()
                 entry.update(
                     count=len(store),
@@ -624,22 +627,34 @@ class SeriesDB:
             # A clean series' legacy log holds no complete record (replay
             # would have marked the shard dirty): forget it too.
             for entry in self._series.values():
-                legacy = entry.pop("wal", None)
-                if legacy:
-                    replaced.append(self._root / legacy)
+                entry.pop("wal", None)
             # Every group-log record belongs to a dirty shard, so the
             # snapshots just written hold everything the log held.
             if self._group_name and (self._root / self._group_name).exists():
-                replaced.append(self._root / self._group_name)
                 self._group_name = self._group_gen_name()
                 self._group_log = None
             self._dirty.clear()
             self._write_manifest()  # the commit point
-            for path in replaced:
-                path.unlink(missing_ok=True)
+            self._reclaim_unreferenced()
             self._evict()  # flushed shards are clean and evictable again
 
     # -- internals ------------------------------------------------------------
+
+    def _reclaim_unreferenced(self) -> None:
+        """Delete every file in ``shards/`` the committed manifest does not name.
+
+        Called under the lock, right after the commit of :meth:`flush`,
+        which has forgotten every legacy log.  In-flight ``*.tmp`` writes
+        are left alone; what goes is exactly what ``repro fsck`` reports as
+        FSK028.
+        """
+        named = {entry["shard"] for entry in self._series.values()}
+        if self._group_name:
+            named.add(self._group_name)
+        for path in (self._root / _SHARD_DIR).iterdir():
+            rel = f"{_SHARD_DIR}/{path.name}"
+            if rel not in named and not path.name.endswith(".tmp"):
+                path.unlink(missing_ok=True)
 
     def _check_digits(self, series_id: str, digits: int | None) -> None:
         """Reject an append whose decimal scaling disagrees with the recorded one.
@@ -810,7 +825,12 @@ class SeriesDB:
                     f"shard {entry['shard']} does not match the manifest crc "
                     f"for series {series_id!r} (swapped or corrupt shard file)"
                 )
-            store = TieredStore.from_bytes(data)
+            try:
+                store = TieredStore.from_bytes(data)
+            except ValueError as exc:
+                raise ValueError(
+                    f"shard {entry['shard']} of series {series_id!r}: {exc}"
+                ) from exc
             if len(store) != entry["count"]:
                 raise ValueError(
                     f"shard {entry['shard']} holds {len(store)} values, "

@@ -4,7 +4,11 @@ import numpy as np
 import pytest
 
 from repro.baselines import AlpCompressor, LeCoCompressor
+from repro.baselines.base import Compressed
 from repro.baselines.leco import _fit_block
+from repro.bits import EliasFano
+from repro.codecs import get_codec
+from repro.data import DATASETS
 
 
 class TestLeCoRegression:
@@ -51,6 +55,45 @@ class TestLeCo:
         y = np.array([5, -3, 8], dtype=np.int64)
         c = LeCoCompressor().compress(y)
         assert np.array_equal(c.decompress(), y)
+
+
+class TestLeCoBlockStarts:
+    """Lookups bisect the block starts; only size_bits() builds Elias-Fano."""
+
+    #: size_bits() of 4,096 generated values, as charged when every load
+    #: built the Elias-Fano sequence
+    SIZE_BITS = {"IT": 27497, "CT": 34455, "BT": 141280, "US": 29535}
+
+    @pytest.mark.parametrize("name", sorted(SIZE_BITS))
+    def test_size_bits_is_unchanged(self, name):
+        c = get_codec("leco").compress(DATASETS[name].generate(4096))
+        assert c.size_bits() == self.SIZE_BITS[name]
+        assert Compressed.from_bytes(c.to_bytes()).size_bits() == c.size_bits()
+
+    def test_bisect_agrees_with_elias_fano_rank(self, walk_series):
+        c = LeCoCompressor(initial_block=16, merge_passes=1).compress(walk_series)
+        starts = [b.start for b in c._blocks]
+        ef = EliasFano(starts, universe=len(walk_series))
+        assert len(starts) > 20
+        for k in range(len(walk_series)):
+            assert c._block_of(k) == ef.rank(k) - 1
+
+    def test_load_and_query_build_no_elias_fano(self, walk_series, monkeypatch):
+        blob = get_codec("leco").compress(walk_series).to_bytes()
+        built = []
+        init = EliasFano.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(1)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(EliasFano, "__init__", counting)
+        loaded = Compressed.from_bytes(blob)
+        assert loaded.access(777) == walk_series[777]
+        assert np.array_equal(loaded.decompress_range(100, 1400), walk_series[100:1400])
+        assert built == []
+        loaded.size_bits()
+        assert built == [1]
 
 
 class TestAlp:

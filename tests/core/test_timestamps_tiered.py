@@ -1,13 +1,17 @@
 """Unit tests for timestamped series and the tiered ingest store."""
 
+import hashlib
 import json
 import struct
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro.core import TieredStore, TimestampedSeries
+
+DATA = Path(__file__).parent / "data"
 
 
 def _tamper_meta(blob: bytes, mutate) -> bytes:
@@ -161,12 +165,8 @@ class TestTieredStore:
         with pytest.raises(ValueError):
             TieredStore(seal_threshold=0)
 
-    def test_snapshot_bytes_are_pinned(self):
-        """Cold run, hot block and partial buffer serialise to a pinned
-        digest: the write buffer's in-memory type never leaks into the
-        RPTS0001 layout."""
-        import hashlib
-
+    @staticmethod
+    def _pinned_store():
         y = np.cumsum((np.arange(300) * 37) % 101 - 50).astype(np.int64)
         store = TieredStore(seal_threshold=64, hot_codec="gorilla",
                             cold_codec="leats")
@@ -174,17 +174,40 @@ class TestTieredStore:
         store.consolidate()
         store.extend(y[200:])
         store.append(7)
+        return y, store
+
+    def test_snapshot_bytes_are_pinned(self):
+        """Cold run, hot block and partial buffer serialise to a pinned
+        digest: the write buffer's in-memory type never leaks into the
+        RPTS0001 layout, and the 45 buffered values are one gorilla tail
+        frame."""
+        y, store = self._pinned_store()
         report = store.tier_report()
         assert (report["cold_runs"], report["hot_blocks"]) == (1, 1)
         assert report["buffer_values"] == 45
         blob = store.to_bytes()
         assert hashlib.sha256(blob).hexdigest() == (
-            "367c792b5f185ae76c33483e3606345c11de00e9e54b2ba54df22f19e9af8d04"
+            "41354f9adf2027bb64ba597999a49c95f8dc923b5c961c8c823512304be9f186"
         )
         again = TieredStore.from_bytes(memoryview(blob))
         assert again.to_bytes() == blob
         assert type(again.access(300)) is int and again.access(300) == 7
         assert np.array_equal(again.range(290, 301)[:-1], y[290:])
+
+    def test_raw_tail_snapshot_still_loads(self):
+        """The same store as written before tail frames (45 raw int64
+        buffered values) loads with the same values and re-serialises in
+        the tail-frame layout."""
+        legacy = (DATA / "rpts0001_raw_tail.bin").read_bytes()
+        assert hashlib.sha256(legacy).hexdigest() == (
+            "367c792b5f185ae76c33483e3606345c11de00e9e54b2ba54df22f19e9af8d04"
+        )
+        y, store = self._pinned_store()
+        loaded = TieredStore.from_bytes(memoryview(legacy))
+        assert loaded.tier_report() == store.tier_report()
+        assert np.array_equal(loaded.decompress(), store.decompress())
+        assert loaded.access(300) == 7
+        assert loaded.to_bytes() == store.to_bytes() != legacy
 
 
 class TestExtendBulkEquivalence:
@@ -323,3 +346,103 @@ class TestSnapshotMetadataValidation:
 
         with pytest.raises(ValueError, match="negative"):
             TieredStore.from_bytes(_tamper_meta(snapshot, negate))
+
+
+class TestTailFrame:
+    """A non-empty write buffer is persisted as one frame of the hot codec."""
+
+    @staticmethod
+    def _reloaded(y, threshold=64):
+        store = TieredStore(seal_threshold=threshold, hot_codec="gorilla",
+                            cold_codec="leats")
+        store.extend(y)
+        return store, TieredStore.from_bytes(memoryview(store.to_bytes()))
+
+    def test_reads_decode_only_the_blocks_they_touch(self, rng):
+        y = np.cumsum(rng.integers(-9, 10, 4095)).astype(np.int64)
+        _, loaded = self._reloaded(y, threshold=4096)
+        tail = loaded._tail
+        assert loaded.tier_report()["buffer_values"] == 4095
+        assert tail.blocks_decoded == 0  # counted from the frame header
+        assert loaded.access(4000) == y[4000]
+        assert tail.blocks_decoded == 1  # gorilla blocks hold 1000 values
+        assert np.array_equal(loaded.range(10, 20), y[10:20])
+        assert tail.blocks_decoded == 2
+        assert loaded._tail is tail and len(loaded._buffer) == 0
+
+    def test_first_mutation_decodes_into_the_buffer(self, rng):
+        y = np.cumsum(rng.integers(-9, 10, 150)).astype(np.int64)
+        for mutate in (
+            lambda s: s.append(5),
+            lambda s: s.extend(np.arange(3)),
+            lambda s: s.adopt_sealed(s._hot_codec.compress(np.arange(64))),
+        ):
+            plain, loaded = self._reloaded(y)
+            for store in (plain, loaded):
+                mutate(store)
+            assert loaded._tail is None
+            assert loaded.to_bytes() == plain.to_bytes()
+
+    def test_empty_buffer_snapshot_is_unchanged(self):
+        """No tail, no ``tail_frame_len``: the bytes written before tail
+        frames existed."""
+        y = np.cumsum((np.arange(256) * 37) % 101 - 50).astype(np.int64)
+        store = TieredStore(seal_threshold=64, hot_codec="gorilla",
+                            cold_codec="leats")
+        store.extend(y[:128])
+        store.consolidate()
+        store.extend(y[128:])
+        assert store.tier_report()["buffer_values"] == 0
+        assert hashlib.sha256(store.to_bytes()).hexdigest() == (
+            "0e72202c43b1936702457ea1a4c044f47df45645da75a53aea04e9cc67227a50"
+        )
+
+    def test_count_disagreement_raises(self):
+        _, loaded = self._reloaded(np.arange(100, dtype=np.int64))
+
+        def bump(meta):
+            meta["buffer_len"] += 1
+
+        with pytest.raises(ValueError, match="tail frame holds 36 values"):
+            TieredStore.from_bytes(_tamper_meta(loaded.to_bytes(), bump))
+
+    def test_foreign_codec_raises(self):
+        store = TieredStore(seal_threshold=64, hot_codec="chimp")
+        store.extend(np.arange(10, dtype=np.int64))
+
+        def to_gorilla(meta):
+            meta["hot_codec"] = "gorilla"
+
+        with pytest.raises(ValueError, match="tail frame was compressed with"):
+            TieredStore.from_bytes(_tamper_meta(store.to_bytes(), to_gorilla))
+
+    def test_lossy_hot_codec_refused(self):
+        from repro.codecs import get_codec
+
+        with pytest.raises(ValueError, match="hot tier cannot use lossy"):
+            TieredStore(hot_codec="pla", hot_params={"eps": 1})
+        with pytest.raises(ValueError, match="hot tier cannot use lossy"):
+            TieredStore(hot_codec=get_codec("neats_l", eps=1))
+
+    def test_seriesdb_names_the_shard_and_fsck_reports_it(self, tmp_path):
+        from repro.analysis import fsck_seriesdb
+        from repro.store import SeriesDB
+
+        root = tmp_path / "db"
+        with SeriesDB(root, seal_threshold=64) as db:
+            db.ingest("cpu", np.arange(100))
+        manifest = json.loads((root / "MANIFEST.json").read_text())
+        entry = manifest["series"]["cpu"]
+
+        def bump(meta):
+            meta["buffer_len"] += 1
+
+        blob = _tamper_meta((root / entry["shard"]).read_bytes(), bump)
+        (root / entry["shard"]).write_bytes(blob)
+        entry["crc32"] = zlib.crc32(blob)
+        (root / "MANIFEST.json").write_text(json.dumps(manifest))
+        with pytest.raises(ValueError, match=f"shard {entry['shard']} of series"):
+            SeriesDB.open(root).access("cpu", 0)
+        report = fsck_seriesdb(root, deep=True)
+        assert [p.code for p in report.problems] == ["FSK024"]
+        assert "tail frame holds" in report.problems[0].render()

@@ -2,6 +2,7 @@
 
 import json
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -246,3 +247,70 @@ class TestCorruption:
         for sid, entry in db.info()["series"].items():
             blob = (db.root / entry["shard"]).read_bytes()
             assert zlib.crc32(blob) == entry["crc32"]
+
+
+def _tree_bytes(root):
+    return sum(f.stat().st_size for f in root.rglob("*") if f.is_file())
+
+
+class TestFlushFootprint:
+    def test_flushed_tail_stays_compressed(self, tmp_path):
+        """Two 3,000-value series never reach the default seal threshold,
+        so after flush() they live in their shards' write buffers.  As
+        gorilla tail frames they take about what the group log held;
+        as raw int64 they took 1.4x that."""
+        from repro.data import DATASETS
+
+        root = tmp_path / "db"
+        db = SeriesDB(root)
+        db.ingest_many({name: DATASETS[name].generate(3000) for name in ("IT", "CT")})
+        before = _tree_bytes(root)
+        db.flush()
+        assert db.info()["series"]["IT"]["buffer_values"] == 3000
+        assert _tree_bytes(root) <= 1.1 * before
+
+
+class TestOrphanReclaim:
+    def test_next_flush_deletes_what_a_crashed_flush_left(self, tmp_path, monkeypatch):
+        from repro.analysis import fsck_seriesdb
+
+        root = tmp_path / "db"
+        db = SeriesDB(root, seal_threshold=64)
+        db.ingest_many({"a": np.arange(100), "b": np.arange(70)})
+        db.flush()
+        db.ingest("a", np.arange(30))
+
+        def crash(self):
+            raise OSError("crash before the manifest commit")
+
+        # The new shard generation of "a" is written, the commit is not.
+        monkeypatch.setattr(SeriesDB, "_write_manifest", crash)
+        with pytest.raises(OSError, match="crash"):
+            db.flush()
+        monkeypatch.undo()
+        del db
+        orphans = [
+            p.path for p in fsck_seriesdb(root).problems if p.code == "FSK028"
+        ]
+        assert len(orphans) == 1
+        in_flight = root / "shards" / "a-0099.tier.tmp"
+        in_flight.write_bytes(b"in flight")
+        b_shard = json.loads((root / "MANIFEST.json").read_text())["series"]["b"]["shard"]
+        b_bytes = (root / b_shard).read_bytes()
+
+        db = SeriesDB.open(root)
+        # A new series takes the next generation number, so this flush
+        # writes "a" under a new name instead of over the orphan.
+        db.ingest_many({"c": np.arange(3), "a": np.arange(5)})
+        db.flush()
+        assert not any(Path(p).exists() for p in orphans)
+        assert in_flight.read_bytes() == b"in flight"
+        assert (root / b_shard).read_bytes() == b_bytes
+        named = json.loads((root / "MANIFEST.json").read_text())["series"]
+        assert named["b"]["shard"] == b_shard
+        assert all((root / e["shard"]).exists() for e in named.values())
+        assert len(list((root / "shards").iterdir())) == len(named) + 1
+        assert fsck_seriesdb(root, deep=True).ok
+        assert np.array_equal(
+            db.decompress("a"), np.concatenate([np.arange(100), np.arange(30), np.arange(5)])
+        )

@@ -85,6 +85,30 @@ class TestLruCache:
         for sid, values in batch.items():
             assert np.array_equal(reopened.decompress(sid), np.tile(values, 2))
 
+    def test_batch_wider_than_cache_reads_each_shard_once(self, root, monkeypatch):
+        """Counting what an evicted shard buffers needs no load, and the
+        batch's cached shards are pinned before the others load: each
+        evicted shard is read once, and no cached one is read again."""
+        db = SeriesDB.open(root, cache_capacity=2)
+        for i in (3, 4):
+            db.access(f"s{i}", 0)
+        reads = []
+        real = SeriesDB._read_shard
+
+        def counting(self, path):
+            reads.append(path.name)
+            return real(self, path)
+
+        monkeypatch.setattr(SeriesDB, "_read_shard", counting)
+        db.ingest_many({f"s{i}": [i] for i in range(5)})
+        assert sorted(reads) == sorted(
+            db.info()["series"][f"s{i}"]["shard"].split("/")[1] for i in range(3)
+        )
+        db.flush()
+        reopened = SeriesDB.open(root)
+        for i in range(5):
+            assert reopened.access(f"s{i}", 600) == i
+
     def test_invalid_capacity_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="cache_capacity"):
             SeriesDB(tmp_path / "x", cache_capacity=0)
