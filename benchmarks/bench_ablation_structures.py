@@ -3,8 +3,9 @@
 Covers two design choices:
 
 * the E-grid density (stride) for Algorithm 1;
-* micro-benchmarks of the rank/select primitives behind DAC, LeCo, the
-  timestamp codec and NeaTS's ``size_bits()`` accounting.
+* micro-benchmarks of the rank/select primitives behind DAC, LeCo and the
+  timestamp codec, and of the wavelet tree the paper stores NeaTS's kinds
+  ``K`` in (the ``NeaTS102`` frame packs them as 4-bit ids instead).
 """
 
 import numpy as np

@@ -486,6 +486,7 @@ GUARDED_STATE: dict[str, frozenset[str]] = {
     "SeriesDB": frozenset({
         "_stores", "_dirty", "_cached_gen", "_series", "_next_shard",
         "_group_name", "_group_log", "_group_pending", "_synced_group",
+        "_uncommitted",
     }),
     "PartitionedSeriesDB": frozenset({
         "_series_map", "_handles",

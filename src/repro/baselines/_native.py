@@ -44,6 +44,7 @@ __all__ = [
     "LECO_BLOCK",
     "LOSSY_HDR",
     "NEATS_HDR",
+    "NEATS102_HDR",
     "TSI64_HDR",
     "pack_packed_array",
     "unpack_packed_array",
@@ -78,9 +79,10 @@ DAC_LEVEL = struct.Struct("<BB")  # chunk width, has-bitmap flag
 LECO_HDR = struct.Struct("<qq")  # n, number of blocks
 LECO_BLOCK = struct.Struct("<qddq")  # start, slope, intercept, base
 LOSSY_HDR = struct.Struct("<qqdI")  # n, shift, eps, n_segments/fragments
-# The last NeaTS field is a legacy flag: 0 written, 0 or 1 read (1 marked a
-# frame from the retired bitvector rank; its arrays are the same).
+# NeaTS101 frames (read only).  The last field is a legacy flag, 0 or 1 (1
+# marked a frame from the retired bitvector rank; its arrays are the same).
 NEATS_HDR = struct.Struct("<qqqqB")  # n, m, shift, name_len, flag
+NEATS102_HDR = struct.Struct("<qqqq")  # n, m, shift, correction bits
 TSI64_HDR = struct.Struct("<qi")  # value count, decimal digits
 
 

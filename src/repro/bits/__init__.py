@@ -1,4 +1,11 @@
-"""Succinct data structures and bit-level I/O (the paper's sdsl/sux substrate)."""
+"""Succinct data structures and bit-level I/O (the paper's sdsl/sux substrate).
+
+The NeaTS frame (``NeaTS102``) writes its starts with the numpy
+Elias-Fano functions of :mod:`.eliasfano` and its widths and kind ids as
+packed bit fields (:func:`.packed.to_bits`); no NeaTS path builds one of the
+classes exported here.  DAC, LeCo, ALP and the timestamp codec use them, and
+:class:`WaveletTree` serves the structure ablations of ``benchmarks/``.
+"""
 
 from .bitvector import BitVector
 from .codes import (

@@ -7,11 +7,13 @@
 * ``rank(x)`` — the number of elements ``<= x`` — in
   O(min(log m, log(u/m))) via a ``select0`` jump plus a bounded scan.
 
-The paper stores NeaTS's fragment starts ``S`` and correction offsets ``O``
-this way (§III-C).  Here ``NeaTSStorage.size_bits()`` builds both only to
-charge that space, while its fragment lookup bisects a plain start list;
-LeCo ranks its block starts, and the timestamp codec stores its timestamps,
-with this class.
+The paper stores NeaTS's fragment starts ``S`` this way (§III-C), and so
+does the ``NeaTS102`` frame: :func:`encode_bits` and :func:`decode_bits`
+write and read the code as a bit array with numpy, with the same low width
+as :class:`EliasFano` (Vigna, *Quasi-succinct indices*, WSDM 2013).  A
+loaded frame bisects its decoded start list, so no query builds an
+:class:`EliasFano`; LeCo ranks its block starts, and the timestamp codec
+stores its timestamps, with this class.
 """
 
 from __future__ import annotations
@@ -22,9 +24,58 @@ import numpy as np
 
 from .bitvector import BitVector
 from .io import BitWriter
-from .packed import PackedArray
+from .packed import PackedArray, from_bits, to_bits
 
-__all__ = ["EliasFano"]
+__all__ = ["EliasFano", "decode_bits", "encode_bits", "encoded_bits", "low_width"]
+
+
+def low_width(m: int, universe: int) -> int:
+    """Bits of each value's low part: ``max(0, floor(log2(universe / m)))``."""
+    return max(0, (universe // max(m, 1)).bit_length() - 1)
+
+
+def encoded_bits(m: int, universe: int) -> int:
+    """Length of :func:`encode_bits` for ``m`` values in ``[0, universe)``."""
+    if m == 0:
+        return 0
+    low = low_width(m, universe)
+    return m * (low + 1) + ((universe - 1) >> low) + 1
+
+
+def encode_bits(values: np.ndarray, universe: int) -> np.ndarray:
+    """The Elias-Fano code of ``values`` as one 0/1 ``uint8`` bit array.
+
+    ``values`` are non-decreasing integers in ``[0, universe)`` (callers
+    check).  The ``m`` low parts come first, ``low_width`` bits each, LSB
+    first; then the high part, where the ``i``-th value sets bit
+    ``(v >> low) + i``.  Its length depends only on ``m`` and ``universe``
+    (:func:`encoded_bits`).
+    """
+    values = np.asarray(values, dtype=np.int64)
+    m = len(values)
+    bits = np.zeros(encoded_bits(m, universe), dtype=np.uint8)
+    if m:
+        low = low_width(m, universe)
+        bits[: m * low] = to_bits(values & ((1 << low) - 1), low)
+        bits[m * low + (values >> low) + np.arange(m)] = 1
+    return bits
+
+
+def decode_bits(bits: np.ndarray, m: int, universe: int) -> np.ndarray:
+    """The ``m`` int64 values of an :func:`encode_bits` code at the front of ``bits``.
+
+    Raises ``ValueError`` when the high part does not hold exactly ``m``
+    ones: such a code decodes no sequence of ``m`` values.
+    """
+    if m == 0:
+        return np.zeros(0, dtype=np.int64)
+    low = low_width(m, universe)
+    ones = np.flatnonzero(bits[m * low : encoded_bits(m, universe)])
+    if len(ones) != m:
+        raise ValueError(
+            f"Elias-Fano high part holds {len(ones)} ones for {m} values"
+        )
+    return ((ones - np.arange(m)) << low) | from_bits(bits, m, low)
 
 
 class EliasFano(Sequence[int]):
@@ -42,8 +93,7 @@ class EliasFano(Sequence[int]):
         if values and universe <= values[-1]:
             raise ValueError("universe must exceed the maximum value")
         self._u = universe
-        m = max(self._m, 1)
-        self._low_bits = max(0, (universe // m).bit_length() - 1)
+        self._low_bits = low_width(self._m, universe)
         low_mask = (1 << self._low_bits) - 1
         self._low = PackedArray(
             (v & low_mask for v in values), width=self._low_bits

@@ -19,7 +19,7 @@ import numpy as np
 
 from .io import BitReader, BitWriter
 
-__all__ = ["PackedArray", "min_width"]
+__all__ = ["PackedArray", "from_bits", "min_width", "to_bits"]
 
 
 def min_width(max_value: int) -> int:
@@ -147,6 +147,26 @@ class PackedArray(Sequence[int]):
         return self._length * self._width + 8
 
 
+def to_bits(values: np.ndarray, width: int) -> np.ndarray:
+    """The ``width`` low bits of each value, LSB first, as one 0/1 ``uint8`` array.
+
+    The bit-array form of ``width``-bit fields (``np.packbits(...,
+    bitorder="little")`` turns it into the :class:`~repro.bits.io.BitWriter`
+    byte layout); values must be non-negative and below ``2**width``.
+    """
+    shifts = np.arange(width, dtype=np.int64)
+    fields = np.asarray(values, dtype=np.int64)[:, None] >> shifts
+    return (fields & 1).astype(np.uint8).ravel()
+
+
+_WEIGHTS = [np.left_shift(1, np.arange(w, dtype=np.int64)) for w in range(63)]
+
+
+def from_bits(bits: np.ndarray, count: int, width: int) -> np.ndarray:
+    """Inverse of :func:`to_bits`: ``count`` fields of ``width <= 62`` bits as int64."""
+    return bits[: count * width].reshape(count, width) @ _WEIGHTS[width]
+
+
 def unpack_bits(
     words: np.ndarray, width: int, count: int, bit_offset: int = 0
 ) -> np.ndarray:
@@ -159,7 +179,10 @@ def unpack_bits(
         return np.zeros(0, dtype=np.uint64)
     if width == 0:
         return np.zeros(count, dtype=np.uint64)
-    starts = bit_offset + np.arange(count, dtype=np.int64) * width
+    # Only the words the fields cover: unpack_fields copies its input.
+    first = bit_offset >> 6
+    words = words[first : -(-(bit_offset + count * width) // 64)]
+    starts = (bit_offset - 64 * first) + np.arange(count, dtype=np.int64) * width
     return unpack_fields(words, starts, width)
 
 

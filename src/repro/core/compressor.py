@@ -90,7 +90,7 @@ class CompressedSeries(Compressed):
         return self.storage.decompress_range(lo, hi)
 
     def size_bits(self) -> int:
-        """Compressed size in bits."""
+        """Compressed size in bits: ``8 * len(self.to_payload())``."""
         return self.storage.size_bits()
 
     @property
@@ -104,7 +104,7 @@ class CompressedSeries(Compressed):
         return self.storage.m
 
     def to_payload(self) -> bytes:
-        """Native frame payload: the ``⟨S, B, O, C, K, P⟩`` byte layout."""
+        """Native frame payload: the ``⟨S, B, O, C, K, P⟩`` layout (``NeaTS102``)."""
         return self.storage.to_bytes()
 
     @classmethod

@@ -8,11 +8,16 @@ shortest path from node 1 to node ``n+1`` under the bit-cost weight
 
     ``w(i, j) = (j - i) * ceil(log2(2ε + 1)) + κ_f``
 
-(the corrections plus the function storage).  The weight *estimates* the size
-of the NeaTS encoding of the fragment: κ_f charges the float parameters plus a
-constant :data:`FRAGMENT_OVERHEAD_BITS` for the fragment's metadata, so the
-optimal ``cost_bits`` is not ``NeaTSStorage.size_bits()``.  On the 16 bundled
-generators at 4096 values the two differ by -775 to +1242 bits per series.
+(the corrections plus the function storage).  κ_f charges the float
+parameters plus what the fragment adds to the ``NeaTS102`` frame: its 6-bit
+width, its 4-bit kind id and :data:`START_BITS` for its Elias-Fano start.  The
+frame's size is then the optimal ``cost_bits`` plus a 320-bit header, the
+bits of fragments widened past their ε (see ``core/storage.py``), the start
+estimate's error ``S - START_BITS·m`` and under 71 bits of byte and word
+rounding: ``size_bits() - cost_bits`` is 126 to 732 bits per series on the 16
+bundled generators at 4096 values (widening 0 to 401 of it, the start
+estimate -216 to +7, rounding 2 to 64).  The lossy partitioner keeps a flat
+:data:`FRAGMENT_OVERHEAD_BITS` per fragment.
 
 Edges are enumerated from each ``(f, ε)`` pair's *greedy chain*: the
 fragments the pair opens from node 0, each as long as MAKE-APPROXIMATION
@@ -53,10 +58,23 @@ __all__ = [
 
 #: bits charged per stored function parameter (float64)
 PARAM_BITS = 64
-#: estimated per-fragment metadata bits: the S/B/O/K entries of the succinct
-#: layout that ``NeaTSStorage.size_bits()`` counts, plus their share of its
-#: rank/select directories
+#: per-fragment metadata bits the lossy codecs (NeaTS-L, PLA, AA) charge
 FRAGMENT_OVERHEAD_BITS = 96
+#: bits of a fragment's correction width in the frame's ``B``
+WIDTH_BITS = 6
+#: bits of a fragment's kind id in the frame's ``K`` (ids index
+#: ``storage.KIND_TABLE``)
+KIND_BITS = 4
+#: Algorithm 1's charge for a fragment's start in the Elias-Fano ``S``.  The
+#: ``m`` starts of a series of ``n`` values cost about ``m·(l + 1) + n >> l``
+#: bits with ``l = floor(log2(n/m))``, which no single edge's weight can
+#: know; 10 is that cost for fragments of ~256 values.  Charges from 8 to 16
+#: moved the total frame bytes of the perfbench archive fleets (seeds 1-3,
+#: 4,096 values) by under 10 of 288,374.
+START_BITS = 10
+#: per-fragment metadata bits of a lossless frame: its ``B``, ``K`` and ``S``
+#: entries
+LAYOUT_FRAGMENT_BITS = WIDTH_BITS + KIND_BITS + START_BITS
 
 
 @dataclass(frozen=True)
@@ -90,9 +108,10 @@ def correction_bits(eps: float) -> int:
     return math.ceil(math.log2(2 * eps + 1)) if eps > 0 else 0
 
 
-def _model_cost_bits(model: Model) -> int:
+def _model_cost_bits(model: Model, lossy: bool) -> int:
     """κ_f: storage of the parameters plus per-fragment metadata."""
-    return model.n_params * PARAM_BITS + FRAGMENT_OVERHEAD_BITS
+    overhead = FRAGMENT_OVERHEAD_BITS if lossy else LAYOUT_FRAGMENT_BITS
+    return model.n_params * PARAM_BITS + overhead
 
 
 def partition(
@@ -136,7 +155,7 @@ def partition(
     cbits: list[int] = []
     kappa: list[int] = []
     for model in resolved:
-        kap = _model_cost_bits(model)
+        kap = _model_cost_bits(model, lossy)
         for eps in eps_set:
             pairs.append((model, eps))
             cbits.append(0 if lossy else correction_bits(eps))

@@ -40,14 +40,16 @@ def evaluate_fragments(
     ends: Sequence[int],
     params: Sequence[tuple],
     n: int,
+    origin: int = 0,
 ) -> np.ndarray:
-    """Evaluate a piecewise approximation over positions ``1..n``.
+    """Evaluate a piecewise approximation over positions ``origin+1..origin+n``.
 
     ``models[k]`` is the :class:`~repro.core.models.Model` for kind ``k``;
-    fragment ``i`` covers 0-based positions ``[starts[i], ends[i])`` with
-    kind ``kinds[i]`` and parameter tuple ``params[i]``.  Fragments must
-    cover ``[0, n)`` (as every storage layout guarantees); the returned
-    float64 array holds ``f(x)`` at ``x = position + 1``.
+    fragment ``i`` covers 0-based output positions ``[starts[i], ends[i])``
+    with kind ``kinds[i]`` and parameter tuple ``params[i]``.  Fragments
+    must cover ``[0, n)``; the returned float64 array holds ``f(x)`` at
+    ``x = origin + position + 1``, so a window of a series starting at
+    ``origin`` evaluates as the whole series would there.
     """
     out = np.empty(n, dtype=np.float64)
     if not len(kinds):
@@ -55,15 +57,14 @@ def evaluate_fragments(
     kinds_arr = np.asarray(kinds, dtype=np.int64)
     starts_arr = np.asarray(starts, dtype=np.int64)
     lengths = np.asarray(ends, dtype=np.int64) - starts_arr
-    for k, model in enumerate(models):
+    for k in np.unique(kinds_arr).tolist():
+        model = models[k]
         sel = np.nonzero(kinds_arr == k)[0]
-        if not len(sel):
-            continue
         ls = lengths[sel]
         idx = position_ramp(starts_arr[sel], ls)
         if not len(idx):
             continue
-        xs = (idx + 1).astype(np.float64)
+        xs = (idx + (origin + 1)).astype(np.float64)
         mat = np.array([params[i] for i in sel], dtype=np.float64)
         cols = tuple(np.repeat(mat[:, j], ls) for j in range(mat.shape[1]))
         out[idx] = model.evaluate(cols, xs)

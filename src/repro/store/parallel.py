@@ -14,13 +14,14 @@ either parses natively or re-runs the recorded codec deterministically,
 the pooled result is byte-identical to serial ``repro.compress`` +
 ``to_bytes`` for every codec.
 
-Throughput note: codecs *without* a native payload (currently ``dac``,
-``leco``, ``alp`` — see ROADMAP) recompress in the parent when
-:func:`compress_many` decodes their frames, which erases the pool win;
-use :func:`compress_many_frames` (bytes out) or a native-payload codec
-for throughput.  The pool pays off for CPU-heavy codecs such as NeaTS;
-:class:`SeriesDB` ingest does not use it, since its hot codec compresses
-a whole batch in one vectorised pass in-process.
+Throughput note: every built-in codec writes a native payload, so the
+parent parses each frame directly (O(size), no recompression).  A codec
+registered without one would recompress in the parent when
+:func:`compress_many` decodes its frames, which erases the pool win; use
+:func:`compress_many_frames` (bytes out) for such a codec.  The pool pays
+off for CPU-heavy codecs such as NeaTS; :class:`SeriesDB` ingest does not
+use it, since its hot codec compresses a whole batch in one vectorised
+pass in-process.
 
 >>> import numpy as np
 >>> from repro.store import compress_many

@@ -176,6 +176,9 @@ class SeriesDB:
         # leaves the two apart; the next record must then re-commit first,
         # or it would land in a file recovery cannot find.
         self._synced_group: str | None = None
+        # Whether the in-memory manifest holds state no commit has written
+        # (a flush that raised at or before its commit).
+        self._uncommitted = False
         manifest_path = self._root / MANIFEST_NAME
         if manifest_path.exists():
             manifest = json.loads(manifest_path.read_text("utf-8"))
@@ -597,9 +600,18 @@ class SeriesDB:
         Post-commit, every file in ``shards/`` the manifest does not name
         is deleted — replaced shards, old logs, and any generation an
         earlier flush orphaned by failing before its commit.
+
+        With no dirty shard and nothing left uncommitted by a failed flush,
+        a flush writes nothing: no snapshot, no manifest, no fsync and no
+        sweep.  A handle that only read therefore never commits its
+        (possibly stale) manifest over another handle's, and never deletes
+        the shards that manifest names.
         """
         with self._lock:
             self._check_open()
+            if not self._dirty and not self._uncommitted:
+                return
+            self._uncommitted = True
             for sid in sorted(self._dirty):
                 store = self._stores[sid]
                 blob = store.to_bytes()
@@ -817,7 +829,14 @@ class SeriesDB:
             # yet — any surviving values live in the logs alone.
             store = self._fresh_store()
         else:
-            data = self._read_shard(shard_path)
+            try:
+                data = self._read_shard(shard_path)
+            except FileNotFoundError:
+                raise ValueError(
+                    f"shard {entry['shard']} of series {series_id!r} is gone "
+                    f"from {self._root}: another handle has replaced it since "
+                    "this one opened; reopen the store to read the new shard"
+                ) from None
             # The snapshot's own crc catches bit rot; the manifest crc also
             # catches a shard file swapped with another (valid) one.
             if zlib.crc32(data) != entry["crc32"]:
@@ -888,3 +907,4 @@ class SeriesDB:
         blob = json.dumps(manifest, indent=2).encode("utf-8")
         _write_atomic(self._root / MANIFEST_NAME, blob + b"\n")
         self._synced_group = self._group_name
+        self._uncommitted = False

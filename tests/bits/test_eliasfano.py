@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.bits import EliasFano
+from repro.bits.eliasfano import decode_bits, encode_bits, encoded_bits, low_width
 
 
 class TestConstruction:
@@ -116,3 +117,42 @@ class TestSpace:
         ef = EliasFano(values)
         bits_per_elem = ef.size_bits() / len(values)
         assert bits_per_elem < 32
+
+
+class TestBitArrayCode:
+    """The numpy code the NeaTS102 frame stores its starts in."""
+
+    @pytest.mark.parametrize("m,universe", [(1, 1), (1, 4096), (7, 8), (30, 4096), (500, 600)])
+    def test_round_trip_and_length(self, m, universe):
+        rng = np.random.default_rng(m + universe)
+        values = np.sort(rng.integers(0, universe, m))
+        values[0] = 0
+        bits = encode_bits(values, universe)
+        assert len(bits) == encoded_bits(m, universe)
+        assert set(np.unique(bits).tolist()) <= {0, 1}
+        assert np.array_equal(decode_bits(bits, m, universe), values)
+
+    def test_same_low_width_as_the_class(self):
+        for m, universe in [(1, 1), (3, 100), (100, 3), (20, 4096), (1000, 10**6)]:
+            values = list(range(0, universe, max(1, universe // m)))[:m]
+            assert low_width(len(values), universe) == EliasFano(
+                values, universe=universe
+            )._low_bits
+
+    def test_empty(self):
+        assert encoded_bits(0, 10) == 0
+        assert len(encode_bits(np.zeros(0, dtype=np.int64), 10)) == 0
+        assert decode_bits(np.zeros(0, dtype=np.uint8), 0, 10).size == 0
+
+    @pytest.mark.parametrize("flip", ["drop", "add"])
+    def test_high_part_with_other_than_m_ones_refused(self, flip):
+        values = np.array([0, 5, 9, 40, 41], dtype=np.int64)
+        bits = encode_bits(values, 64)
+        high = len(values) * low_width(len(values), 64)
+        ones = high + np.flatnonzero(bits[high:])
+        if flip == "drop":
+            bits[ones[-1]] = 0
+        else:
+            bits[len(bits) - 1] = 1
+        with pytest.raises(ValueError, match=r"holds [46] ones for 5 values"):
+            decode_bits(bits, len(values), 64)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core import NeaTS, default_eps_set
+from repro.data import DATASETS, dataset_names
 
 
 class TestDefaultEpsSet:
@@ -120,6 +121,20 @@ class TestVariants:
     def test_sneats_invalid_fraction(self):
         with pytest.raises(ValueError):
             NeaTS.with_model_selection(sample_fraction=0.0)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_neats_frames_below_leats_on_archive_fleet(self, seed):
+        """perfbench's ``archive`` fleet: one 4,096-value series per
+        generator, seeded from ``SeedSequence([seed, 1])``.  The nonlinear
+        kinds must pay for themselves over the fleet."""
+        names = dataset_names()
+        seeds = np.random.SeedSequence([seed, 1]).generate_state(len(names))
+        total = {"neats": 0, "leats": 0}
+        for name, series_seed in zip(names, seeds.tolist()):
+            y = DATASETS[name].generate(4096, seed=series_seed)
+            total["neats"] += NeaTS().compress(y).size_bytes()
+            total["leats"] += NeaTS.linear_only().compress(y).size_bytes()
+        assert total["neats"] < total["leats"]
 
 
 class TestDeterminism:

@@ -1,9 +1,9 @@
 """Golden frames: Algorithm 1 and the layout must not change one bit.
 
-The sha256 of ``NeaTSStorage.to_bytes()`` for every bundled generator at 1024
-values (default seeds).  A change meant only to make compression faster must
-leave every digest as it is; one that moves a digest changes the encoded
-output.
+The sha256 of ``NeaTSStorage.to_bytes()`` (a ``NeaTS102`` frame) for every
+bundled generator at 1024 values (default seeds).  A change meant only to
+make compression faster must leave every digest as it is; one that moves a
+digest changes the encoded output.
 
 Both model sets use only correctly rounded float operations (``+``, ``-``,
 ``*``, ``/`` and ``sqrt``), so the digests hold on any CPU.  The
@@ -11,9 +11,10 @@ Both model sets use only correctly rounded float operations (``+``, ``-``,
 on the CPU's vector path, so the default model set is not pinned here.
 
 ``size_bits()`` is pinned beside the digests, fresh and after a
-``from_bytes`` round trip: it charges the paper's succinct layout, which the
-storage builds only when asked, so a load path that forgot a field or
-rebuilt one differently would move it.
+``from_bytes`` round trip: it is the frame's size, computed from the
+adopted arrays without serialising, so a load path that forgot a field or
+miscounted one would move it.  ``NeaTS101`` frames of the same series
+written before ``NeaTS102`` are read fixtures (``test_neats101_frames.py``).
 """
 
 import hashlib
@@ -25,55 +26,55 @@ from repro.data import DATASETS
 
 GOLDEN = {
     "leats": {
-        "AP": "d331952b8638dd0221cb0edb0a9b8b161456ce2f66ce4c1c9dfc38ecf0761cfd",
-        "BM": "f8978175fda182711fbe655d37f8b6d7f19334f9f447dd6106baa22014c3d83c",
-        "BP": "d8b26cd2ac74d57cf8a6920cc3ce3280b5dfd3453fbce9114e314993d8b609ec",
-        "BT": "70b30b799910b866963bb650b9fd024ddb3b705b9cc7b481135d9dc84dc9e843",
-        "BW": "63629eb373838d1f4443fa4b66851bd3a4561dc823d08514b3fb259ac9c2fcd7",
-        "CT": "dab79c99056a0bf39df2fbc892a443d3fdb215665746d38a7fa15fcdf152dbcf",
-        "DP": "4a273d1b0ebc283bb0ca299e6a112f2916c6ebc465890fafe8f04945b54e372e",
-        "DU": "6565b71e2acd14bf58ea9831074fb5a582a2f48803980d9922a6981635026ed3",
-        "ECG": "bf7b65d880ca49e6dd265aad52477d348efd408e740f4e680297364a18a6f434",
-        "GE": "0812436a7a0eed567fed4c3c4f1ce724abf8fc7a0f9497f21c635772d17c61e1",
-        "IT": "ed54d5886d362003fc4e965d54a96c93bd365ee0672930bab801b6f5c6499262",
-        "LAT": "23d400528a3c9499099ec820982c8af36c290c30f5ceee092f7646f92ebbadb9",
-        "LON": "8b073c71a90037ce145b82feb495f31dd21559a093a494060a41d8e0036b877e",
-        "UK": "71881279f65371e5596f35f733244f61fe7e3a64f34366a43cadf93d34b1468a",
-        "US": "794104d2b85647efaad1601460e1404a326142dcdf47e1a0f44d6d0dc9e6c44a",
-        "WD": "0e51268f98f88bc703712622c12370fd96af75a888a3e2317db77b02b63116d1",
+        "AP": "e1ab2b92251fced26e7b892c5bbfd706ce1c3602e31002e17ef96a951ef55211",
+        "BM": "458898964d7682cfded9ba08d05e86375ac3ed7bcbc633f92291701f937494f4",
+        "BP": "4b34fd27bffe30d84051ec5eaf2a7c12cda8d0de811d0e61282606c0f1b3a054",
+        "BT": "543539d20dbd5b40c8cf0b15cb750242d630c776e580be362c632d4882855c86",
+        "BW": "486320dc54296ab2c0df1f3affb922fcdf585cadc5fb2d3f3ab42be8fc447916",
+        "CT": "8c0b6f992dabb3c002357a60ca835dd0645674c0df7b4eea9ebe60c6e2d1b581",
+        "DP": "844bdf7d1901c6335630b3c526d7fdc7adcba77ace7d0c26acbf7ce72c0d7f57",
+        "DU": "fe1d9da180f19ac0d700819417b559f24b57195dc46cddfd786215c9fbdc464d",
+        "ECG": "0d26d0e6135b881c8e6b47715a79f27c6b50d959b0ac355adb8f81bd2028c10c",
+        "GE": "f72019df253cf68dd01b4cd222c86ecb3e1975a082360c5644e72fe022bae524",
+        "IT": "8bbe9a255d0d6e91442156497828d7b7b56ff734c9bc3eecd9e19e7ab94a7ae4",
+        "LAT": "86306d8323c1748a3f3529c284c779aab31d13abab59fc1498d00a7b0589f35c",
+        "LON": "a49e999b2c30fcd35c25d1475878030d97a12a4ea678d29036c77bf10cf38bbd",
+        "UK": "70e89b52e2c27e5cf489f3db4cc7ca498d91f196c370e3094739814c47ac0e43",
+        "US": "c4fdd335d0047d49773671048ab5136a081f825029911c43d033f592be4eb82b",
+        "WD": "99d6222633ed1917a6e7ed3d9fc8fa55e2671e68c7e97a4157aec00f8eff73b5",
     },
     "neats_lqr": {
-        "AP": "77e492d28f9e4a2c2a0db2bf6ee6ccd3bc6d0960eec56b690a6a54ca56e82264",
-        "BM": "64bccc38ccf6f14f8db2e9fada9898e3b1bd7fd05c5e9baf07cb006cea55c5a8",
-        "BP": "ad29b2c79ba5fe118f067cee848208e278a68c164103772264699417d9e38e2c",
-        "BT": "70b30b799910b866963bb650b9fd024ddb3b705b9cc7b481135d9dc84dc9e843",
-        "BW": "63629eb373838d1f4443fa4b66851bd3a4561dc823d08514b3fb259ac9c2fcd7",
-        "CT": "fac05669e7099f5a0fec694bd32e55edaa3550cac14f617800d886de35312790",
-        "DP": "bc50fa6f7c298aa4d039c913ab87abbd34643e0a8854055a1f5773e9538209bd",
-        "DU": "554ec8a2a0ad90fad5c1ad983b264f8ba6f34121915e36c24769337e7464c4ee",
-        "ECG": "bf7b65d880ca49e6dd265aad52477d348efd408e740f4e680297364a18a6f434",
-        "GE": "6a1e53b6bd5bb0f91846b00461d8c387d5ec2898cf4abdf33226922ddafb41ec",
-        "IT": "e40091a1ac9756414d601dfad8b6fca1e926ffc7adc2dd4e7118a42840393a20",
-        "LAT": "066e1241cc8bd4145a709ef9e2c45235b045fb24daf2d0e528d5675a14cf1a3c",
-        "LON": "8b073c71a90037ce145b82feb495f31dd21559a093a494060a41d8e0036b877e",
-        "UK": "71881279f65371e5596f35f733244f61fe7e3a64f34366a43cadf93d34b1468a",
-        "US": "d7888115639908d2396b21fc34182deb393a832ea09de2ce138a1e672a9adb39",
-        "WD": "0e51268f98f88bc703712622c12370fd96af75a888a3e2317db77b02b63116d1",
+        "AP": "20d4ce46eb8f08522d858e19e020925828eb061ae8abd135c3897fc728e6848b",
+        "BM": "e67711ab2974428559a95c8df62026e65978be0c9ff911535647113497e7e40c",
+        "BP": "d9af492b31f286aaf30f4fb924fd04b57908fed5e3a470e73735b8eb519bd419",
+        "BT": "543539d20dbd5b40c8cf0b15cb750242d630c776e580be362c632d4882855c86",
+        "BW": "2c7b67cb7818b62f7b6eee6282c730ddde440b5a7297307922135239279bbf83",
+        "CT": "c72bda13e01ec207fa9c016368b614485e9837c19302fdc07a49fa5eee60a341",
+        "DP": "ec4e44ecd7d0a63f35a63127fe1c7feafa8d465064e94442cb0c08d4964060a6",
+        "DU": "a73e81511179daf97958a0f4844b574f0d93e300d63edfd59dbb01eaf1883e63",
+        "ECG": "21a85bc5fe28f57db946292a61e64e9ce90eba228f73f6ca1e17ce5177a019e0",
+        "GE": "8cba76d705a287a563d0b1eebf65abd4ae36fa842872a3d0c1740fe7850075d2",
+        "IT": "b9dc224a4fd790a3ee6d042e1473b7c6bf449094209df07979d963bdeb05534f",
+        "LAT": "409e3a3847ab8b933d0bb88f35b4cff1dbbde79ebba602f27de6746c9426ca8d",
+        "LON": "a49e999b2c30fcd35c25d1475878030d97a12a4ea678d29036c77bf10cf38bbd",
+        "UK": "70e89b52e2c27e5cf489f3db4cc7ca498d91f196c370e3094739814c47ac0e43",
+        "US": "5176e523643049283e7c681f7acaa836a2c033ce08693b5ae683095648886c4b",
+        "WD": "2f1d0434091138a314a8a935263dfbaa79c697afa15327ff59576941c19b0ba4",
     },
 }
 
 SIZE_BITS = {
     "leats": {
-        "AP": 15628, "BM": 13428, "BP": 25005, "BT": 35876,
-        "BW": 28706, "CT": 8311, "DP": 9651, "DU": 13245,
-        "ECG": 12112, "GE": 10354, "IT": 7212, "LAT": 3521,
-        "LON": 2317, "UK": 4124, "US": 8236, "WD": 12740,
+        "AP": 14928, "BM": 12608, "BP": 24336, "BT": 35288,
+        "BW": 28096, "CT": 7640, "DP": 8856, "DU": 12672,
+        "ECG": 11376, "GE": 9736, "IT": 6664, "LAT": 3000,
+        "LON": 1768, "UK": 3544, "US": 7624, "WD": 12032,
     },
     "neats_lqr": {
-        "AP": 15542, "BM": 13340, "BP": 24382, "BT": 35876,
-        "BW": 28706, "CT": 8209, "DP": 9681, "DU": 13544,
-        "ECG": 12112, "GE": 10471, "IT": 7507, "LAT": 3569,
-        "LON": 2317, "UK": 4124, "US": 8198, "WD": 12740,
+        "AP": 14624, "BM": 12368, "BP": 23728, "BT": 35288,
+        "BW": 28096, "CT": 7496, "DP": 8856, "DU": 12496,
+        "ECG": 11360, "GE": 9656, "IT": 6592, "LAT": 3000,
+        "LON": 1768, "UK": 3544, "US": 7560, "WD": 12032,
     },
 }
 
@@ -96,5 +97,7 @@ def test_frame_digest_is_unchanged(kind, name):
 def test_size_bits_is_unchanged(kind, name):
     y = DATASETS[name].generate(1024)
     storage = COMPRESSORS[kind]().compress(y).storage
-    reloaded = NeaTSStorage.from_bytes(storage.to_bytes())
+    frame = storage.to_bytes()
+    reloaded = NeaTSStorage.from_bytes(frame)
     assert storage.size_bits() == reloaded.size_bits() == SIZE_BITS[kind][name]
+    assert SIZE_BITS[kind][name] == 8 * len(frame)

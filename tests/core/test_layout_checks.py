@@ -3,18 +3,21 @@
 A NeaTS payload records ``n``, the fragment starts ``S``, the correction
 widths ``B``, the kinds ``K``, the per-kind parameters ``P`` and the
 correction bits ``C``.  Each crafted payload below breaks one relation among
-them behind a valid archive crc.  Served, it would decode wrong values or
-fail later with a bare ``IndexError``; it must be refused when the payload is
-loaded (by ``NeaTSStorage.from_bytes`` and by ``repro.open``, eager and
-lazy), and ``fsck --deep`` must report it as a frame that fails to decode
-(FSK010).
+them behind a valid archive crc, in a ``NeaTS101`` frame (int64 starts, a
+kind-name directory) or in a ``NeaTS102`` frame (Elias-Fano starts, packed
+widths and kind ids).  Served, it would decode wrong values or fail later
+with a bare ``IndexError``; it must be refused when the payload is loaded
+(by ``NeaTSStorage.from_bytes`` and by ``repro.open``, eager and lazy), and
+``fsck --deep`` must report it as a frame that fails to decode (FSK010).
 
 Loading adopts the frame's arrays as they are: the guard tests count that
 no load or query path constructs an Elias-Fano sequence, a wavelet tree, a
-packed array or a bitvector (those exist only for ``size_bits()``), and
-that ``TieredStore.tier_report()`` does not ask for the size.
+packed array or a bitvector, that ``TieredStore.tier_report()`` does not ask
+for the size, and that a load and one access turn no whole correction word
+array into Python ints.
 """
 
+import tracemalloc
 import zlib
 from collections import Counter
 
@@ -29,6 +32,8 @@ from repro.codecs.container import ARCHIVE_MAGIC, _HEADER
 from repro.codecs.serialize import KIND_NATIVE, write_frame
 from repro.core import NeaTS, NeaTSStorage, TieredStore
 from repro.core.models import get_model
+from repro.core.partition import Fragment
+from repro.core.storage import KIND_TABLE
 from repro.data import DATASETS
 
 FLAWS = [
@@ -50,6 +55,8 @@ FLAWS = [
     "header m",
     "words too short",
     "bits wrap int64",
+    "unknown kind name",
+    "kind named twice",
 ]
 
 # Flaws that break S, B or K only: their payloads get a correction bit total
@@ -67,7 +74,8 @@ def storage():
 
 
 def _fields(st: NeaTSStorage) -> dict:
-    """The payload fields of ``st``, as the mutable values :func:`_pack` takes."""
+    """The ``NeaTS101`` fields of ``st``, as the mutable values :func:`_pack` takes."""
+    local = {KIND_TABLE.index(name): i for i, name in enumerate(st.model_names)}
     return {
         "n": st.n,
         "m": st.m,
@@ -76,15 +84,15 @@ def _fields(st: NeaTSStorage) -> dict:
         "names": list(st.model_names),
         "starts": list(st._starts_list),
         "widths": list(st._widths_list),
-        "kinds": list(st._kinds_list),
+        "kinds": [local[k] for k in st._kinds_list],
         "params": [p.ravel().tolist() for p in st.P],
-        "cbits": st._corrections.bit_length,
-        "words": st._corrections.words.tolist(),
+        "cbits": st._cbits,
+        "words": st._words.tolist(),
     }
 
 
 def _pack(f: dict) -> bytes:
-    """A payload in the ``NeaTSStorage.to_bytes`` layout, every field as given."""
+    """A payload in the ``NeaTS101`` layout, every field as given."""
     names = ",".join(f["names"]).encode()
     out = b"NeaTS101" + NEATS_HDR.pack(
         f["n"], f["m"], f["shift"], len(names), f["flag"]
@@ -158,6 +166,12 @@ def _break(flaw: str, f: dict) -> None:
         # 63 bits × 2^62 values wraps to the (negative) header total.
         f.update(n=2**62, m=1, names=["linear"], starts=[0], widths=[63],
                  kinds=[0], params=[[0.0, 0.0]], cbits=-(2**62), words=[])
+    elif flaw == "unknown kind name":
+        f["names"][0] = "wavelet"
+    elif flaw == "kind named twice":
+        # The second entry gets no fragments and so no parameters.
+        f["names"].append(f["names"][0])
+        f["params"].append([])
     else:
         raise AssertionError(f"unknown flaw {flaw!r}")
     if flaw in _REBIT:
@@ -180,7 +194,7 @@ def _save(path, n: int, payload: bytes):
 
 def test_fields_pack_back_to_the_payload(storage):
     f = _fields(storage)
-    assert _pack(f) == storage.to_bytes()
+    assert NeaTSStorage.from_bytes(_pack(f)).to_bytes() == storage.to_bytes()
     # Preconditions of the flaws: moving n moves the last fragment's bits,
     # one word fewer cannot hold the bits, and widths[0] + 1 is a width.
     assert f["widths"][-1] > 0
@@ -214,6 +228,129 @@ class TestCorruptLayouts:
         assert not report.ok
 
 
+# -- NeaTS102 ------------------------------------------------------------------
+
+FLAWS_102 = [
+    "high part one short",
+    "high part one extra",
+    "repeated start",
+    "kind outside the table",
+    "parameters short",
+    "cbits off S and B",
+    "trailing byte",
+]
+
+
+def _fields102(st: NeaTSStorage) -> dict:
+    """The ``NeaTS102`` fields of ``st``, as the mutable values :func:`_pack102` takes."""
+    params = [[] for _ in KIND_TABLE]
+    for name, p in zip(st.model_names, st.P):
+        params[KIND_TABLE.index(name)] = p.ravel().tolist()
+    return {
+        "n": st.n,
+        "m": st.m,
+        "shift": st.shift,
+        "starts": list(st._starts_list),
+        "widths": list(st._widths_list),
+        "kinds": list(st._kinds_list),
+        "params": params,
+        "cbits": st._cbits,
+        "words": st._words[: -(-st._cbits // 64)].tolist(),
+    }
+
+
+def _bits(values, width: int) -> list[int]:
+    return [(v >> b) & 1 for v in values for b in range(width)]
+
+
+def _pack102(f: dict) -> bytes:
+    """A payload in the ``NeaTS102`` layout, written here from its spec."""
+    n, m, starts = f["n"], f["m"], f["starts"]
+    low = max(0, (n // max(m, 1)).bit_length() - 1)
+    high = [0] * (m + ((n - 1) >> low) + 1)
+    for i, start in enumerate(starts):
+        high[(start >> low) + i] = 1
+    for pos, bit in f.get("high_flips", {}).items():
+        assert high[pos] != bit
+        high[pos] = bit
+    bits = _bits([x & ((1 << low) - 1) for x in starts], low) + high
+    bits += _bits(f["widths"], 6) + _bits(f["kinds"], 4)
+    out = b"NeaTS102" + INT64.pack(n) + INT64.pack(m) + INT64.pack(f["shift"])
+    out += INT64.pack(f["cbits"])
+    out += np.packbits(np.array(bits, dtype=np.uint8), bitorder="little").tobytes()
+    for p in f["params"]:
+        out += np.array(p, dtype=np.float64).tobytes()
+    return out + np.array(f["words"], dtype=np.uint64).tobytes() + f.get("tail", b"")
+
+
+def _break102(flaw: str, f: dict) -> None:
+    """Break one relation of the ``NeaTS102`` fields ``f``, in place."""
+    n, m, starts = f["n"], f["m"], f["starts"]
+    low = max(0, (n // m).bit_length() - 1)
+    if flaw == "high part one short":
+        f["high_flips"] = {(starts[-1] >> low) + m - 1: 0}
+    elif flaw == "high part one extra":
+        f["high_flips"] = {m + ((n - 1) >> low): 1}  # the last bit is never set
+    elif flaw == "repeated start":
+        starts[2] = starts[1]
+        bounds = starts + [n]
+        f["cbits"] = sum(
+            w * (b - a) for w, a, b in zip(f["widths"], bounds, bounds[1:])
+        )
+        nwords = -(-f["cbits"] // 64)
+        f["words"] = (f["words"] + [0] * nwords)[:nwords]
+    elif flaw == "kind outside the table":
+        f["kinds"][0] = len(KIND_TABLE)
+    elif flaw == "parameters short":
+        next(p for p in reversed(f["params"]) if p).pop()
+    elif flaw == "cbits off S and B":
+        f["cbits"] -= 1  # same word count: a precondition checks cbits % 64
+    elif flaw == "trailing byte":
+        f["tail"] = b"\x00"
+    else:
+        raise AssertionError(f"unknown flaw {flaw!r}")
+
+
+def _crafted102(st: NeaTSStorage, flaw: str) -> tuple[int, bytes]:
+    f = _fields102(st)
+    _break102(flaw, f)
+    return f["n"], _pack102(f)
+
+
+def test_fields102_pack_to_the_payload(storage):
+    f = _fields102(storage)
+    assert _pack102(f) == storage.to_bytes()
+    # Preconditions of the flaws: one correction bit fewer keeps the word
+    # count, and the starts leave room to repeat one.
+    assert f["cbits"] % 64 not in (0, 1)
+    assert len(f["starts"]) > 3
+
+
+@pytest.mark.parametrize("flaw", FLAWS_102)
+class TestCorruptNeaTS102:
+    def test_refused_by_from_bytes(self, storage, flaw):
+        _, payload = _crafted102(storage, flaw)
+        with pytest.raises(ValueError, match="corrupt NeaTS layout"):
+            NeaTSStorage.from_bytes(payload)
+
+    def test_refused_by_eager_open(self, tmp_path, storage, flaw):
+        path = _save(tmp_path / "bad.rpac", *_crafted102(storage, flaw))
+        with pytest.raises(ValueError, match="corrupt NeaTS layout"):
+            repro.open(path)
+
+    def test_refused_on_first_lazy_touch(self, tmp_path, storage, flaw):
+        path = _save(tmp_path / "bad.rpac", *_crafted102(storage, flaw))
+        with repro.open(path, lazy=True) as archive:
+            with pytest.raises(ValueError, match="corrupt NeaTS layout"):
+                archive.access(0)
+
+    def test_fsck_deep_reports_decode_failure(self, tmp_path, storage, flaw):
+        path = _save(tmp_path / "bad.rpac", *_crafted102(storage, flaw))
+        report = fsck_archive(path, deep=True)
+        assert "FSK010" in {p.code for p in report.problems}
+        assert not report.ok
+
+
 @pytest.fixture
 def builds(monkeypatch):
     """Constructions of the succinct structures, counted by class name."""
@@ -241,6 +378,25 @@ class TestLoadBuildsNoSuccinctStructure:
         with repro.open(path, lazy=True) as archive:
             assert archive.access(1234) == storage.access(1234)
         assert sum(builds.values()) == 0, dict(builds)
+
+    def test_load_and_access_convert_no_word_array(self):
+        """``from_bytes`` and one ``access`` read the one or two correction
+        words they need off the uint64 array: turning the whole array into
+        Python ints (``tolist``) would allocate ~40 B a word."""
+        rng = np.random.default_rng(7)
+        z = rng.integers(1, 1 << 20, 50_000)
+        frag = Fragment(0, len(z), "linear", 0.0, (0.0, float(1 << 19)))
+        payload = NeaTSStorage(z, [frag], 0).to_bytes()
+        nwords = len(payload) // 8
+        tracemalloc.start()
+        try:
+            loaded = NeaTSStorage.from_bytes(payload)
+            assert loaded.access(31_337) == z[31_337]
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert nwords > 15_000
+        assert peak < 2 * nwords, (peak, nwords)
 
     def test_tier_report_does_not_size_the_store(self, builds):
         store = TieredStore(seal_threshold=256, hot_codec="gorilla",

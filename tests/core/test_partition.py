@@ -11,6 +11,7 @@ from repro.core.convex import RangeLineFitter
 from repro.core.models import ALL_MODELS, get_model, make_approximation
 from repro.core.partition import (
     FRAGMENT_OVERHEAD_BITS,
+    LAYOUT_FRAGMENT_BITS,
     PARAM_BITS,
     Fragment,
     PartitionResult,
@@ -19,6 +20,13 @@ from repro.core.partition import (
     partition_lossy,
 )
 from repro.core.transforms import precompute_transform
+
+
+def kappa_of(model, lossy=False):
+    """κ_f: the parameters, plus the frame's per-fragment metadata when
+    lossless and the lossy codecs' flat overhead otherwise."""
+    overhead = FRAGMENT_OVERHEAD_BITS if lossy else LAYOUT_FRAGMENT_BITS
+    return model.n_params * PARAM_BITS + overhead
 
 
 def brute_force_optimal_cost(z, models, eps_set, lossy=False):
@@ -34,7 +42,7 @@ def brute_force_optimal_cost(z, models, eps_set, lossy=False):
             continue
         for m in models:
             model = get_model(m)
-            kappa = model.n_params * PARAM_BITS + FRAGMENT_OVERHEAD_BITS
+            kappa = kappa_of(model, lossy)
             for eps in eps_set:
                 cbits = 0 if lossy else correction_bits(eps)
                 end = make_approximation(z, i, model, eps).end
@@ -111,7 +119,7 @@ class TestOptimality:
         optimum can undercut G's by a boundary position or one extra κ; the
         paper's algorithm is defined on G, so we assert G's solution is never
         below the full optimum and within one fragment overhead of it."""
-        kappa = 2 * PARAM_BITS + FRAGMENT_OVERHEAD_BITS
+        kappa = kappa_of(get_model("linear"))
         for trial in range(4):
             z = 200 + np.cumsum(rng.normal(0, 8, 35))
             models = ["linear", "quadratic"]
@@ -146,7 +154,7 @@ class TestOptimality:
         for f in result.fragments:
             model = get_model(f.model_name)
             total += (f.end - f.start) * correction_bits(f.eps)
-            total += model.n_params * PARAM_BITS + FRAGMENT_OVERHEAD_BITS
+            total += kappa_of(model)
         assert result.cost_bits == pytest.approx(total)
 
 
@@ -183,7 +191,7 @@ def _reference_partition(z, models, eps_set, lossy=False):
     resolved = [get_model(m) if isinstance(m, str) else m for m in models]
     pairs, cached, cbits, kappa = [], [], [], []
     for model in resolved:
-        kap = model.n_params * PARAM_BITS + FRAGMENT_OVERHEAD_BITS
+        kap = kappa_of(model, lossy)
         for eps in eps_set:
             pairs.append((model, eps))
             pre = precompute_transform(model, eps, z)

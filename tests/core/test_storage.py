@@ -3,12 +3,31 @@
 import numpy as np
 import pytest
 
+from repro.baselines._native import INT64, INT64_PAIR, NEATS_HDR
+from repro.baselines.base import Compressed
+from repro.codecs import get_codec
 from repro.core import NeaTS
-from repro.core.partition import partition
-from repro.core.storage import NeaTSStorage, _required_width
+from repro.core.models import MODEL_REGISTRY
+from repro.core.partition import KIND_BITS, partition
+from repro.core.storage import KIND_TABLE, NeaTSStorage, _required_width
 from repro.data import DATASETS
 
 _FLAG_BYTE = 8 + 4 * 8  # after the magic and the n, m, shift, name_len fields
+
+
+def neats101(st: NeaTSStorage) -> bytes:
+    """``st`` as a ``NeaTS101`` frame, the layout written before ``NeaTS102``."""
+    names = ",".join(st.model_names).encode()
+    local = {KIND_TABLE.index(name): i for i, name in enumerate(st.model_names)}
+    out = b"NeaTS101" + NEATS_HDR.pack(st.n, st.m, st.shift, len(names), 0)
+    out += names + INT64.pack(st.m)
+    out += np.array(st._starts_list, dtype=np.int64).tobytes()
+    out += np.array(st._widths_list, dtype=np.int8).tobytes()
+    out += np.array([local[k] for k in st._kinds_list], dtype=np.int8).tobytes()
+    for p in st.P:
+        out += INT64.pack(p.size) + p.tobytes()
+    out += INT64_PAIR.pack(st._cbits, len(st._words))
+    return out + st._words.tobytes()
 
 
 def build_storage(y, models=("linear", "quadratic"), eps=(1.0, 7.0)):
@@ -16,6 +35,17 @@ def build_storage(y, models=("linear", "quadratic"), eps=(1.0, 7.0)):
     z = y.astype(np.float64) + shift
     result = partition(z, list(models), list(eps))
     return NeaTSStorage(z, result.fragments, shift), z
+
+
+def test_kind_table_is_pinned():
+    """Frames store kind ids, so the table may only grow at its end."""
+    assert KIND_TABLE == (
+        "linear", "exponential", "power", "logarithmic", "radical",
+        "quadratic", "quadratic_linear", "cubic_linear", "cubic_quadratic",
+        "anchored_quadratic", "gaussian",
+    )
+    assert tuple(MODEL_REGISTRY) == KIND_TABLE
+    assert len(KIND_TABLE) <= 1 << KIND_BITS
 
 
 class TestRequiredWidth:
@@ -148,10 +178,11 @@ class TestSerialisation:
             assert st2.access(k) == st.access(k)
 
     def test_bytes_roundtrip_bitvector_mode(self, smooth_series, rng):
-        """Flag byte 1 marks a frame of the retired bitvector rank: it holds
-        the same arrays, so it decodes the same and is charged the same."""
+        """Flag byte 1 marks a NeaTS101 frame of the retired bitvector rank:
+        it holds the same arrays, so it decodes the same and is charged the
+        same."""
         st, _ = build_storage(smooth_series)
-        blob = bytearray(st.to_bytes())
+        blob = bytearray(neats101(st))
         assert blob[_FLAG_BYTE] == 0
         blob[_FLAG_BYTE] = 1
         st2 = NeaTSStorage.from_bytes(bytes(blob))
@@ -159,11 +190,11 @@ class TestSerialisation:
         for k in rng.integers(0, len(smooth_series), 50).tolist():
             assert st2.access(k) == st.access(k)
         assert st2.size_bits() == st.size_bits()
-        assert st2.to_bytes() == st.to_bytes()  # rewritten with flag 0
+        assert st2.to_bytes() == st.to_bytes()  # rewritten as NeaTS102
 
     def test_unknown_flag_byte_refused(self, smooth_series):
         st, _ = build_storage(smooth_series)
-        blob = bytearray(st.to_bytes())
+        blob = bytearray(neats101(st))
         blob[_FLAG_BYTE] = 2
         with pytest.raises(ValueError, match="flag byte 2"):
             NeaTSStorage.from_bytes(bytes(blob))
@@ -176,11 +207,17 @@ class TestSerialisation:
 class TestSizeAccounting:
     def test_size_bits_close_to_serialised(self, smooth_series):
         st, _ = build_storage(smooth_series)
-        analytic = st.size_bits()
-        actual = len(st.to_bytes()) * 8
-        # The two count slightly different overheads (rank directories vs
-        # plain arrays); they must agree within 2x.
-        assert 0.5 <= analytic / actual <= 2.0
+        assert st.size_bits() == len(st.to_bytes()) * 8
+
+    @pytest.mark.parametrize("codec", ["neats", "leats", "sneats"])
+    def test_size_bits_is_the_frame(self, smooth_series, codec):
+        """Fresh, reloaded, and read from a NeaTS101 frame: ``size_bits()``
+        is the NeaTS102 payload's bits."""
+        c = get_codec(codec).compress(smooth_series)
+        assert c.size_bits() == 8 * len(c.to_payload())
+        assert Compressed.from_bytes(c.to_bytes()).size_bits() == c.size_bits()
+        old = NeaTSStorage.from_bytes(neats101(c.storage))
+        assert old.size_bits() == 8 * len(old.to_bytes()) == c.size_bits()
 
     def test_compresses_smooth_data(self, smooth_series):
         st, _ = build_storage(smooth_series, eps=(1.0, 7.0, 31.0, 127.0))

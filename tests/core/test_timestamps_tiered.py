@@ -179,15 +179,15 @@ class TestTieredStore:
     def test_snapshot_bytes_are_pinned(self):
         """Cold run, hot block and partial buffer serialise to a pinned
         digest: the write buffer's in-memory type never leaks into the
-        RPTS0001 layout, and the 45 buffered values are one gorilla tail
-        frame."""
+        RPTS0001 layout, the 45 buffered values are one gorilla tail frame,
+        and the cold run is a NeaTS102 frame."""
         y, store = self._pinned_store()
         report = store.tier_report()
         assert (report["cold_runs"], report["hot_blocks"]) == (1, 1)
         assert report["buffer_values"] == 45
         blob = store.to_bytes()
         assert hashlib.sha256(blob).hexdigest() == (
-            "41354f9adf2027bb64ba597999a49c95f8dc923b5c961c8c823512304be9f186"
+            "5d7b89b21035f8efeda97298802e5ed5a147b489a7fd474d2a6e1f3bd324131d"
         )
         again = TieredStore.from_bytes(memoryview(blob))
         assert again.to_bytes() == blob
@@ -384,8 +384,8 @@ class TestTailFrame:
             assert loaded.to_bytes() == plain.to_bytes()
 
     def test_empty_buffer_snapshot_is_unchanged(self):
-        """No tail, no ``tail_frame_len``: the bytes written before tail
-        frames existed."""
+        """No tail, no ``tail_frame_len``: the layout written before tail
+        frames existed (its cold run now a NeaTS102 frame)."""
         y = np.cumsum((np.arange(256) * 37) % 101 - 50).astype(np.int64)
         store = TieredStore(seal_threshold=64, hot_codec="gorilla",
                             cold_codec="leats")
@@ -394,7 +394,7 @@ class TestTailFrame:
         store.extend(y[128:])
         assert store.tier_report()["buffer_values"] == 0
         assert hashlib.sha256(store.to_bytes()).hexdigest() == (
-            "0e72202c43b1936702457ea1a4c044f47df45645da75a53aea04e9cc67227a50"
+            "68efbf18c5aa7ad69c0c56548ff398690d461edfc172c1fe87518ef7c5fbbfab"
         )
 
     def test_count_disagreement_raises(self):

@@ -4,9 +4,16 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 import repro
+from repro.bits.eliasfano import encoded_bits
 from repro.core import NeaTS, NeaTSLossy
 from repro.core.convex import RangeLineFitter
 from repro.core.models import ALL_MODELS, get_model, make_approximation
+from repro.core.partition import (
+    LAYOUT_FRAGMENT_BITS,
+    PARAM_BITS,
+    START_BITS,
+    correction_bits,
+)
 from repro.core.piecewise import piecewise_approximation
 
 SETTINGS = dict(max_examples=40, deadline=None)
@@ -174,3 +181,79 @@ class TestPiecewiseInvariants:
         xs = np.arange(1, fit.end + 1, dtype=np.float64)
         err = np.max(np.abs(model.evaluate(fit.params, xs) - z[: fit.end]))
         assert err <= eps + 1e-6
+
+
+# -- NeaTS never loses to LeaTS beyond a derived slack -------------------------
+
+#: header and magic of a NeaTS102 frame, in bits
+_HEAD_BITS = 8 * 40
+#: rounding of the S/B/K bit string to bytes (< 8) plus of C to words (< 64)
+_ROUNDING_BITS = 7 + 63
+
+smooth_series = st.tuples(
+    st.integers(2, 400),
+    st.floats(-3.0, 3.0),
+    st.floats(0.0, 0.02),
+    st.integers(0, 40),
+    st.integers(0, 2**32 - 1),
+).map(
+    lambda a: (
+        1000 * np.exp(a[1] * np.linspace(0, 1, a[0]))
+        + a[2] * np.arange(a[0]) ** 2
+        + np.random.default_rng(a[4]).integers(-a[3], a[3] + 1, a[0])
+    ).astype(np.int64)
+)
+
+
+def _accounting(compressed) -> tuple[int, int, int]:
+    """Algorithm 1's cost of the fragments, their widened bits, and ``D``.
+
+    ``cost`` is ``Σ (len · ceil(log2(2ε+1)) + κ_f)``; a fragment stored wider
+    than its ε needs adds ``len · (width - base)`` widened bits; ``D`` is
+    what ``S`` costs beyond the ``START_BITS`` per fragment that Algorithm 1
+    charges for the starts.
+    """
+    st_ = compressed.storage
+    cost = widened = 0
+    for frag, width in zip(compressed.fragments, st_._widths_list):
+        base = correction_bits(frag.eps)
+        n_params = get_model(frag.model_name).n_params
+        cost += frag.length * base + n_params * PARAM_BITS + LAYOUT_FRAGMENT_BITS
+        widened += frag.length * (width - base)
+    return cost, widened, encoded_bits(st_.m, st_.n) - START_BITS * st_.m
+
+
+class TestFrameAgainstLeaTS:
+    """A NeaTS102 frame costs Algorithm 1's weight, within fixed rounding.
+
+    Writing ``frame`` for ``size_bits()``, ``W`` for the widened bits and
+    ``D`` for the start estimate's error (see :func:`_accounting`)::
+
+        cost + W + D + 320 <= frame <= cost + W + D + 320 + 70
+
+    NeaTS's function set contains LeaTS's, and both see the same shifted
+    series and ε set, so NeaTS's shortest path costs no more than LeaTS's.
+    Subtracting the two brackets, with ``W_leats >= 0``::
+
+        frame(neats) <= frame(leats) + W_neats + 70 + D_neats - D_leats
+    """
+
+    @given(y=st.one_of(smooth_series, small_series))
+    @settings(max_examples=30, deadline=None)
+    def test_frame_is_weight_within_rounding(self, y):
+        c = NeaTS().compress(y)
+        cost, widened, d = _accounting(c)
+        frame = c.size_bits()
+        assert frame == 8 * len(c.to_payload())
+        low = cost + widened + d + _HEAD_BITS
+        assert low <= frame <= low + _ROUNDING_BITS
+
+    @given(y=st.one_of(smooth_series, small_series))
+    @settings(max_examples=30, deadline=None)
+    def test_neats_frame_bounded_by_leats(self, y):
+        neats = NeaTS().compress(y)
+        leats = NeaTS.linear_only().compress(y)
+        _, widened, d_neats = _accounting(neats)
+        _, _, d_leats = _accounting(leats)
+        slack = _ROUNDING_BITS + d_neats - d_leats
+        assert neats.size_bits() <= leats.size_bits() + widened + slack
