@@ -215,7 +215,7 @@ def _check_frame(
     if not deep:
         return
     try:
-        compressed = load_compressed(frame)
+        compressed = load_compressed(parsed)
         values = compressed.decompress()
     except Exception as exc:  # any decode failure is the finding itself
         report.add("FSK010", path, f"{label}: decode failed: {exc}")

@@ -374,8 +374,9 @@ class _LazyArchive(Archive):
         self._verified = False
 
     def _materialise(self) -> Compressed:
-        assert self._frame_view is not None  # _check_open ran first
-        return load_compressed(self._frame_view)
+        assert self._frame is not None  # _check_open ran first
+        # Decodes from the header parsed at open: no second parse.
+        return load_compressed(self._frame)
 
     def _verify(self) -> None:
         self._check_open()

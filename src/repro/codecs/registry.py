@@ -224,11 +224,18 @@ def load_compressed(data):
     ``data`` may be any byte buffer — ``bytes``, a ``memoryview``, an mmap
     slice.  The parse is zero-copy: native loaders adopt views into ``data``
     (the buffer must outlive the returned object), which is what the lazy
-    archive path of :mod:`repro.codecs.container` builds on.
+    archive path of :mod:`repro.codecs.container` builds on.  ``data`` may
+    also be the :class:`~repro.codecs.serialize.Frame` that
+    :func:`~repro.codecs.serialize.read_frame` returned for such a buffer,
+    which is then not parsed again: a lazy archive parses its frame header
+    at open and decodes from it on first touch.
     """
     from ..baselines.base import Compressed
 
-    frame = serialize.read_frame(data)
+    if isinstance(data, serialize.Frame):
+        frame = data
+    else:
+        frame = serialize.read_frame(data)
     spec = codec_spec(frame.codec_id)
     if frame.native:
         if spec.load_native is None:

@@ -24,6 +24,8 @@ correctness of the compressed output.
 
 from __future__ import annotations
 
+from array import array
+
 __all__ = ["RangeLineFitter"]
 
 
@@ -40,6 +42,8 @@ class RangeLineFitter:
     ``extend`` stops at the first range that no line can stab together with
     every previously accepted one and leaves the state untouched by it; the
     caller then closes the current fragment.  ``add`` is the one-range form.
+    :meth:`chain` runs the same loop over a whole series, opening the next
+    fragment where each one is rejected.
     """
 
     __slots__ = (
@@ -80,7 +84,7 @@ class RangeLineFitter:
 
         Returns ``True`` if a stabbing line still exists (range accepted).
         """
-        return self.extend((t,), (lo,), (hi,), 0, 1) == 1
+        return self._walk((t,), (lo,), (hi,), 0, 1, None, None) == 1
 
     def extend(self, t, lo, hi, start: int, stop: int) -> int:
         """Add the ranges ``[lo[k], hi[k]]`` at ``t[k]`` for ``k`` in ``[start, stop)``.
@@ -89,6 +93,29 @@ class RangeLineFitter:
         stab it together with every range accepted so far, or ``stop`` when
         all are accepted.  Abscissae must be strictly increasing.
         """
+        return self._walk(t, lo, hi, start, stop, None, None)
+
+    def chain(self, t, lo, hi, two) -> array[int]:
+        """The ends of the greedy chain over all the ranges.
+
+        The chain's first fragment starts at range 0 and each next one at
+        the range that rejected the previous one, every fragment as long as
+        :meth:`extend` from its start allows: the result is what ``reset``
+        plus ``extend`` from each start would give.  ``two[k]`` is true when
+        the longest fragment from ``k`` is known to be ``[k, k + 2)`` (see
+        :func:`repro.core.transforms.two_point_starts`); such a fragment is
+        skipped without running the step.
+        """
+        ends = array("q")
+        self.reset()
+        self._walk(t, lo, hi, 0, len(t), two, ends)
+        return ends
+
+    def _walk(self, t, lo, hi, start: int, stop: int, two, ends) -> int:
+        """O'Rourke's step over ``[start, stop)``: the one loop behind
+        :meth:`extend` (``ends`` None: stop at the first rejected range) and
+        :meth:`chain` (append each closed fragment's end to ``ends`` and start
+        the next fragment at the rejected range)."""
         upper, lower = self._upper, self._lower
         us, ls = self._upper_start, self._lower_start
         x0, y0, x1, y1, x2, y2, x3, y3 = self._rect
@@ -98,6 +125,95 @@ class RangeLineFitter:
         k = start
         try:
             while k < stop:
+                if count > 1:
+                    # O'Rourke's step on each range until one is rejected or
+                    # invalid; the code after this loop tells which.
+                    first = k
+                    while k < stop:
+                        tk = t[k]
+                        lk = lo[k]
+                        hk = hi[k]
+                        if lk > hk or tk <= last:
+                            break
+                        # The new upper endpoint must lie above the min-slope
+                        # line and the new lower endpoint below the max-slope
+                        # line; otherwise the feasible polygon would be empty.
+                        if (hk - y2) * min_dx < min_dy * (tk - x2) or (
+                            max_dy * (tk - x3) < (lk - y3) * max_dx
+                        ):
+                            break
+                        # Does the upper endpoint sharpen the max slope?  The
+                        # lower-hull point that, paired with it, minimises the
+                        # slope becomes the new max-slope support.
+                        if (hk - y1) * max_dx < max_dy * (tk - x1):
+                            # Index loops, here and below: most scans stop at
+                            # their first candidate, and a range() object
+                            # would cost more than that step.
+                            best = ls
+                            x1, y1 = lower[best]
+                            bx = x1 - tk
+                            by = y1 - hk
+                            j = best + 1
+                            size = len(lower)
+                            while j < size:
+                                px, py = lower[j]
+                                cx = px - tk
+                                cy = py - hk
+                                if by * cx < cy * bx:
+                                    break
+                                bx, by = cx, cy
+                                x1, y1 = px, py
+                                best = j
+                                j += 1
+                            x3, y3 = tk, hk
+                            max_dx, max_dy = x3 - x1, y3 - y1
+                            ls = best
+                            end = len(upper)
+                            while end >= us + 2:
+                                ox, oy = upper[end - 2]
+                                ax, ay = upper[end - 1]
+                                if (ax - ox) * (hk - oy) - (ay - oy) * (tk - ox) <= 0:
+                                    end -= 1
+                                else:
+                                    break
+                            del upper[end:]
+                            upper.append((tk, hk))
+                        # Does the lower endpoint sharpen the min slope?
+                        if min_dy * (tk - x0) < (lk - y0) * min_dx:
+                            best = us
+                            x0, y0 = upper[best]
+                            bx = x0 - tk
+                            by = y0 - lk
+                            j = best + 1
+                            size = len(upper)
+                            while j < size:
+                                px, py = upper[j]
+                                cx = px - tk
+                                cy = py - lk
+                                if cy * bx < by * cx:
+                                    break
+                                bx, by = cx, cy
+                                x0, y0 = px, py
+                                best = j
+                                j += 1
+                            x2, y2 = tk, lk
+                            min_dx, min_dy = x2 - x0, y2 - y0
+                            us = best
+                            end = len(lower)
+                            while end >= ls + 2:
+                                ox, oy = lower[end - 2]
+                                ax, ay = lower[end - 1]
+                                if (ax - ox) * (lk - oy) - (ay - oy) * (tk - ox) >= 0:
+                                    end -= 1
+                                else:
+                                    break
+                            del lower[end:]
+                            lower.append((tk, lk))
+                        last = tk
+                        k += 1
+                    count += k - first
+                    if k == stop:
+                        break
                 tk = t[k]
                 lk = lo[k]
                 hk = hi[k]
@@ -106,77 +222,24 @@ class RangeLineFitter:
                 if count and tk <= last:
                     raise ValueError("abscissae must be strictly increasing")
                 if count > 1:
-                    # The new upper endpoint must lie above the min-slope
-                    # line and the new lower endpoint below the max-slope
-                    # line; otherwise the feasible polygon would be empty.
-                    if (hk - y2) * min_dx < min_dy * (tk - x2) or (
-                        max_dy * (tk - x3) < (lk - y3) * max_dx
-                    ):
+                    # Range k is valid, so the step rejected it.
+                    if ends is None:
                         break
-                    # Does the upper endpoint sharpen the max slope?  The
-                    # lower-hull point that, paired with it, minimises the
-                    # slope becomes the new max-slope support.
-                    if (hk - y1) * max_dx < max_dy * (tk - x1):
-                        best = ls
-                        px, py = lower[best]
-                        bx = px - tk
-                        by = py - hk
-                        for j in range(best + 1, len(lower)):
-                            px, py = lower[j]
-                            cx = px - tk
-                            cy = py - hk
-                            if by * cx < cy * bx:
-                                break
-                            bx, by = cx, cy
-                            best = j
-                        x1, y1 = lower[best]
-                        x3, y3 = tk, hk
-                        max_dx, max_dy = x3 - x1, y3 - y1
-                        ls = best
-                        end = len(upper)
-                        while end >= us + 2:
-                            ox, oy = upper[end - 2]
-                            ax, ay = upper[end - 1]
-                            if (ax - ox) * (hk - oy) - (ay - oy) * (tk - ox) <= 0:
-                                end -= 1
-                            else:
-                                break
-                        del upper[end:]
-                        upper.append((tk, hk))
-                    # Does the lower endpoint sharpen the min slope?
-                    if min_dy * (tk - x0) < (lk - y0) * min_dx:
-                        best = us
-                        px, py = upper[best]
-                        bx = px - tk
-                        by = py - lk
-                        for j in range(best + 1, len(upper)):
-                            px, py = upper[j]
-                            cx = px - tk
-                            cy = py - lk
-                            if cy * bx < by * cx:
-                                break
-                            bx, by = cx, cy
-                            best = j
-                        x0, y0 = upper[best]
-                        x2, y2 = tk, lk
-                        min_dx, min_dy = x2 - x0, y2 - y0
-                        us = best
-                        end = len(lower)
-                        while end >= ls + 2:
-                            ox, oy = lower[end - 2]
-                            ax, ay = lower[end - 1]
-                            if (ax - ox) * (lk - oy) - (ay - oy) * (tk - ox) >= 0:
-                                end -= 1
-                            else:
-                                break
-                        del lower[end:]
-                        lower.append((tk, lk))
-                elif count:
+                    # Close the fragment at k; range k opens the next one.
+                    ends.append(k)
+                    upper.clear()
+                    lower.clear()
+                    count = 0
+                if count:
                     x2, y2, x3, y3 = tk, lk, tk, hk
                     min_dx, min_dy, max_dx, max_dy = x2 - x0, y2 - y0, x3 - x1, y3 - y1
                     upper.append((tk, hk))
                     lower.append((tk, lk))
                 else:
+                    if ends is not None and two[k]:
+                        k += 2
+                        ends.append(k)
+                        continue
                     x0, y0, x1, y1 = tk, hk, tk, lk
                     upper.append((tk, hk))
                     lower.append((tk, lk))
@@ -184,6 +247,8 @@ class RangeLineFitter:
                 count += 1
                 last = tk
                 k += 1
+            if ends is not None and count:
+                ends.append(k)
         finally:
             self._upper_start, self._lower_start = us, ls
             self._rect = (x0, y0, x1, y1, x2, y2, x3, y3)

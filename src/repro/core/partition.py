@@ -22,15 +22,38 @@ estimate -216 to +7, rounding 2 to 64).  The lossy partitioner keeps a flat
 Edges are enumerated from each ``(f, ε)`` pair's *greedy chain*: the
 fragments the pair opens from node 0, each as long as MAKE-APPROXIMATION
 allows and each starting where the previous one ends.  A chain does not
-depend on the distances, so the chains are built one pair at a time: the
-pair's transform lives only while its chain is walked, and only the chain's
-ends are kept.  The relaxation then holds, for every pair, the extent of the
-single fragment overlapping the node being relaxed, as in the paper.  Memory
-is O(n) transient per pair plus the chain ends, one int64 per fragment of
-every chain (the paper's O(n + |F||E|) fits each pair's fragment when the
-relaxation reaches it, which needs every transform at once); time is
-O(|F| |E| n).  Parameters are fitted again only for the fragments of the
-shortest path, one pair's transform at a time.
+depend on the distances, so every chain is built before the relaxation and
+only its ends are kept.  A chain is one walk,
+:meth:`~repro.core.convex.RangeLineFitter.chain`: the loop that is also
+``extend`` starts the next fragment in place at the range that rejected the
+previous one, and skips the starts whose fragment is known to be two points
+long (:func:`~repro.core.transforms.two_point_starts`).  The walks run one ε
+at a time, and each transform array becomes a Python list once: a kind's
+abscissae once per series, the bounds once per ε for all the kinds that
+share them (linear, logarithmic, radical and quadratic share ``z ∓ ε``,
+exponential and power their logarithms).
+
+The relaxation leaves out every pair whose chain, width and κ equal an
+earlier pair's (220 of the 1,024 pairs of the perfbench archive fleet of
+seed 1).  That is exact: such a pair's edges and weights are the earlier
+pair's, whose candidates are relaxed first, and under the strict ``<`` an
+equal candidate never wins, so no distance or back-pointer moves.  Each
+node k then gets one pass over the remaining pairs, in pair order: it
+relaxes the suffix edges out of k (lines 16-20 of Algorithm 1) and keeps
+the best prefix edge into k + 1 (lines 12-15), which it offers to k + 1
+after the pass.  Node k's distance is final when its pass starts, and ties
+go as in the paper's two passes: a suffix edge into k + 1 before any prefix
+edge into it, and the lowest pair first within each kind.
+
+Memory is O(n) transient plus the chain ends, one int64 per fragment of
+every chain.  The transient part is the abscissa lists, at most four
+whatever ``F`` holds (x, ln x, √x, x²), and the current ε's bound lists, at
+most four pairs: ``repro compress`` of 65,536 CT values with the default
+kinds peaks at 65 MiB RSS (62 MiB holding one pair's lists at a time).  The
+paper's O(n + |F||E|) fits each pair's fragment when the relaxation reaches
+it, which needs every transform at once.  Time is O(|F| |E| n).  Parameters
+are fitted again only for the fragments of the shortest path, one pair's
+transform at a time.
 
 The same routine with ``E = {ε}`` and a weight of ``κ_f`` alone yields the
 lossy partitioner of NeaTS-L (§III-B, "Partitioning for lossy compression").
@@ -41,12 +64,20 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass
+from typing import Any
 
 import numpy as np
 
 from .convex import RangeLineFitter
 from .models import Model, get_model, make_approximation
-from .transforms import precompute_transform, two_point_starts
+from .transforms import (
+    PairTransform,
+    abscissae,
+    bounds,
+    precompute_transform,
+    transform_names,
+    two_point_starts,
+)
 
 __all__ = [
     "Fragment",
@@ -149,8 +180,8 @@ def partition(
     if not eps_set:
         raise ValueError("need at least one error bound")
 
-    # Per-pair state in flat lists, indexed by pair: the (f, ε) pair, its
-    # per-point correction bits and κ_f, and the ends of its greedy chain.
+    # Per-pair state in flat lists, indexed model-major by pair: the (f, ε)
+    # pair, its per-point correction bits and κ_f.  The order breaks ties.
     pairs: list[tuple[Model, float]] = []
     cbits: list[int] = []
     kappa: list[int] = []
@@ -160,59 +191,11 @@ def partition(
             pairs.append((model, eps))
             cbits.append(0 if lossy else correction_bits(eps))
             kappa.append(kap)
-    n_pairs = len(pairs)
 
-    # One fitter serves every pair: a fragment is fitted to its end before
-    # the next one starts, and only its extent is kept.  Pair p's current
-    # fragment is [starts[p], ends[p]); it takes the next end of its chain
-    # when it opens a new one.
     fitter = RangeLineFitter()
-    next_end = [iter(_chain(model, eps, z, fitter)).__next__ for model, eps in pairs]
-    starts = [0] * n_pairs
-    ends = [0] * n_pairs
-    INF = float("inf")
-    distance = [INF] * (n + 1)
-    distance[0] = 0.0
-    # The back-pointer of node v is edge [prev_u[v], v) of the fragment of
-    # pair prev_p[v] that starts at prev_s[v]; -1 marks a node never reached.
-    # Three int64 columns take 24 B a node; a tuple took 64 B plus its ints.
-    prev_u = array("q", [-1]) * (n + 1)
-    prev_p = array("q", [-1]) * (n + 1)
-    prev_s = array("q", [-1]) * (n + 1)
-
-    for k in range(n):
-        dk = distance[k]
-        for p in range(n_pairs):
-            if ends[p] <= k:
-                # A new edge must be opened at k (line 10 of Algorithm 1).
-                ends[p] = next_end[p]()
-                starts[p] = k
-            else:
-                # Relax the prefix edge (starts[p], k) — lines 12-15.
-                i = starts[p]
-                cand = distance[i] + ((k - i) * cbits[p] + kappa[p])
-                if cand < dk:
-                    distance[k] = dk = cand
-                    prev_u[k], prev_p[k], prev_s[k] = i, p, i
-        # Relax suffix edges (k, ends[p]) — lines 16-20.
-        for p in range(n_pairs):
-            j = ends[p]
-            cand = dk + ((j - k) * cbits[p] + kappa[p])
-            if cand < distance[j]:
-                distance[j] = cand
-                prev_u[j], prev_p[j], prev_s[j] = k, p, starts[p]
-
-    # Read the shortest path backwards (lines 21-26).
-    path: list[tuple[int, int, int, int]] = []
-    v = n
-    while v > 0:
-        u = prev_u[v]
-        if u < 0:  # pragma: no cover - the DAG is always connected
-            raise RuntimeError(f"no path reaches node {v}")
-        path.append((u, v, prev_p[v], prev_s[v]))
-        v = u
-    del prev_u, prev_p, prev_s
-    path.reverse()
+    chains = _chains(z, resolved, eps_set, fitter)
+    path, cost = _shortest_path(n, chains, cbits, kappa)
+    del chains
 
     # Fit the path's fragments again from their starts for their parameters,
     # one pair's transform at a time; the fit is deterministic, so they come
@@ -238,44 +221,141 @@ def partition(
         Fragment(u, v, pairs[p][0].name, pairs[p][1], params[at])
         for at, (u, v, p, _) in enumerate(path)
     ]
-    return PartitionResult(fragments, distance[n])
+    return PartitionResult(fragments, cost)
 
 
-def _chain(
-    model: Model, eps: float, z: np.ndarray, fitter: RangeLineFitter
-) -> array[int]:
-    """The ends of the greedy chain of ``(model, eps)`` over ``z``.
+def _shortest_path(
+    n: int, chains: list[array[int]], cbits: list[int], kappa: list[int]
+) -> tuple[list[tuple[int, int, int, int]], float]:
+    """The shortest path from node 0 to node ``n`` and its cost (lines 7-26).
 
-    The chain starts a fragment at 0 and each next one where the previous
+    Pair p's fragments are its chain's: ``[0, chains[p][0])`` and each next
+    one from the previous end; an edge costs ``(j - i) * cbits[p] +
+    kappa[p]``.  Each step of the path is ``(u, v, p, s)``: the edge
+    ``[u, v)`` of the pair-p fragment that starts at ``s``.  Ties go to the
+    candidate Algorithm 1 relaxes first.
+    """
+    # A pair whose chain, width and κ equal an earlier pair's offers exactly
+    # the earlier pair's candidates, which it relaxes first: under the
+    # strict ``<`` a copy never wins, so it is left out.
+    live: list[int] = []
+    for p, chain in enumerate(chains):
+        if not any(
+            cbits[q] == cbits[p] and kappa[q] == kappa[p] and chains[q] == chain
+            for q in live
+        ):
+            live.append(p)
+    INF = float("inf")
+    distance = [INF] * (n + 1)
+    distance[0] = 0.0
+    # The back-pointer of node v is edge [prev_u[v], v) of the fragment of
+    # pair prev_p[v] that starts at prev_s[v]; -1 marks a node never reached.
+    # Three int64 columns take 24 B a node; a tuple took 64 B plus its ints.
+    prev_u = array("q", [-1]) * (n + 1)
+    prev_p = array("q", [-1]) * (n + 1)
+    prev_s = array("q", [-1]) * (n + 1)
+    # One list per live pair: the end and start of its current fragment, its
+    # width and κ, the next end of its chain, and its pair index.
+    state: list[list[Any]] = [
+        [0, 0, cbits[p], kappa[p], iter(chains[p]).__next__, p] for p in live
+    ]
+
+    # One pass per node k, whose distance is final when the pass starts: it
+    # relaxes the suffix edges (k, end) — lines 16-20 of Algorithm 1 — and
+    # finds the best prefix edge (start, k + 1) — lines 12-15 — which it
+    # offers to k + 1 only after the pass, so that on a tie the suffix edges
+    # into k + 1 still win, and among either kind the lowest pair.
+    for k in range(n):
+        dk = distance[k]
+        k1 = k + 1
+        best = INF
+        best_st = state[0]  # read only once best is finite
+        for st in state:
+            j, i, c, kap, next_end, p = st
+            if j <= k:
+                # A new edge must be opened at k (line 10).
+                st[0] = j = next_end()
+                st[1] = i = k
+            cand = dk + ((j - k) * c + kap)
+            if cand < distance[j]:
+                distance[j] = cand
+                prev_u[j], prev_p[j], prev_s[j] = k, p, i
+            if j > k1:
+                cand = distance[i] + ((k1 - i) * c + kap)
+                if cand < best:
+                    best, best_st = cand, st
+        if best < distance[k1]:
+            distance[k1] = best
+            i = best_st[1]
+            prev_u[k1], prev_p[k1], prev_s[k1] = i, best_st[5], i
+
+    # Read the shortest path backwards (lines 21-26).
+    path: list[tuple[int, int, int, int]] = []
+    v = n
+    while v > 0:
+        u = prev_u[v]
+        if u < 0:  # pragma: no cover - the DAG is always connected
+            raise RuntimeError(f"no path reaches node {v}")
+        path.append((u, v, prev_p[v], prev_s[v]))
+        v = u
+    path.reverse()
+    return path, distance[n]
+
+
+def _chains(
+    z: np.ndarray,
+    models: list[Model],
+    eps_set: list[float],
+    fitter: RangeLineFitter,
+) -> list[array[int]]:
+    """The ends of every pair's greedy chain over ``z``, model-major.
+
+    A chain starts a fragment at 0 and each next one where the previous
     ends, every fragment as long as MAKE-APPROXIMATION allows: these are the
-    fragments Algorithm 1 opens for the pair.  The pair's transform lives
-    only for this call.
+    fragments Algorithm 1 opens for the pair.  The walks run one ε at a
+    time.  Each abscissa array is built and converted to a list once per
+    series, and each bound array once per ε for all the kinds that name it
+    in ``KIND_TRANSFORMS``; only its list lives while those kinds walk.
     """
     n = len(z)
+    n_eps = len(eps_set)
+    chains: list[array[int]] = [array("q")] * (len(models) * n_eps)
+    names = [transform_names(model) for model in models]
+    ts = {key[0]: abscissae(key[0], n) for key in names if key is not None}
+    t_lists = {name: t.tolist() for name, t in ts.items()}
+    # The kinds with precomputed transforms, and their abscissa transforms,
+    # by the bound transform they name.
+    sharing: dict[str, list[tuple[int, str]]] = {}
+    for m, key in enumerate(names):
+        if key is not None:
+            sharing.setdefault(key[1], []).append((m, key[0]))
+    for e, eps in enumerate(eps_set):
+        for m, model in enumerate(models):
+            if names[m] is None:
+                chains[m * n_eps + e] = _scalar_chain(z, model, eps)
+        for b_name, kinds in sharing.items():
+            lo, hi = bounds(b_name, z, eps)
+            marks = [
+                two_point_starts(PairTransform(ts[t_name], lo, hi))
+                for _, t_name in kinds
+            ]
+            lo_list, hi_list = lo.tolist(), hi.tolist()
+            del lo, hi
+            for (m, t_name), two in zip(kinds, marks):
+                chains[m * n_eps + e] = fitter.chain(
+                    t_lists[t_name], lo_list, hi_list, two.tolist()
+                )
+    return chains
+
+
+def _scalar_chain(z: np.ndarray, model: Model, eps: float) -> array[int]:
+    """The greedy chain of a kind without precomputed transforms, through
+    MAKE-APPROXIMATION."""
     chain = array("q")
-    append = chain.append
-    pre = precompute_transform(model, eps, z)
-    if pre is None:
-        k = 0
-        while k < n:
-            k = make_approximation(z, k, model, eps).end
-            append(k)
-        return chain
-    two = two_point_starts(pre).tolist()
-    t, lo, hi = pre.t.tolist(), pre.lo.tolist(), pre.hi.tolist()
-    del pre
-    reset, extend = fitter.reset, fitter.extend
     k = 0
-    while k < n:
-        if two[k]:
-            k += 2
-        else:
-            reset()
-            end = extend(t, lo, hi, k, n)
-            if end == k:  # first point rejected: cannot happen post-shift
-                raise RuntimeError(f"model {model.name!r} cannot start at index {k}")
-            k = end
-        append(k)
+    while k < len(z):
+        k = make_approximation(z, k, model, eps).end
+        chain.append(k)
     return chain
 
 

@@ -2,14 +2,16 @@
 
 For the two-parameter models every transform of Table I is a pure function of
 the position ``x`` (known upfront) and of ``z ± ε`` (vectorisable with
-numpy).  :func:`precompute_transform` builds the ``(t, lo, hi)`` sequences of
-one ``(f, ε)`` pair, and Algorithm 1 (:func:`repro.core.partition.partition`)
-hands them to :meth:`~repro.core.convex.RangeLineFitter.extend`, which fits
-each fragment in one pass with no per-point ``model.transform`` call.
-:func:`two_point_starts` finds, over the same arrays, every start whose
-longest fragment is exactly two points, so the partitioner needs no
-``extend`` call there.  Both are interpreter-level optimisations with no
-algorithmic effect.
+numpy).  :data:`KIND_TRANSFORMS` names each kind's abscissa and bound
+transforms, :func:`abscissae` and :func:`bounds` build them, and
+:func:`precompute_transform` builds the ``(t, lo, hi)`` sequences of one
+``(f, ε)`` pair.  Algorithm 1 (:func:`repro.core.partition.partition`) builds
+each named array once per series (abscissae) or per ``ε`` (bounds) and hands
+them to :meth:`~repro.core.convex.RangeLineFitter.chain`, which fits every
+fragment with no per-point ``model.transform`` call.  :func:`two_point_starts`
+finds, over the same arrays, every start whose longest fragment is exactly
+two points, so the walk skips the step there.  All are interpreter-level
+optimisations with no algorithmic effect.
 
 Anchored (three-parameter) models depend on the fragment's first point and
 cannot be precomputed; they keep the scalar path of
@@ -24,7 +26,30 @@ import numpy as np
 
 from .models import Model
 
-__all__ = ["PairTransform", "precompute_transform", "two_point_starts"]
+__all__ = [
+    "KIND_TRANSFORMS",
+    "PairTransform",
+    "abscissae",
+    "bounds",
+    "precompute_transform",
+    "transform_names",
+    "two_point_starts",
+]
+
+#: Each two-parameter kind's abscissa and bound transforms (Table I), by
+#: name.  Kinds that name the same transform get the same array: ``t``
+#: depends only on ``n``, and the bounds only on ``z`` and ``ε``.
+KIND_TRANSFORMS: dict[str, tuple[str, str]] = {
+    "linear": ("x", "z"),
+    "exponential": ("x", "ln z"),
+    "power": ("ln x", "ln z"),
+    "logarithmic": ("ln x", "z"),
+    "radical": ("sqrt x", "z"),
+    "quadratic": ("x^2", "z"),
+    "quadratic_linear": ("x", "z/x"),
+    "cubic_linear": ("x^2", "z/x"),
+    "cubic_quadratic": ("x", "z/x^2"),
+}
 
 
 class PairTransform(NamedTuple):
@@ -38,43 +63,51 @@ class PairTransform(NamedTuple):
     hi: np.ndarray
 
 
+def transform_names(model: Model) -> tuple[str, str] | None:
+    """``model``'s entry in :data:`KIND_TRANSFORMS`, or None when it has none
+    (anchored three-parameter kinds, unknown kinds)."""
+    return KIND_TRANSFORMS.get(model.name) if model.n_params == 2 else None
+
+
+def abscissae(name: str, n: int) -> np.ndarray:
+    """The abscissae ``t`` of transform ``name`` at positions ``1, ..., n``."""
+    xs = np.arange(1, n + 1, dtype=np.float64)
+    if name == "x":
+        return xs
+    if name == "ln x":
+        return np.log(xs)
+    if name == "sqrt x":
+        return np.sqrt(xs)
+    if name == "x^2":
+        return xs * xs
+    raise ValueError(f"unknown abscissa transform {name!r}")
+
+
+def bounds(name: str, z: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray]:
+    """The range ends ``(lo, hi)`` of transform ``name`` for values ``z``."""
+    zf = np.asarray(z, dtype=np.float64)
+    lo, hi = zf - eps, zf + eps
+    if name == "z":
+        return lo, hi
+    if name == "ln z":
+        return np.log(np.maximum(lo, 1e-12)), np.log(np.maximum(hi, 1e-12))
+    xs = np.arange(1, len(zf) + 1, dtype=np.float64)
+    if name == "z/x":
+        return lo / xs, hi / xs
+    if name == "z/x^2":
+        sq = xs * xs
+        return lo / sq, hi / sq
+    raise ValueError(f"unknown bound transform {name!r}")
+
+
 def precompute_transform(
     model: Model, eps: float, z: np.ndarray
 ) -> PairTransform | None:
     """Build a :class:`PairTransform`, or None for models without one."""
-    if model.n_params != 2:
+    names = transform_names(model)
+    if names is None:
         return None
-    n = len(z)
-    xs = np.arange(1, n + 1, dtype=np.float64)
-    zf = np.asarray(z, dtype=np.float64)
-    name = model.name
-    if name == "linear":
-        t, lo, hi = xs, zf - eps, zf + eps
-    elif name == "exponential":
-        t = xs
-        lo = np.log(np.maximum(zf - eps, 1e-12))
-        hi = np.log(np.maximum(zf + eps, 1e-12))
-    elif name == "power":
-        t = np.log(xs)
-        lo = np.log(np.maximum(zf - eps, 1e-12))
-        hi = np.log(np.maximum(zf + eps, 1e-12))
-    elif name == "logarithmic":
-        t, lo, hi = np.log(xs), zf - eps, zf + eps
-    elif name == "radical":
-        t, lo, hi = np.sqrt(xs), zf - eps, zf + eps
-    elif name == "quadratic":
-        t, lo, hi = xs * xs, zf - eps, zf + eps
-    elif name == "quadratic_linear":
-        t, lo, hi = xs, (zf - eps) / xs, (zf + eps) / xs
-    elif name == "cubic_linear":
-        t, lo, hi = xs * xs, (zf - eps) / xs, (zf + eps) / xs
-    elif name == "cubic_quadratic":
-        sq = xs * xs
-        t, lo, hi = xs, (zf - eps) / sq, (zf + eps) / sq
-    else:
-        # Unknown two-parameter model: fall back to the scalar path.
-        return None
-    return PairTransform(t, lo, hi)
+    return PairTransform(abscissae(names[0], len(z)), *bounds(names[1], z, eps))
 
 
 def two_point_starts(pre: PairTransform) -> np.ndarray:

@@ -79,6 +79,7 @@ from .seriesdb import (
     LEGACY_MANIFEST_KEYS,
     MANIFEST_NAME,
     SeriesDB,
+    read_manifest,
 )
 
 __all__ = ["PARTITION_MANIFEST_FORMAT", "PartitionedSeriesDB", "open_store"]
@@ -143,6 +144,7 @@ class PartitionedSeriesDB:
         allow_lossy: bool = False,
         cache_capacity: int | None = DEFAULT_CACHE_CAPACITY,
         lazy: bool = False,
+        _manifest: dict | None = None,
     ) -> None:
         # Created before any shared state, same discipline as SeriesDB:
         # every public method runs under this re-entrant lock, and the
@@ -154,9 +156,12 @@ class PartitionedSeriesDB:
         self._lazy = bool(lazy)
         self._series_map: dict[str, int] = {}
         self._handles: dict[int, SeriesDB] = {}
+        # ``_manifest`` is the root manifest ``open_store`` already parsed.
         manifest_path = self._root / MANIFEST_NAME
-        if manifest_path.exists():
-            manifest = json.loads(manifest_path.read_text("utf-8"))
+        manifest = _manifest
+        if manifest is None and manifest_path.exists():
+            manifest = read_manifest(manifest_path)
+        if manifest is not None:
             if manifest.get("format") != PARTITION_MANIFEST_FORMAT:
                 raise ValueError(
                     f"{manifest_path}: not a partitioned SeriesDB manifest "
@@ -680,9 +685,12 @@ def open_store(
     manifest_path = root / MANIFEST_NAME
     if not manifest_path.exists():
         raise ValueError(f"{root}: no SeriesDB manifest found")
-    manifest = json.loads(manifest_path.read_text("utf-8"))
+    # Parsed once here and handed to the store, which reads it no more.
+    manifest = read_manifest(manifest_path)
     if manifest.get("format") == PARTITION_MANIFEST_FORMAT:
-        return PartitionedSeriesDB.open(
-            root, cache_capacity=cache_capacity, lazy=lazy
+        return PartitionedSeriesDB(
+            root, cache_capacity=cache_capacity, lazy=lazy, _manifest=manifest
         )
-    return SeriesDB.open(root, cache_capacity=cache_capacity, lazy=lazy)
+    return SeriesDB(
+        root, cache_capacity=cache_capacity, lazy=lazy, _manifest=manifest
+    )

@@ -108,6 +108,21 @@ _SHARD_DIR = "shards"
 _UNSAFE = re.compile(r"[^A-Za-z0-9._-]+")
 
 
+def read_manifest(path: Path) -> dict:
+    """The JSON object stored in the manifest file at ``path``.
+
+    A file that is not UTF-8 JSON, or holds no object, raises ``ValueError``
+    naming the file.
+    """
+    try:
+        manifest = json.loads(path.read_text("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ValueError(f"{path}: corrupt manifest ({exc})") from exc
+    if not isinstance(manifest, dict):
+        raise ValueError(f"{path}: corrupt manifest (not a JSON object)")
+    return manifest
+
+
 class SeriesDB:
     """A durable multi-series store: one :class:`TieredStore` shard per id.
 
@@ -153,6 +168,7 @@ class SeriesDB:
         allow_lossy: bool = False,
         cache_capacity: int | None = DEFAULT_CACHE_CAPACITY,
         lazy: bool = False,
+        _manifest: dict | None = None,
     ) -> None:
         # Created before any shared state: every public method (and the
         # recovery path below) runs under this re-entrant lock.
@@ -179,9 +195,12 @@ class SeriesDB:
         # Whether the in-memory manifest holds state no commit has written
         # (a flush that raised at or before its commit).
         self._uncommitted = False
+        # ``_manifest`` is the root manifest ``open_store`` already parsed.
         manifest_path = self._root / MANIFEST_NAME
-        if manifest_path.exists():
-            manifest = json.loads(manifest_path.read_text("utf-8"))
+        manifest = _manifest
+        if manifest is None and manifest_path.exists():
+            manifest = read_manifest(manifest_path)
+        if manifest is not None:
             if manifest.get("format") != MANIFEST_FORMAT:
                 raise ValueError(
                     f"{manifest_path}: not a SeriesDB manifest "

@@ -16,6 +16,7 @@ import pytest
 import repro
 from repro.codecs import open_archive, save
 from repro.codecs.container import ARCHIVE_MAGIC
+from repro.codecs import serialize
 from repro.codecs.serialize import KIND_VALUES, encode_values, write_frame
 
 DIGITS = 2
@@ -71,6 +72,26 @@ class TestLazyOpen:
         # the eager archive caches too
         eager = open_archive(archive_path)
         assert eager.values() is eager.values()
+
+
+class TestHeaderParsedOnce:
+    def test_open_and_first_access_parse_the_frame_once(
+        self, archive_path, series, monkeypatch
+    ):
+        """The frame header parsed at open is the one the first touch
+        decodes from: ``read_frame`` runs once, not again on first touch."""
+        calls = []
+        real = serialize.read_frame
+
+        def counting(data):
+            calls.append(1)
+            return real(data)
+
+        monkeypatch.setattr(serialize, "read_frame", counting)
+        with open_archive(archive_path, lazy=True) as lazy:
+            assert lazy.access(17) == series[17]
+            assert lazy.access(len(series) - 1) == series[-1]
+        assert len(calls) == 1
 
 
 class TestLazyCrcDeferred:

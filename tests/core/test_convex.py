@@ -63,6 +63,13 @@ class TestBasics:
         with pytest.raises(ValueError):
             RangeLineFitter().add(1.0, 2.0, 1.0)
 
+    def test_chain_keeps_the_errors_of_extend(self):
+        f = RangeLineFitter()
+        with pytest.raises(ValueError, match="empty range"):
+            f.chain([1.0, 2.0, 3.0], [0.0, 0.0, 2.0], [1.0, 1.0, 1.0], [False] * 3)
+        with pytest.raises(ValueError, match="strictly increasing"):
+            f.chain([1.0, 2.0, 2.0], [0.0] * 3, [1.0] * 3, [False] * 3)
+
     def test_rejection_leaves_state_usable(self):
         f = RangeLineFitter()
         f.add(1.0, 0.0, 1.0)

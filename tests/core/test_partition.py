@@ -2,10 +2,11 @@
 
 import math
 import tracemalloc
+from array import array
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.core.convex import RangeLineFitter
 from repro.core.models import ALL_MODELS, get_model, make_approximation
@@ -15,6 +16,7 @@ from repro.core.partition import (
     PARAM_BITS,
     Fragment,
     PartitionResult,
+    _shortest_path,
     correction_bits,
     partition,
     partition_lossy,
@@ -181,6 +183,142 @@ class TestLossyMode:
 # -- oracle: Algorithm 1 as it ran before the chains were stored ---------------
 
 
+class _FrozenFitter(RangeLineFitter):
+    """``RangeLineFitter`` with a frozen copy of its one-fragment ``extend``
+    (before the step became the loop that also walks whole chains), so that
+    a change to the step cannot pass by changing the oracle with it."""
+
+    def add(self, t, lo, hi):
+        return self.extend((t,), (lo,), (hi,), 0, 1) == 1
+
+    def extend(self, t, lo, hi, start: int, stop: int) -> int:
+        """Add the ranges ``[lo[k], hi[k]]`` at ``t[k]`` for ``k`` in ``[start, stop)``.
+
+        Returns the index of the first range rejected because no line can
+        stab it together with every range accepted so far, or ``stop`` when
+        all are accepted.  Abscissae must be strictly increasing.
+        """
+        upper, lower = self._upper, self._lower
+        us, ls = self._upper_start, self._lower_start
+        x0, y0, x1, y1, x2, y2, x3, y3 = self._rect
+        count, last = self._count, self._last_t
+        # Directions of the min-slope (corners 0-2) and max-slope (1-3) lines.
+        min_dx, min_dy, max_dx, max_dy = x2 - x0, y2 - y0, x3 - x1, y3 - y1
+        k = start
+        try:
+            while k < stop:
+                tk = t[k]
+                lk = lo[k]
+                hk = hi[k]
+                if lk > hk:
+                    raise ValueError(f"empty range [{lk}, {hk}] at t={tk}")
+                if count and tk <= last:
+                    raise ValueError("abscissae must be strictly increasing")
+                if count > 1:
+                    # The new upper endpoint must lie above the min-slope
+                    # line and the new lower endpoint below the max-slope
+                    # line; otherwise the feasible polygon would be empty.
+                    if (hk - y2) * min_dx < min_dy * (tk - x2) or (
+                        max_dy * (tk - x3) < (lk - y3) * max_dx
+                    ):
+                        break
+                    # Does the upper endpoint sharpen the max slope?  The
+                    # lower-hull point that, paired with it, minimises the
+                    # slope becomes the new max-slope support.
+                    if (hk - y1) * max_dx < max_dy * (tk - x1):
+                        best = ls
+                        px, py = lower[best]
+                        bx = px - tk
+                        by = py - hk
+                        for j in range(best + 1, len(lower)):
+                            px, py = lower[j]
+                            cx = px - tk
+                            cy = py - hk
+                            if by * cx < cy * bx:
+                                break
+                            bx, by = cx, cy
+                            best = j
+                        x1, y1 = lower[best]
+                        x3, y3 = tk, hk
+                        max_dx, max_dy = x3 - x1, y3 - y1
+                        ls = best
+                        end = len(upper)
+                        while end >= us + 2:
+                            ox, oy = upper[end - 2]
+                            ax, ay = upper[end - 1]
+                            if (ax - ox) * (hk - oy) - (ay - oy) * (tk - ox) <= 0:
+                                end -= 1
+                            else:
+                                break
+                        del upper[end:]
+                        upper.append((tk, hk))
+                    # Does the lower endpoint sharpen the min slope?
+                    if min_dy * (tk - x0) < (lk - y0) * min_dx:
+                        best = us
+                        px, py = upper[best]
+                        bx = px - tk
+                        by = py - lk
+                        for j in range(best + 1, len(upper)):
+                            px, py = upper[j]
+                            cx = px - tk
+                            cy = py - lk
+                            if cy * bx < by * cx:
+                                break
+                            bx, by = cx, cy
+                            best = j
+                        x0, y0 = upper[best]
+                        x2, y2 = tk, lk
+                        min_dx, min_dy = x2 - x0, y2 - y0
+                        us = best
+                        end = len(lower)
+                        while end >= ls + 2:
+                            ox, oy = lower[end - 2]
+                            ax, ay = lower[end - 1]
+                            if (ax - ox) * (lk - oy) - (ay - oy) * (tk - ox) >= 0:
+                                end -= 1
+                            else:
+                                break
+                        del lower[end:]
+                        lower.append((tk, lk))
+                elif count:
+                    x2, y2, x3, y3 = tk, lk, tk, hk
+                    min_dx, min_dy, max_dx, max_dy = x2 - x0, y2 - y0, x3 - x1, y3 - y1
+                    upper.append((tk, hk))
+                    lower.append((tk, lk))
+                else:
+                    x0, y0, x1, y1 = tk, hk, tk, lk
+                    upper.append((tk, hk))
+                    lower.append((tk, lk))
+                    us = ls = 0
+                count += 1
+                last = tk
+                k += 1
+        finally:
+            self._upper_start, self._lower_start = us, ls
+            self._rect = (x0, y0, x1, y1, x2, y2, x3, y3)
+            self._count, self._last_t = count, last
+        return k
+
+
+def _anchored_longest(z, start, model, eps):
+    """MAKE-APPROXIMATION for an anchored kind, through the frozen fitter:
+    the steps of ``models._AnchoredFitter``."""
+    fitter = _FrozenFitter()
+    anchor_x, anchor_z = start + 1, float(z[start])
+    k = start + 1
+    while k < len(z):
+        t, lo, hi = model.transform_anchored(k + 1, float(z[k]), eps, anchor_x, anchor_z)
+        if not (math.isfinite(t) and math.isfinite(lo) and math.isfinite(hi)):
+            break
+        if lo > hi or not fitter.add(t, lo, hi):
+            break
+        k += 1
+    if fitter.count == 0:
+        return k, model.params_from_anchor_only(anchor_x, anchor_z)
+    m, b = fitter.line()
+    return k, model.params_from_line_anchored(m, b, anchor_x, anchor_z)
+
+
 def _reference_partition(z, models, eps_set, lossy=False):
     """Algorithm 1 with every pair's transform held at once and each fragment
     fitted when the relaxation reaches its start (the implementation the
@@ -201,24 +339,42 @@ def _reference_partition(z, models, eps_set, lossy=False):
             )
             cbits.append(0 if lossy else correction_bits(eps))
             kappa.append(kap)
-    n_pairs = len(pairs)
-    starts = [0] * n_pairs
-    ends = [0] * n_pairs
-    fitter = RangeLineFitter()
+    fitter = _FrozenFitter()
     reset, extend = fitter.reset, fitter.extend
 
     def longest(p, k):
         pre = cached[p]
         if pre is None:
             model, eps = pairs[p]
-            fit = make_approximation(z, k, model, eps)
-            return fit.end, fit.params
+            return _anchored_longest(z, k, model, eps)
         reset()
         end = extend(pre[0], pre[1], pre[2], k, n)
         if end == k:
             raise RuntimeError(f"model {pairs[p][0].name!r} cannot start at index {k}")
         return end, None
 
+    path, cost = _reference_relaxation(
+        n, lambda p, k: longest(p, k)[0], cbits, kappa
+    )
+    fragments = []
+    for u, v, p, s in path:
+        _, params = longest(p, s)
+        model, eps = pairs[p]
+        if params is None:
+            params = model.params_from_line(*fitter.line())
+        fragments.append(Fragment(u, v, model.name, eps, params))
+    return PartitionResult(fragments, cost)
+
+
+def _reference_relaxation(n, open_at, cbits, kappa):
+    """Lines 7-26 of Algorithm 1 as they ran before the relaxation made one
+    pass per node and left duplicate chains out: per node k, one pass over
+    every pair for the prefix edges into k, then one for the suffix edges out
+    of k.  ``open_at(p, k)`` is the end of the fragment pair p opens at k.
+    Returns the path as ``(u, v, p, s)`` steps, and its cost."""
+    n_pairs = len(cbits)
+    starts = [0] * n_pairs
+    ends = [0] * n_pairs
     INF = float("inf")
     distance = [INF] * (n + 1)
     distance[0] = 0.0
@@ -227,7 +383,7 @@ def _reference_partition(z, models, eps_set, lossy=False):
         dk = distance[k]
         for p in range(n_pairs):
             if ends[p] <= k:
-                ends[p] = longest(p, k)[0]
+                ends[p] = open_at(p, k)
                 starts[p] = k
             else:
                 i = starts[p]
@@ -241,18 +397,14 @@ def _reference_partition(z, models, eps_set, lossy=False):
             if cand < distance[j]:
                 distance[j] = cand
                 previous[j] = (k, p, starts[p])
-    fragments = []
+    path = []
     v = n
     while v > 0:
         u, p, s = previous[v]
-        _, params = longest(p, s)
-        model, eps = pairs[p]
-        if params is None:
-            params = model.params_from_line(*fitter.line())
-        fragments.append(Fragment(u, v, model.name, eps, params))
+        path.append((u, v, p, s))
         v = u
-    fragments.reverse()
-    return PartitionResult(fragments, distance[n])
+    path.reverse()
+    return path, distance[n]
 
 
 def _build_series(pieces):
@@ -288,17 +440,30 @@ def _shifted(y, eps_set):
     return y.astype(np.float64) + (1 + max(eps_set) - int(y.min()))
 
 
+#: model lists in any order, repeats allowed: a three-parameter kind listed
+#: before a two-parameter one gives a later pair the smaller κ, and a repeated
+#: kind gives pairs whose chains, widths and κ are equal
+model_lists = st.lists(st.sampled_from(ALL_MODELS), min_size=1, max_size=4)
+#: error bounds, repeats likely: a repeated ε also gives equal pairs
+eps_values = st.one_of(st.sampled_from([1, 3, 7, 100]), st.integers(1, 2**12))
+_CONSTANT = np.full(40, 7, dtype=np.int64)
+
+
 class TestAgainstReference:
     @given(
         y=shaped_series,
-        models=st.lists(
-            st.sampled_from(ALL_MODELS), min_size=1, max_size=4, unique=True
-        ),
-        eps=st.lists(st.integers(1, 2**12), max_size=3, unique=True),
+        models=model_lists,
+        eps=st.lists(eps_values, max_size=3),
         zero_at=st.integers(0, 3),
         lossy=st.booleans(),
     )
-    @settings(max_examples=60, deadline=None)
+    # Every kind fits a constant series in one fragment, so every pair's
+    # chain is [40]: a later pair with the smaller κ (linear after the
+    # anchored quadratic) or the smaller width (ε = 0 after 7) must stay in.
+    @example(y=_CONSTANT, models=["anchored_quadratic", "linear"], eps=[],
+             zero_at=0, lossy=False)
+    @example(y=_CONSTANT, models=["linear"], eps=[7], zero_at=1, lossy=False)
+    @settings(max_examples=80, deadline=None)
     def test_same_fragments_and_cost(self, y, models, eps, zero_at, lossy):
         eps_set = [float(e) for e in eps]
         eps_set.insert(min(zero_at, len(eps_set)), 0.0)
@@ -308,12 +473,64 @@ class TestAgainstReference:
         assert got.fragments == want.fragments
         assert got.cost_bits == want.cost_bits
 
+    @given(y=shaped_series, models=model_lists, eps=st.integers(0, 2**12))
+    @example(y=_CONSTANT, models=["gaussian", "radical"], eps=0)
+    @settings(max_examples=40, deadline=None)
+    def test_partition_lossy(self, y, models, eps):
+        z = _shifted(y, [eps])
+        got = partition_lossy(z, models, float(eps))
+        want = _reference_partition(z, models, [float(eps)], lossy=True)
+        assert got.fragments == want.fragments
+        assert got.cost_bits == want.cost_bits
+
+
+@st.composite
+def chain_sets(draw):
+    """Chains of up to 6 pairs over 1-40 nodes with widths 0-3 and κ 0-6, so
+    that ties are frequent; a pair may repeat an earlier pair's chain."""
+    n = draw(st.integers(1, 40))
+    chains, cbits, kappa = [], [], []
+    for _ in range(draw(st.integers(1, 6))):
+        if chains and draw(st.booleans()):
+            chain = draw(st.sampled_from(chains))
+        else:
+            inner = draw(st.sets(st.integers(1, max(n - 1, 1)), max_size=n - 1))
+            chain = array("q", sorted(e for e in inner if e < n) + [n])
+        chains.append(chain)
+        cbits.append(draw(st.integers(0, 3)))
+        kappa.append(draw(st.integers(0, 6)))
+    return n, chains, cbits, kappa
+
+
+class TestShortestPathAgainstReference:
+    """The one-pass relaxation over distinct chains against the two-pass one
+    over every pair, on crafted chains: the same path, back-pointers and
+    cost, ties included."""
+
+    @given(chain_sets())
+    # Node 1 ties at 6 between pair 1's suffix edge (0, 1) and pair 0's
+    # prefix edge (0, 1): the suffix edge wins, and the path 0 -> 1 -> 3 uses
+    # it, though pair 0 comes first.
+    @example((3, [array("q", [2, 3]), array("q", [1, 3])], [3, 1], [3, 5]))
+    # Node 1 ties at 2 between the prefix edges (0, 1) of pairs 0 and 2: the
+    # lower pair wins, and the path 0 -> 1 -> 4 uses it.
+    @example((4, [array("q", [4]), array("q", [1, 4]), array("q", [2, 4])],
+              [2, 0, 2], [0, 4, 0]))
+    @settings(max_examples=300, deadline=None)
+    def test_same_path_and_cost(self, case):
+        n, chains, cbits, kappa = case
+        iters = [iter(chain) for chain in chains]
+        want = _reference_relaxation(
+            n, lambda p, k: next(iters[p]), cbits, kappa
+        )
+        assert _shortest_path(n, chains, cbits, kappa) == want
+
 
 class TestMemory:
     def test_one_pair_transform_at_a_time(self):
         """44 (f, ε) pairs over 1,024 values: holding every pair's transform
-        as Python floats peaked at 4.2 MiB traced; one transform at a time
-        plus the chain ends peaks near 0.4 MiB."""
+        as Python floats peaked at 4.2 MiB traced; each abscissa list once,
+        one ε's bound lists at a time and the chain ends peak near 0.34 MiB."""
         rng = np.random.default_rng(7)
         y = np.cumsum(rng.integers(-50, 51, 1024))
         eps_set = [0.0] + [float((1 << b) - 1) for b in range(1, 11)]
@@ -332,8 +549,8 @@ class TestMemory:
     def test_back_pointers_in_int64_columns(self):
         """One (f, ε) pair over 20,000 values of exactly linear pieces: with
         a tuple per node the back-pointers took the traced peak to 4.3 MiB;
-        three int64 columns freed before the refit leave 2.9 MiB (3.4 MiB
-        if they outlive it)."""
+        three int64 columns freed before the refit left 2.9 MiB with the
+        distances kept through it, and 2.3 MiB with both freed."""
         rng = np.random.default_rng(5)
         slopes = rng.integers(-20, 21, 40)
         z = _shifted(np.cumsum(np.repeat(slopes, 500)), [0.0])

@@ -15,6 +15,7 @@ from repro.core.partition import (
     correction_bits,
 )
 from repro.core.piecewise import piecewise_approximation
+from repro.core.transforms import PairTransform, two_point_starts
 
 SETTINGS = dict(max_examples=40, deadline=None)
 
@@ -150,6 +151,33 @@ class TestFitterInvariants:
         assert reused.extend(t, lo, hi, start, len(t)) == end
         assert reused.count == fresh.count == end - start
         assert reused.line() == fresh.line()
+
+    @given(
+        ranges=st.lists(
+            st.tuples(
+                st.one_of(st.floats(-100, 100), st.integers(-3, 3)),
+                st.one_of(st.floats(0, 20), st.sampled_from([0, 1])),
+            ),
+            min_size=1,
+            max_size=80,
+        )
+    )
+    @settings(**SETTINGS)
+    def test_chain_equals_extend_from_each_start(self, ranges):
+        """``chain`` ends every fragment where ``reset`` plus ``extend`` from
+        its start does, with or without the two-point marks."""
+        t = [float(k + 1) for k in range(len(ranges))]
+        lo = [mid - half for mid, half in ranges]
+        hi = [mid + half for mid, half in ranges]
+        fitter = RangeLineFitter()
+        want, k = [], 0
+        while k < len(t):
+            fitter.reset()
+            k = fitter.extend(t, lo, hi, k, len(t))
+            want.append(k)
+        two = two_point_starts(PairTransform(*map(np.array, (t, lo, hi))))
+        assert fitter.chain(t, lo, hi, two.tolist()).tolist() == want
+        assert fitter.chain(t, lo, hi, [False] * len(t)).tolist() == want
 
 
 class TestPiecewiseInvariants:

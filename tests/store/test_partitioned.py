@@ -1,6 +1,9 @@
 """Tests for PartitionedSeriesDB: placement, scatter-gather, migration."""
 
+import builtins
+import io
 import json
+import os
 import zlib
 
 import numpy as np
@@ -52,6 +55,48 @@ class TestProtocol:
         again = open_store(pdb.root)
         assert isinstance(again, PartitionedSeriesDB)
         again.close()
+
+    @pytest.mark.parametrize("kind", [SeriesDB, PartitionedSeriesDB])
+    def test_open_store_reads_the_root_manifest_once(
+        self, tmp_path, monkeypatch, kind
+    ):
+        root = tmp_path / "db"
+        with kind(root) as db:
+            db.ingest("s", np.arange(10, dtype=np.int64))
+        manifest = os.path.abspath(root / "MANIFEST.json")
+        reads = []
+        real_open = io.open
+
+        def counting_open(file, *args, **kwargs):
+            if isinstance(file, (str, os.PathLike)) and (
+                os.path.abspath(file) == manifest
+            ):
+                reads.append(file)
+            return real_open(file, *args, **kwargs)
+
+        # pathlib reads through io.open, a bare open() through builtins.
+        monkeypatch.setattr(io, "open", counting_open)
+        monkeypatch.setattr(builtins, "open", counting_open)
+        store = open_store(root)
+        monkeypatch.undo()
+        assert isinstance(store, kind)
+        assert int(store.count("s")) == 10
+        store.close()
+        assert len(reads) == 1
+
+    @pytest.mark.parametrize("kind", [SeriesDB, PartitionedSeriesDB])
+    def test_open_store_names_a_corrupt_or_missing_manifest(self, tmp_path, kind):
+        root = tmp_path / "db"
+        kind(root).close()
+        manifest = root / "MANIFEST.json"
+        manifest.write_bytes(manifest.read_bytes()[:-20])
+        with pytest.raises(ValueError, match="corrupt manifest") as info:
+            open_store(root)
+        assert str(manifest) in str(info.value)
+        manifest.unlink()
+        with pytest.raises(ValueError, match="no SeriesDB manifest") as info:
+            open_store(root)
+        assert str(root) in str(info.value)
 
 
 class TestPlacement:
