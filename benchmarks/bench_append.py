@@ -8,6 +8,10 @@ Measures the two claims of the streaming ingest path:
 * the append is far cheaper than what a one-shot ``RPAC0001`` archive
   forces: decode everything, concatenate, recompress, rewrite — O(S + M).
 
+No other harness times an ``RPAL0001`` append: ``repro bench`` tracks
+codec-level numbers and ``perfbench/`` the store's group log, not the
+appendable container.
+
 Run the full-scale numbers as a script::
 
     PYTHONPATH=src python benchmarks/bench_append.py

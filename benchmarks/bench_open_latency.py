@@ -10,6 +10,10 @@ Measures the two claims of the zero-copy open path:
   loading the old values-fallback frame for the same data, which had to
   re-run the compressor.
 
+The second number is this file's alone: ``repro bench`` tracks eager vs
+lazy open for the XOR family (``BENCH_open_latency.json``), and no other
+harness loads a values-fallback frame.
+
 Run the full-scale numbers as a script::
 
     PYTHONPATH=src python benchmarks/bench_open_latency.py

@@ -10,6 +10,10 @@ vectorised pass.  Also verifies, at benchmark scale, that a ``SeriesDB``
 snapshot survives a save/load/query round-trip with byte-identical shard
 frames.
 
+No other harness times ``compress_many``'s process pool against serial
+compression: ``repro bench`` measures one codec call at a time, and
+``perfbench/`` runs the store end to end.
+
 Run the full-scale numbers as a script::
 
     PYTHONPATH=src python benchmarks/bench_parallel_compress.py

@@ -2,6 +2,8 @@
 
 from .evaluation import (
     EvaluationResult,
+    lossless_codecs,
+    make_codec,
     render_fig2,
     render_fig3,
     render_table3,
@@ -14,7 +16,6 @@ from .measure import (
     measure_random_access,
     measure_range_throughput,
 )
-from .registry import ALL_NAMES, make_compressor
 from .table2 import Table2Row, calibrate_eps, render_table2, run_table2
 
 __all__ = [
@@ -27,6 +28,8 @@ __all__ = [
     "render_fig2",
     "render_fig3",
     "EvaluationResult",
+    "lossless_codecs",
+    "make_codec",
     "run_fig4",
     "render_fig4",
     "Fig4Result",
@@ -34,6 +37,4 @@ __all__ = [
     "measure_lossless",
     "measure_random_access",
     "measure_range_throughput",
-    "ALL_NAMES",
-    "make_compressor",
 ]

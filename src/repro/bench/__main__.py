@@ -3,7 +3,7 @@
 Experiments
 -----------
 ``table2``     lossy: AA vs PLA vs NeaTS-L (ratio, MAPE)
-``table3``     lossless: ratio / decompression / random access, all compressors
+``table3``     lossless: ratio / decompression / random access, every codec
 ``fig2``       ratio vs compression speed (incl. LeaTS, SNeaTS)
 ``fig3``       ratio vs decompression and random-access speed
 ``fig4``       range-query throughput across range sizes
@@ -67,8 +67,7 @@ def main(argv: list[str] | None = None) -> int:
     if wants("table3") or wants("fig2") or wants("fig3"):
         print("== Running lossless evaluation ==", flush=True)
         result = run_evaluation(
-            args.datasets, n=args.n, access_queries=args.queries,
-            include_variants=True,
+            args.datasets, n=args.n, access_queries=args.queries
         )
         if wants("table3"):
             sections.append(render_table3(result))

@@ -1,8 +1,9 @@
 """The full lossless evaluation: Table III and Figures 2-3 share these runs.
 
-Running every compressor on every dataset is the expensive part, so the
-result object caches all measurements; the table and figure renderers then
-slice it without re-running anything.
+Running every codec on every dataset is the expensive part, so the result
+object caches all measurements; the table and figure renderers then slice it
+without re-running anything.  Codecs are registry ids; the renderers show
+each one under its display name (:func:`.render.display_name`).
 """
 
 from __future__ import annotations
@@ -11,73 +12,98 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ..codecs import available_codecs, codec_spec, get_codec
 from ..data import DATASETS
 from .measure import CompressorStats, measure_lossless, measure_random_access
-from .registry import ALL_NAMES, make_compressor
-from .render import render_scatter, render_table
+from .render import display_name, render_scatter, render_table
 
 __all__ = [
     "EvaluationResult",
+    "TABLE3_ORDER",
+    "lossless_codecs",
+    "make_codec",
     "run_evaluation",
     "render_table3",
     "render_fig2",
     "render_fig3",
 ]
 
+#: Table III's column order: the five general-purpose codecs, then the
+#: special-purpose ones, NeaTS's family last
+TABLE3_ORDER = (
+    "xz", "brotli", "zstd", "lz4", "snappy",
+    "chimp128", "chimp", "tsxor", "dac", "gorilla", "leco", "alp",
+    "neats", "leats", "sneats",
+)
+
+
+def lossless_codecs() -> list[str]:
+    """Every lossless registry id, in Table III's column order."""
+    rank = {cid: i for i, cid in enumerate(TABLE3_ORDER)}
+    ids = [cid for cid in available_codecs() if not codec_spec(cid).lossy]
+    return sorted(ids, key=lambda cid: rank.get(cid, len(rank)))
+
+
+def make_codec(codec_id: str, digits: int = 0):
+    """A fresh compressor for ``codec_id``; ``digits`` goes to codecs using it."""
+    params = {"digits": digits} if codec_spec(codec_id).needs_digits else {}
+    return get_codec(codec_id, **params)
+
 
 @dataclass
 class EvaluationResult:
-    """All measurements for a set of datasets × compressors."""
+    """All measurements for a set of datasets × codecs."""
 
     stats: dict[str, dict[str, CompressorStats]] = field(default_factory=dict)
     datasets: list[str] = field(default_factory=list)
-    compressors: list[str] = field(default_factory=list)
+    codecs: list[str] = field(default_factory=list)
 
     def average(self, metric: str) -> dict[str, float]:
         """Average a :class:`CompressorStats` property across datasets."""
         out = {}
-        for comp in self.compressors:
+        for cid in self.codecs:
             vals = [
-                getattr(self.stats[ds][comp], metric)
+                getattr(self.stats[ds][cid], metric)
                 for ds in self.datasets
-                if comp in self.stats[ds]
+                if cid in self.stats[ds]
             ]
-            out[comp] = float(np.mean(vals)) if vals else float("nan")
+            out[cid] = float(np.mean(vals)) if vals else float("nan")
         return out
 
 
 def run_evaluation(
     datasets: list[str] | None = None,
-    compressors: list[str] | None = None,
+    codecs: list[str] | None = None,
     n: int | None = None,
     access_queries: int = 500,
-    include_variants: bool = False,
+    repeats: int = 1,
     verbose: bool = True,
 ) -> EvaluationResult:
-    """Measure ratio, speeds, and random access for the whole line-up."""
-    datasets = datasets or list(DATASETS)
-    compressors = list(compressors or ALL_NAMES)
-    if include_variants:
-        for extra in ("LeaTS", "SNeaTS"):
-            if extra not in compressors:
-                compressors.append(extra)
+    """Measure ratio, speeds, and random access for every codec.
 
-    result = EvaluationResult(datasets=datasets, compressors=compressors)
+    ``codecs`` are registry ids (default: :func:`lossless_codecs`); each
+    speed is the best of ``repeats`` timed runs.
+    """
+    datasets = datasets or list(DATASETS)
+    codecs = list(codecs or lossless_codecs())
+
+    result = EvaluationResult(datasets=datasets, codecs=codecs)
     for ds in datasets:
         info = DATASETS[ds]
         y = info.generate(n)
         result.stats[ds] = {}
-        for comp_name in compressors:
-            comp = make_compressor(comp_name, digits=info.digits)
-            stats = measure_lossless(comp, y, dataset=ds)
+        for cid in codecs:
+            stats = measure_lossless(
+                make_codec(cid, info.digits), y, dataset=ds, repeats=repeats
+            )
             compressed = stats.extras.pop("compressed")
             stats.access_seconds_per_query = measure_random_access(
                 compressed, y, queries=access_queries
             )
-            result.stats[ds][comp_name] = stats
+            result.stats[ds][cid] = stats
             if verbose:
                 print(
-                    f"  [{ds}] {comp_name:10s} ratio {stats.ratio_pct:6.2f}%  "
+                    f"  [{ds}] {display_name(cid):10s} ratio {stats.ratio_pct:6.2f}%  "
                     f"comp {stats.compress_mb_s:8.3f} MB/s  "
                     f"dec {stats.decompress_mb_s:8.2f} MB/s  "
                     f"ra {stats.access_mb_s:8.3f} MB/s"
@@ -88,14 +114,14 @@ def run_evaluation(
 def _table_for_metric(
     result: EvaluationResult, metric: str, fmt: str, title: str, best: str
 ) -> str:
-    headers = ["Dataset"] + result.compressors
+    headers = ["Dataset"] + [display_name(cid) for cid in result.codecs]
     rows = []
     highlight = {}
     for r_idx, ds in enumerate(result.datasets):
         row = [ds]
         vals = []
-        for comp in result.compressors:
-            v = getattr(result.stats[ds][comp], metric)
+        for cid in result.codecs:
+            v = getattr(result.stats[ds][cid], metric)
             vals.append(v)
             row.append(fmt % v)
         chooser = min if best == "min" else max
@@ -128,7 +154,7 @@ def render_fig2(result: EvaluationResult) -> str:
     """Figure 2: compression ratio vs compression speed (averages)."""
     ratios = result.average("ratio_pct")
     speeds = result.average("compress_mb_s")
-    points = {c: (ratios[c], speeds[c]) for c in result.compressors}
+    points = {display_name(c): (ratios[c], speeds[c]) for c in result.codecs}
     plot = render_scatter(
         points,
         xlabel="compression ratio (%)",
@@ -137,8 +163,8 @@ def render_fig2(result: EvaluationResult) -> str:
         log_y=True,
     )
     listing = "\n".join(
-        f"  {c:10s} ratio {ratios[c]:6.2f}%  speed {speeds[c]:10.4f} MB/s"
-        for c in sorted(result.compressors, key=lambda c: ratios[c])
+        f"  {display_name(c):10s} ratio {ratios[c]:6.2f}%  speed {speeds[c]:10.4f} MB/s"
+        for c in sorted(result.codecs, key=lambda c: ratios[c])
     )
     return plot + "\n" + listing
 
@@ -149,21 +175,21 @@ def render_fig3(result: EvaluationResult) -> str:
     dec = result.average("decompress_mb_s")
     acc = result.average("access_mb_s")
     left = render_scatter(
-        {c: (ratios[c], dec[c]) for c in result.compressors},
+        {display_name(c): (ratios[c], dec[c]) for c in result.codecs},
         xlabel="compression ratio (%)",
         ylabel="decompression speed (MB/s)",
         title="Figure 3 (left): ratio vs decompression speed",
     )
     right = render_scatter(
-        {c: (ratios[c], acc[c]) for c in result.compressors},
+        {display_name(c): (ratios[c], acc[c]) for c in result.codecs},
         xlabel="compression ratio (%)",
         ylabel="random access speed (MB/s, log)",
         title="Figure 3 (right): ratio vs random access speed",
         log_y=True,
     )
     listing = "\n".join(
-        f"  {c:10s} ratio {ratios[c]:6.2f}%  dec {dec[c]:9.2f} MB/s  "
+        f"  {display_name(c):10s} ratio {ratios[c]:6.2f}%  dec {dec[c]:9.2f} MB/s  "
         f"ra {acc[c]:8.3f} MB/s"
-        for c in sorted(result.compressors, key=lambda c: ratios[c])
+        for c in sorted(result.codecs, key=lambda c: ratios[c])
     )
     return left + "\n\n" + right + "\n" + listing

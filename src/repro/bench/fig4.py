@@ -12,18 +12,18 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..data import DATASETS
+from .evaluation import make_codec
 from .measure import measure_range_throughput
-from .registry import make_compressor
-from .render import render_table
+from .render import display_name, render_table
 
 __all__ = ["Fig4Result", "run_fig4", "render_fig4"]
 
-FIG4_COMPRESSORS = ["ALP", "DAC", "Lz4*", "NeaTS"]
+FIG4_CODECS = ["alp", "dac", "lz4", "neats"]
 
 
 @dataclass
 class Fig4Result:
-    """Throughput (queries/s) per compressor per range size."""
+    """Throughput (queries/s) per codec id per range size."""
 
     range_sizes: list[int]
     throughput: dict[str, list[float]] = field(default_factory=dict)
@@ -34,41 +34,43 @@ def run_fig4(
     n: int | None = None,
     max_exponent: int = 10,
     queries: int = 30,
-    compressors: list[str] | None = None,
+    codecs: list[str] | None = None,
     verbose: bool = True,
 ) -> Fig4Result:
-    """Measure range-query throughput averaged over ``datasets``."""
+    """Measure range-query throughput averaged over ``datasets``.
+
+    ``codecs`` are registry ids (default: :data:`FIG4_CODECS`).
+    """
     datasets = datasets or ["IT", "US", "WD"]
-    compressors = compressors or FIG4_COMPRESSORS
+    codecs = codecs or FIG4_CODECS
     range_sizes = [10 * (1 << k) for k in range(max_exponent + 1)]
-    sums = {c: [0.0] * len(range_sizes) for c in compressors}
+    sums = {c: [0.0] * len(range_sizes) for c in codecs}
 
     for ds in datasets:
         info = DATASETS[ds]
         y = info.generate(n)
-        for comp_name in compressors:
-            comp = make_compressor(comp_name, digits=info.digits)
-            compressed = comp.compress(y)
+        for cid in codecs:
+            compressed = make_codec(cid, info.digits).compress(y)
             for i, size in enumerate(range_sizes):
                 if size > len(y):
-                    sums[comp_name][i] += float("nan")
+                    sums[cid][i] += float("nan")
                     continue
                 qps = measure_range_throughput(
                     compressed, y, size, queries=queries
                 )
-                sums[comp_name][i] += qps
+                sums[cid][i] += qps
             if verbose:
-                print(f"  [{ds}] {comp_name} done")
+                print(f"  [{ds}] {cid} done")
 
     result = Fig4Result(range_sizes=range_sizes)
-    for c in compressors:
+    for c in codecs:
         result.throughput[c] = [s / len(datasets) for s in sums[c]]
     return result
 
 
 def render_fig4(result: Fig4Result) -> str:
     """Format throughput like the paper's Figure 4 (one row per size)."""
-    headers = ["Range size"] + list(result.throughput)
+    headers = ["Range size"] + [display_name(c) for c in result.throughput]
     rows = []
     for i, size in enumerate(result.range_sizes):
         row = [str(size)]

@@ -2,7 +2,14 @@
 
 from __future__ import annotations
 
-__all__ = ["render_table", "render_scatter"]
+from ..codecs import codec_spec
+
+__all__ = ["display_name", "render_table", "render_scatter"]
+
+
+def display_name(codec_id: str) -> str:
+    """The name a registry codec goes by in the paper's tables."""
+    return codec_spec(codec_id).table_name
 
 
 def render_table(

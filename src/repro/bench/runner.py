@@ -1,8 +1,14 @@
-"""Tracked kernel benchmarks: the committed ``BENCH_*.json`` artefacts.
+"""Tracked benchmarks: the committed ``BENCH_*.json`` artefacts.
 
-Unlike the paper-reproduction harness (tables/figures), this runner tracks
-the *repository's own* hot paths across PRs:
+The one codec-level pipeline: unlike the paper-reproduction harness
+(``python -m repro.bench``, which renders the tables and figures), this
+runner writes numbers that are committed and compared across changes.  Its
+Table III suite runs that harness's own measurement code.
 
+* ``BENCH_table3.json`` — the paper's Table III for every lossless codec in
+  the registry on the 16 generators at their default seeds: bits per value
+  (``size_bits() / n``), compress and decompress MB/s, and warm point
+  access latency, per rung of a size ladder.
 * ``BENCH_table3_decompression.json`` — full-decompression wall time for
   the XOR family under the scalar (``python``) and vectorised (``numpy``)
   kernel backends, with the speedup per codec.
@@ -14,12 +20,13 @@ the *repository's own* hot paths across PRs:
 Timings are best-of-``repeats`` (containerised CI timers are noisy; the
 minimum is the most stable location statistic).  ``--quick`` shrinks the
 series so the pipeline can run as a CI smoke test; the committed artefacts
-come from a full run.
+come from a full run.  Every file's meta records the CPU count.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import platform
 import tempfile
 import time
@@ -28,6 +35,8 @@ from pathlib import Path
 import numpy as np
 
 from .. import kernels
+from ..data import DATASETS
+from .evaluation import lossless_codecs, run_evaluation
 
 __all__ = ["run_bench", "BENCH_FILES"]
 
@@ -35,6 +44,7 @@ __all__ = ["run_bench", "BENCH_FILES"]
 XOR_CODECS = ("gorilla", "chimp", "chimp128", "tsxor")
 
 BENCH_FILES = (
+    "BENCH_table3.json",
     "BENCH_table3_decompression.json",
     "BENCH_open_latency.json",
     "BENCH_random_access.json",
@@ -42,6 +52,8 @@ BENCH_FILES = (
 
 _FULL_N = 1_000_000
 _QUICK_N = 20_000
+#: Table III's size ladder: a quick run measures the first rung only
+_TABLE3_RUNGS = (4_096, 65_536)
 
 
 def _series(n: int, seed: int = 42) -> np.ndarray:
@@ -68,13 +80,50 @@ def _best(fn, repeats: int) -> float:
     return best
 
 
-def _meta(n: int, repeats: int) -> dict:
+def _nproc() -> int:
+    """CPUs this process may run on (what ``nproc`` prints)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity API on this platform
+        return os.cpu_count() or 1
+
+
+def _meta(repeats: int, **sizes) -> dict:
     return {
-        "n": n,
+        **sizes,
         "repeats": repeats,
+        "nproc": _nproc(),
         "python": platform.python_version(),
         "numpy": np.__version__,
         "backends": list(kernels.BACKENDS),
+    }
+
+
+def bench_table3(rungs: tuple[int, ...], repeats: int, log=None) -> dict:
+    """Table III for every lossless codec on every generator, per rung."""
+    codecs = lossless_codecs()
+    seeds = {name: info.seed for name, info in DATASETS.items()}
+    out = {"meta": _meta(repeats, rungs=list(rungs), seeds=seeds), "rungs": {}}
+    for n in rungs:
+        if log:
+            log(f"  {len(codecs)} codecs x {len(seeds)} generators, n={n:,}")
+        result = run_evaluation(
+            codecs=codecs, n=n, repeats=repeats, verbose=log is not None
+        )
+        out["rungs"][str(n)] = {
+            cid: {ds: _table3_row(result.stats[ds][cid]) for ds in seeds}
+            for cid in codecs
+        }
+    return out
+
+
+def _table3_row(stats) -> dict:
+    """One (codec, generator) cell: the three panels of Table III."""
+    return {
+        "bits_per_value": stats.compressed_bits / stats.n,
+        "compress_mb_s": round(stats.compress_mb_s, 3),
+        "decompress_mb_s": round(stats.decompress_mb_s, 3),
+        "warm_access_us": round(stats.access_seconds_per_query * 1e6, 3),
     }
 
 
@@ -104,7 +153,7 @@ def bench_decompression(n: int, repeats: int, log=None) -> dict:
         if log:
             log(f"  {cid}: python={t_python:.3f}s numpy={t_numpy:.3f}s "
                 f"({codecs[cid]['speedup']}x)")
-    return {"meta": _meta(n, repeats), "codecs": codecs}
+    return {"meta": _meta(repeats, n=n), "codecs": codecs}
 
 
 def bench_open_latency(n: int, repeats: int, log=None) -> dict:
@@ -113,7 +162,7 @@ def bench_open_latency(n: int, repeats: int, log=None) -> dict:
     from ..codecs import open_archive, save
 
     series = _series(n)
-    out = {"meta": _meta(n, repeats), "codecs": {}}
+    out = {"meta": _meta(repeats, n=n), "codecs": {}}
     with tempfile.TemporaryDirectory() as tmp:
         for cid in ("gorilla", "chimp"):
             path = Path(tmp) / f"{cid}.rpac"
@@ -151,7 +200,7 @@ def bench_random_access(n: int, repeats: int, log=None) -> dict:
     series = _series(n)
     rng = np.random.default_rng(7)
     points = rng.integers(0, n, 256)
-    out = {"meta": _meta(n, repeats), "codecs": {}}
+    out = {"meta": _meta(repeats, n=n), "codecs": {}}
     with tempfile.TemporaryDirectory() as tmp:
         for cid in ("gorilla", "tsxor"):
             path = Path(tmp) / f"{cid}.rpac"
@@ -181,24 +230,32 @@ def run_bench(
 ) -> list[Path]:
     """Run the tracked pipeline; write one JSON per benchmark.
 
-    Returns the written paths.  ``quick`` shrinks the series (CI smoke);
-    ``n`` overrides the series length outright.
+    Returns the written paths.  ``quick`` shrinks the series and takes one
+    repeat (CI smoke); ``n`` overrides every series length outright, the
+    Table III ladder included.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    n = n or (_QUICK_N if quick else _FULL_N)
+    if n:
+        rungs = (n,)
+    else:
+        rungs = _TABLE3_RUNGS[:1] if quick else _TABLE3_RUNGS
+        n = _QUICK_N if quick else _FULL_N
     repeats = 1 if quick else 3
     suites = (
-        ("BENCH_table3_decompression.json", bench_decompression),
-        ("BENCH_open_latency.json", bench_open_latency),
-        ("BENCH_random_access.json", bench_random_access),
+        ("BENCH_table3.json", lambda: bench_table3(rungs, repeats, log=log)),
+        ("BENCH_table3_decompression.json",
+         lambda: bench_decompression(n, repeats, log=log)),
+        ("BENCH_open_latency.json",
+         lambda: bench_open_latency(n, repeats, log=log)),
+        ("BENCH_random_access.json",
+         lambda: bench_random_access(n, repeats, log=log)),
     )
     written = []
     for filename, suite in suites:
         if log:
             log(f"{filename}:")
-        payload = suite(n, repeats, log=log)
         path = out_dir / filename
-        path.write_text(json.dumps(payload, indent=2) + "\n")
+        path.write_text(json.dumps(suite(), indent=2) + "\n")
         written.append(path)
     return written

@@ -3,8 +3,7 @@
 The NeaTS frame (``NeaTS102``) writes its starts with the numpy
 Elias-Fano functions of :mod:`.eliasfano` and its widths and kind ids as
 packed bit fields (:func:`.packed.to_bits`); no NeaTS path builds one of the
-classes exported here.  DAC, LeCo, ALP and the timestamp codec use them, and
-:class:`WaveletTree` serves the structure ablations of ``benchmarks/``.
+classes exported here.  DAC, LeCo, ALP and the timestamp codec use them.
 """
 
 from .bitvector import BitVector
@@ -21,7 +20,6 @@ from .codes import (
 from .eliasfano import EliasFano
 from .io import BitReader, BitWriter
 from .packed import PackedArray, min_width
-from .wavelet import WaveletTree
 
 __all__ = [
     "BitReader",
@@ -29,7 +27,6 @@ __all__ = [
     "BitVector",
     "EliasFano",
     "PackedArray",
-    "WaveletTree",
     "min_width",
     "zigzag_encode",
     "zigzag_decode",

@@ -5,10 +5,10 @@ paper's references): absolute popcounts every 512-bit superblock and relative
 counts every 64-bit word give ``rank1`` in O(1); ``select1``/``select0`` use
 position sampling plus a bounded scan.
 
-It sits inside the Elias-Fano encoding and the wavelet tree, and holds
-DAC's continuation bitmaps.  §III-C also offers a length-``n`` bitvector over
-NeaTS's fragment starts ``S`` as an O(1)-rank alternative; the NeaTS
-storage bisects its start list instead, which needs no extra space.
+It sits inside the Elias-Fano encoding and holds DAC's continuation
+bitmaps.  §III-C also offers a length-``n`` bitvector over NeaTS's fragment
+starts ``S`` as an O(1)-rank alternative; the NeaTS storage bisects its
+start list instead, which needs no extra space.
 """
 
 from __future__ import annotations

@@ -1,7 +1,7 @@
 """Bit-level I/O over numpy ``uint64`` words.
 
 These are the lowest-level building blocks of the repository: every succinct
-structure (packed arrays, bitvectors, Elias-Fano, wavelet trees) and every
+structure (packed arrays, bitvectors, Elias-Fano) and every
 bit-oriented baseline compressor (Gorilla, Chimp, TSXor headers, DAC) sits on
 top of :class:`BitWriter` and :class:`BitReader`.
 

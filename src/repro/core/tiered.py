@@ -27,11 +27,11 @@ Both tiers take *any* codec from the registry, by id::
 and every sealed block implements the unified ``Compressed`` protocol, so
 the whole store serialises: :meth:`to_bytes` / :meth:`from_bytes` persist
 cold runs and hot blocks in their native framed layouts, and a non-empty
-write buffer as one more frame of the hot codec (the *tail frame*), so a
-flushed tail is stored compressed, never as raw int64.  A reloaded store
-answers from the tail frame and decodes it into the write buffer only on
-its first append; block boundaries never depend on when a snapshot was
-taken.
+write buffer as one more frame of the hot codec (the *tail frame*), or as
+raw int64 when that is smaller (a frame's fixed cost outweighs a tail of a
+few dozen values).  A reloaded store answers from the tail frame and
+decodes it into the write buffer only on its first append; block
+boundaries never depend on when a snapshot was taken.
 
 All three tiers answer ``access``/``range`` transparently.
 
@@ -426,11 +426,13 @@ class TieredStore:
         :mod:`repro.codecs.serialize`), so nothing is recompressed.  A
         non-empty write buffer is written as one frame of the hot codec
         after the hot blocks: encoded here from the raw buffer, or the
-        adopted tail frame written back as-is.  ``buffer_len`` in the
-        header counts its values, and ``tail_frame_len`` (present only
-        with a tail frame) its bytes, so a store with an empty buffer
-        serialises as it always did.  Requires both tiers to be
-        configured by codec id.
+        adopted tail frame written back as-is.  When that frame is larger
+        than the buffer as raw int64, the raw values go right after the
+        header instead, the layout written before tail frames existed.
+        ``buffer_len`` in the header counts the buffered values, and
+        ``tail_frame_len`` (present only with a tail frame) the frame's
+        bytes, so a store with an empty buffer serialises as it always
+        did.  Requires both tiers to be configured by codec id.
         """
         if self._hot_id is None or self._cold_id is None:
             raise ValueError(
@@ -443,6 +445,11 @@ class TieredStore:
         tail = self._tail
         if tail is None and self._buffer:
             tail = self._hot_codec.compress(np.array(self._buffer, dtype=np.int64))
+        tail_frame = raw = b""
+        if tail is not None:
+            tail_frame = tail.to_bytes()
+            if 8 * len(tail) < len(tail_frame):
+                raw, tail_frame = tail.decompress().tobytes(), b""
         meta = {
             "seal_threshold": self._seal_threshold,
             "hot_codec": self._hot_id,
@@ -455,12 +462,13 @@ class TieredStore:
             "frame_lens": [len(f) for f in frames],
             "cold_frame_lens": [len(f) for f in cold_frames],
         }
-        if tail is not None:
-            frames.append(tail.to_bytes())
-            meta["tail_frame_len"] = len(frames[-1])
+        if tail_frame:
+            frames.append(tail_frame)
+            meta["tail_frame_len"] = len(tail_frame)
         meta_b = json.dumps(meta, sort_keys=True).encode("utf-8")
         body = bytearray(INT64.pack(len(meta_b)))
         body += meta_b
+        body += raw
         for frame in cold_frames:
             body += frame
         for frame in frames:
@@ -478,9 +486,9 @@ class TieredStore:
         keep referencing the underlying buffer, which must stay alive.  A
         tail frame is adopted the same way and answers reads in place; the
         first ``append``/``extend``/``adopt_sealed`` decodes it into the
-        write buffer.  A snapshot with a raw int64 buffer (written before
-        tail frames) loads into the write buffer, and its next
-        :meth:`to_bytes` encodes it.  A tail frame whose value count is not
+        write buffer.  A snapshot with a raw int64 buffer (a tail smaller
+        raw than framed, or one written before tail frames) loads into the
+        write buffer.  A tail frame whose value count is not
         ``buffer_len``, or whose codec is not the hot codec, is refused.
         """
         from ..baselines.base import Compressed
@@ -529,8 +537,8 @@ class TieredStore:
             )
         buf_len = int(meta["buffer_len"])
         # A tail frame holds the write buffer after the hot blocks; without
-        # one (an empty buffer, or a snapshot written before tail frames)
-        # the buffer is raw int64 right after the header.
+        # one (an empty buffer, a tail smaller raw, or a snapshot written
+        # before tail frames) the buffer is raw int64 right after the header.
         tail_frame_lens = [meta["tail_frame_len"]] if "tail_frame_len" in meta else []
         tail_counts = [buf_len] * len(tail_frame_lens)
         if buf_len < 0 or any(c < 1 for c in hot_counts + cold_counts + tail_counts):

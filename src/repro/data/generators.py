@@ -38,16 +38,17 @@ class DatasetInfo:
     description: str
     generator: Callable[[np.random.Generator, int], np.ndarray]
 
+    @property
+    def seed(self) -> int:
+        """The dataset's default seed, derived from its code."""
+        return int.from_bytes(self.name.encode(), "little") % (2**32)
+
     def generate(self, n: int | None = None, seed: int | None = None) -> np.ndarray:
         """Generate ``n`` int64 values (uses per-dataset defaults)."""
         n = n or self.default_n
-        rng = np.random.default_rng(seed if seed is not None else _seed(self.name))
+        rng = np.random.default_rng(self.seed if seed is None else seed)
         raw = self.generator(rng, n)
         return np.round(raw * 10.0**self.digits).astype(np.int64)
-
-
-def _seed(name: str) -> int:
-    return int.from_bytes(name.encode(), "little") % (2**32)
 
 
 # ---------------------------------------------------------------------------

@@ -1,42 +1,48 @@
 """Unit tests for the benchmark harness (measurement and rendering)."""
 
+import time
+
 import numpy as np
 import pytest
 
 from repro.bench import (
-    ALL_NAMES,
     calibrate_eps,
-    make_compressor,
+    lossless_codecs,
+    make_codec,
     measure_lossless,
     measure_random_access,
     measure_range_throughput,
 )
+from repro.bench.evaluation import TABLE3_ORDER
 from repro.bench.measure import CompressorStats
-from repro.bench.registry import (
-    GENERAL_NAMES,
-    SPECIAL_NAMES,
+from repro.bench.render import display_name, render_scatter, render_table
+from repro.codecs.adapters import (
     LeaTSCompressor,
     NeaTSCompressor,
     SNeaTSCompressor,
 )
-from repro.bench.render import render_scatter, render_table
 
 
 class TestRegistry:
     def test_lineup_matches_table3(self):
-        assert GENERAL_NAMES == ["Xz", "Brotli*", "Zstd*", "Lz4*", "Snappy*"]
-        assert SPECIAL_NAMES[-1] == "NeaTS"
-        assert len(ALL_NAMES) == 13
+        """Table III's column order names every lossless registry id."""
+        ids = lossless_codecs()
+        assert ids == list(TABLE3_ORDER)
+        assert [display_name(c) for c in ids[:5]] == [
+            "Xz", "Brotli*", "Zstd*", "Lz4*", "Snappy*"
+        ]
+        assert ids[-3:] == ["neats", "leats", "sneats"]
 
-    @pytest.mark.parametrize("name", ["Xz", "DAC", "NeaTS", "LeaTS", "SNeaTS"])
-    def test_factories_work(self, name, walk_series):
-        comp = make_compressor(name, digits=2)
-        c = comp.compress(walk_series)
+    @pytest.mark.parametrize(
+        "codec_id", ["xz", "dac", "neats", "leats", "sneats"], ids=display_name
+    )
+    def test_factories_work(self, codec_id, walk_series):
+        c = make_codec(codec_id, digits=2).compress(walk_series)
         assert np.array_equal(c.decompress(), walk_series)
 
     def test_unknown_name_raises(self):
-        with pytest.raises(ValueError):
-            make_compressor("gzip")
+        with pytest.raises(ValueError, match="unknown codec 'gzip'"):
+            make_codec("gzip")
 
     def test_neats_adapters_expose_names(self):
         assert NeaTSCompressor().name == "NeaTS"
@@ -46,7 +52,7 @@ class TestRegistry:
 
 class TestMeasurement:
     def test_measure_lossless_stats(self, walk_series):
-        comp = make_compressor("DAC")
+        comp = make_codec("dac")
         stats = measure_lossless(comp, walk_series, dataset="T")
         assert stats.name == "DAC"
         assert 0 < stats.ratio < 2
@@ -66,13 +72,45 @@ class TestMeasurement:
                     def decompress(self_inner):
                         return values + 1
 
+                    def access(self_inner, k):
+                        return int(values[k]) + 1
+
                 return C()
 
         with pytest.raises(AssertionError):
             measure_lossless(Broken(), walk_series)
 
+    def test_one_time_set_up_is_not_timed(self, walk_series):
+        """A codec whose first decompress pays a 50 ms set-up pays it in the
+        untimed warm-up, not on the dataset being measured."""
+
+        class SlowFirstDecompress:
+            name = "slow-first"
+            set_up = False
+
+            def compress(self, values):
+                codec = self
+
+                class C:
+                    def size_bits(self_inner):
+                        return 64 * len(values)
+
+                    def decompress(self_inner):
+                        if not codec.set_up:
+                            codec.set_up = True
+                            time.sleep(0.05)
+                        return values.copy()
+
+                    def access(self_inner, k):
+                        return int(values[k])
+
+                return C()
+
+        stats = measure_lossless(SlowFirstDecompress(), walk_series)
+        assert stats.decompress_seconds < 0.05
+
     def test_random_access_measurement(self, walk_series):
-        comp = make_compressor("DAC")
+        comp = make_codec("dac")
         c = comp.compress(walk_series)
         spq = measure_random_access(c, walk_series, queries=50)
         assert spq > 0
@@ -86,7 +124,7 @@ class TestMeasurement:
             measure_random_access(Lying(), walk_series, queries=5)
 
     def test_range_throughput(self, walk_series):
-        comp = make_compressor("DAC")
+        comp = make_codec("dac")
         c = comp.compress(walk_series)
         qps = measure_range_throughput(c, walk_series, range_size=64, queries=5)
         assert qps > 0

@@ -18,10 +18,10 @@ from repro.bench import ablations
 
 @pytest.fixture(scope="module")
 def small_eval():
-    """One shared tiny evaluation over two datasets and four compressors."""
+    """One shared tiny evaluation over two datasets and four codecs."""
     return run_evaluation(
         datasets=["CT", "BP"],
-        compressors=["Zstd*", "DAC", "LeCo", "NeaTS"],
+        codecs=["zstd", "dac", "leco", "neats"],
         n=1200,
         access_queries=20,
         verbose=False,
@@ -50,7 +50,7 @@ class TestEvaluation:
     def test_stats_structure(self, small_eval):
         assert set(small_eval.stats) == {"CT", "BP"}
         for ds in small_eval.datasets:
-            assert set(small_eval.stats[ds]) == {"Zstd*", "DAC", "LeCo", "NeaTS"}
+            assert set(small_eval.stats[ds]) == {"zstd", "dac", "leco", "neats"}
 
     def test_average(self, small_eval):
         avg = small_eval.average("ratio_pct")
@@ -61,7 +61,7 @@ class TestEvaluation:
         assert "Table III (top)" in out
         assert "Table III (middle)" in out
         assert "Table III (bottom)" in out
-        assert "NeaTS" in out
+        assert "Zstd*" in out and "NeaTS" in out
 
     def test_render_fig2(self, small_eval):
         out = render_fig2(small_eval)
@@ -78,11 +78,12 @@ class TestFig4:
             datasets=["CT"], n=1200, max_exponent=4, queries=3, verbose=False
         )
         assert result.range_sizes == [10, 20, 40, 80, 160]
+        assert list(result.throughput) == ["alp", "dac", "lz4", "neats"]
         for comp, series in result.throughput.items():
             assert len(series) == 5
             assert all(v > 0 or np.isnan(v) for v in series)
         out = render_fig4(result)
-        assert "Figure 4" in out
+        assert "Figure 4" in out and "Lz4*" in out
 
 
 class TestAblations:
@@ -110,6 +111,17 @@ class TestCli:
         ])
         assert code == 0
         assert "Table II" in out_file.read_text()
+
+    @pytest.mark.parametrize("experiment, title", [
+        ("table3", "Table III (top)"),
+        ("fig4", "Figure 4"),
+    ])
+    def test_main_renders_from_codec_ids(self, capsys, experiment, title):
+        from repro.bench.__main__ import main
+
+        assert main(["-e", experiment, "-d", "BP", "--n", "400",
+                     "--queries", "20"]) == 0
+        assert title in capsys.readouterr().out
 
     def test_main_rejects_unknown_dataset(self):
         from repro.bench.__main__ import main

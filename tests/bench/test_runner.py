@@ -1,16 +1,35 @@
 """The tracked benchmark pipeline (repro bench)."""
 
 import json
+from pathlib import Path
 
 import pytest
 
-from repro.bench.runner import BENCH_FILES, _series, run_bench
+import repro
+from repro.bench import lossless_codecs
+from repro.bench.runner import (
+    BENCH_FILES,
+    _series,
+    bench_decompression,
+    bench_random_access,
+    run_bench,
+)
+from repro.codecs import codec_spec
+from repro.data import DATASETS
+
+ROOT = Path(__file__).resolve().parents[2]
+#: small enough for the whole quick pipeline, Table III included, in ~3 s
+TINY_N = 128
 
 
 @pytest.fixture(scope="module")
 def written(tmp_path_factory):
     out = tmp_path_factory.mktemp("bench")
-    return out, run_bench(out, quick=True, n=3000)
+    return out, run_bench(out, quick=True, n=TINY_N)
+
+
+def _payload(paths, name: str) -> dict:
+    return json.loads(next(p for p in paths if p.name == name).read_text())
 
 
 def test_series_is_deterministic():
@@ -24,13 +43,43 @@ def test_writes_every_tracked_artifact(written):
     assert sorted(p.name for p in paths) == sorted(BENCH_FILES)
     for p in paths:
         assert p.parent == out and p.exists()
+        assert _payload(paths, p.name)["meta"]["nproc"] >= 1
 
 
-def test_decompression_payload_shape(written):
+def test_table3_covers_every_lossless_codec_on_every_generator(written):
     _, paths = written
-    payload = json.loads(
-        next(p for p in paths if "decompression" in p.name).read_text()
+    payload = _payload(paths, "BENCH_table3.json")
+    assert payload["meta"]["rungs"] == [TINY_N]
+    assert payload["meta"]["seeds"] == {
+        name: info.seed for name, info in DATASETS.items()
+    }
+    rung = payload["rungs"][str(TINY_N)]
+    assert list(rung) == lossless_codecs()
+    assert {"neats", "leats", "sneats", "gorilla", "xz"} <= set(rung)
+    for by_generator in rung.values():
+        assert list(by_generator) == list(DATASETS)
+        for row in by_generator.values():
+            assert row["bits_per_value"] > 0
+            assert row["compress_mb_s"] > 0 and row["decompress_mb_s"] > 0
+            assert row["warm_access_us"] > 0
+
+
+@pytest.mark.parametrize("codec_id, dataset", [("neats", "IT"), ("alp", "BT")])
+def test_table3_bits_per_value_is_the_compressed_size(
+    written, codec_id, dataset
+):
+    _, paths = written
+    row = _payload(paths, "BENCH_table3.json")["rungs"][str(TINY_N)]
+    info = DATASETS[dataset]
+    params = {"digits": info.digits} if codec_spec(codec_id).needs_digits else {}
+    compressed = repro.compress(info.generate(TINY_N), codec=codec_id, **params)
+    assert row[codec_id][dataset]["bits_per_value"] == (
+        compressed.size_bits() / TINY_N
     )
+
+
+def test_decompression_payload_shape():
+    payload = bench_decompression(3000, repeats=1)
     assert payload["meta"]["n"] == 3000
     codecs = payload["codecs"]
     assert set(codecs) == {"gorilla", "chimp", "chimp128", "tsxor"}
@@ -42,11 +91,8 @@ def test_decompression_payload_shape(written):
         )
 
 
-def test_random_access_counts_blocks(written):
-    _, paths = written
-    payload = json.loads(
-        next(p for p in paths if "random_access" in p.name).read_text()
-    )
+def test_random_access_counts_blocks():
+    payload = bench_random_access(3000, repeats=1)
     for stats in payload["codecs"].values():
         # 256 point queries over 3 blocks can never decode more than 3.
         assert 1 <= stats["blocks_decoded_for_point_queries"] <= 3
@@ -55,11 +101,19 @@ def test_random_access_counts_blocks(written):
 def test_committed_artifacts_record_the_speedup():
     """The repo-root BENCH files are the acceptance record: the XOR family
     must show the vectorised backend >= 5x over scalar at 1M values."""
-    from pathlib import Path
-
-    root = Path(__file__).resolve().parents[2]
-    path = root / "BENCH_table3_decompression.json"
-    payload = json.loads(path.read_text())
+    payload = json.loads((ROOT / "BENCH_table3_decompression.json").read_text())
     assert payload["meta"]["n"] == 1_000_000
     for cid in ("gorilla", "chimp", "chimp128"):
         assert payload["codecs"][cid]["speedup"] >= 5.0, cid
+
+
+def test_committed_table3_holds_the_full_ladder():
+    """The committed Table III is a full run: both rungs, every lossless
+    codec on every generator, and the CPU count it ran on."""
+    payload = json.loads((ROOT / "BENCH_table3.json").read_text())
+    assert payload["meta"]["rungs"] == [4096, 65536]
+    assert payload["meta"]["nproc"] >= 1
+    for rung in ("4096", "65536"):
+        assert list(payload["rungs"][rung]) == lossless_codecs()
+        for by_generator in payload["rungs"][rung].values():
+            assert list(by_generator) == list(DATASETS)

@@ -11,8 +11,8 @@ with a bare ``IndexError``; it must be refused when the payload is loaded
 ``fsck --deep`` must report it as a frame that fails to decode (FSK010).
 
 Loading adopts the frame's arrays as they are: the guard tests count that
-no load or query path constructs an Elias-Fano sequence, a wavelet tree, a
-packed array or a bitvector, that ``TieredStore.tier_report()`` does not ask
+no load or query path constructs an Elias-Fano sequence, a packed array or
+a bitvector, that ``TieredStore.tier_report()`` does not ask
 for the size, and that a load and one access turn no whole correction word
 array into Python ints.
 """
@@ -27,7 +27,7 @@ import pytest
 import repro
 from repro.analysis import fsck_archive
 from repro.baselines._native import INT64, INT64_PAIR, NEATS_HDR
-from repro.bits import BitVector, EliasFano, PackedArray, WaveletTree
+from repro.bits import BitVector, EliasFano, PackedArray
 from repro.codecs.container import ARCHIVE_MAGIC, _HEADER
 from repro.codecs.serialize import KIND_NATIVE, write_frame
 from repro.core import NeaTS, NeaTSStorage, TieredStore
@@ -355,7 +355,7 @@ class TestCorruptNeaTS102:
 def builds(monkeypatch):
     """Constructions of the succinct structures, counted by class name."""
     counts: Counter = Counter()
-    for cls in (BitVector, EliasFano, PackedArray, WaveletTree):
+    for cls in (BitVector, EliasFano, PackedArray):
         def counting(self, *args, _name=cls.__name__, _init=cls.__init__, **kw):
             counts[_name] += 1
             _init(self, *args, **kw)

@@ -9,7 +9,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro.codecs import get_codec
 from repro.core import TieredStore, TimestampedSeries
+from repro.data import DATASETS
 
 DATA = Path(__file__).parent / "data"
 
@@ -179,15 +181,16 @@ class TestTieredStore:
     def test_snapshot_bytes_are_pinned(self):
         """Cold run, hot block and partial buffer serialise to a pinned
         digest: the write buffer's in-memory type never leaks into the
-        RPTS0001 layout, the 45 buffered values are one gorilla tail frame,
-        and the cold run is a NeaTS102 frame."""
+        RPTS0001 layout, the 45 buffered values are raw int64 (360 B, where
+        their gorilla tail frame would take 445 B), and the cold run is a
+        NeaTS102 frame."""
         y, store = self._pinned_store()
         report = store.tier_report()
         assert (report["cold_runs"], report["hot_blocks"]) == (1, 1)
         assert report["buffer_values"] == 45
         blob = store.to_bytes()
         assert hashlib.sha256(blob).hexdigest() == (
-            "5d7b89b21035f8efeda97298802e5ed5a147b489a7fd474d2a6e1f3bd324131d"
+            "d70435fcb8a79e17252ab5de340490c66049da163acdafe01398585f7d53795c"
         )
         again = TieredStore.from_bytes(memoryview(blob))
         assert again.to_bytes() == blob
@@ -196,8 +199,8 @@ class TestTieredStore:
 
     def test_raw_tail_snapshot_still_loads(self):
         """The same store as written before tail frames (45 raw int64
-        buffered values) loads with the same values and re-serialises in
-        the tail-frame layout."""
+        buffered values) loads with the same values and re-serialises as
+        the current writer writes it."""
         legacy = (DATA / "rpts0001_raw_tail.bin").read_bytes()
         assert hashlib.sha256(legacy).hexdigest() == (
             "367c792b5f185ae76c33483e3606345c11de00e9e54b2ba54df22f19e9af8d04"
@@ -349,7 +352,8 @@ class TestSnapshotMetadataValidation:
 
 
 class TestTailFrame:
-    """A non-empty write buffer is persisted as one frame of the hot codec."""
+    """A non-empty write buffer is persisted as one frame of the hot codec,
+    or as raw int64 when that is smaller."""
 
     @staticmethod
     def _reloaded(y, threshold=64):
@@ -357,6 +361,50 @@ class TestTailFrame:
                             cold_codec="leats")
         store.extend(y)
         return store, TieredStore.from_bytes(memoryview(store.to_bytes()))
+
+    @staticmethod
+    def _snapshot_meta(blob: bytes) -> tuple[dict, int]:
+        (meta_len,) = struct.unpack_from("<q", blob, 12)
+        return json.loads(blob[20 : 20 + meta_len]), meta_len
+
+    @pytest.mark.parametrize("count", [1, 3200])
+    def test_tail_takes_the_smaller_of_frame_and_raw(self, count):
+        y = DATASETS["CT"].generate(count)
+        store, loaded = self._reloaded(y, threshold=4096)
+        frame = len(get_codec("gorilla").compress(y).to_bytes())
+        blob = store.to_bytes()
+        meta, meta_len = self._snapshot_meta(blob)
+        # Nothing but the tail follows the header of a store with no blocks.
+        assert len(blob) - 20 - meta_len == min(8 * count, frame)
+        assert ("tail_frame_len" in meta) == (count == 3200)
+        assert np.array_equal(loaded.decompress(), y)
+        assert loaded.to_bytes() == blob
+
+    def test_reloaded_raw_tail_takes_an_append(self):
+        y = DATASETS["CT"].generate(10)
+        plain, loaded = self._reloaded(y, threshold=16)
+        assert "tail_frame_len" not in self._snapshot_meta(plain.to_bytes())[0]
+        for store in (plain, loaded):
+            store.append(5)
+            store.extend(np.arange(8))  # seals one 16-value block
+        assert loaded.tier_report() == plain.tier_report()
+        assert loaded.to_bytes() == plain.to_bytes()
+        assert np.array_equal(
+            loaded.decompress(), np.concatenate([y, [5], np.arange(8)])
+        )
+
+    @pytest.mark.parametrize("count", [1, 3200])
+    def test_fsck_deep_is_clean_on_either_tail(self, tmp_path, count):
+        from repro.cli import main
+        from repro.store import SeriesDB
+
+        root = tmp_path / "db"
+        with SeriesDB(root) as db:
+            db.ingest("ct", DATASETS["CT"].generate(count))
+        manifest = json.loads((root / "MANIFEST.json").read_text())
+        shard = (root / manifest["series"]["ct"]["shard"]).read_bytes()
+        assert ("tail_frame_len" in self._snapshot_meta(shard)[0]) == (count == 3200)
+        assert main(["fsck", str(root), "--deep"]) == 0
 
     def test_reads_decode_only_the_blocks_they_touch(self, rng):
         y = np.cumsum(rng.integers(-9, 10, 4095)).astype(np.int64)
@@ -371,13 +419,15 @@ class TestTailFrame:
         assert loaded._tail is tail and len(loaded._buffer) == 0
 
     def test_first_mutation_decodes_into_the_buffer(self, rng):
-        y = np.cumsum(rng.integers(-9, 10, 150)).astype(np.int64)
+        # 58 buffered values: long enough that the frame beats raw int64
+        y = np.cumsum(rng.integers(-9, 10, 250)).astype(np.int64)
         for mutate in (
             lambda s: s.append(5),
             lambda s: s.extend(np.arange(3)),
             lambda s: s.adopt_sealed(s._hot_codec.compress(np.arange(64))),
         ):
             plain, loaded = self._reloaded(y)
+            assert loaded._tail is not None
             for store in (plain, loaded):
                 mutate(store)
             assert loaded._tail is None
@@ -408,7 +458,7 @@ class TestTailFrame:
 
     def test_foreign_codec_raises(self):
         store = TieredStore(seal_threshold=64, hot_codec="chimp")
-        store.extend(np.arange(10, dtype=np.int64))
+        store.extend(np.arange(60, dtype=np.int64))  # a frame, not raw
 
         def to_gorilla(meta):
             meta["hot_codec"] = "gorilla"

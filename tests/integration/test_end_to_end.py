@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro import NeaTS, NeaTSLossy, load
-from repro.bench.registry import ALL_NAMES, make_compressor
+from repro.bench import lossless_codecs, make_codec
 from repro.data import DATASETS
 
 
@@ -38,15 +38,14 @@ class TestNeaTSOnDatasets:
 
 
 class TestCrossCompressorAgreement:
-    def test_all_thirteen_agree_on_one_dataset(self, rng):
-        """Every compressor in the Table III line-up reproduces the series and
-        answers random access identically."""
+    def test_every_lossless_codec_agrees(self, rng):
+        """Every lossless codec in the registry (LeaTS and SNeaTS included)
+        reproduces the series and answers random access identically."""
         y = load("CT", n=1300)
         digits = DATASETS["CT"].digits
         positions = rng.integers(0, len(y), 15).tolist()
-        for name in ALL_NAMES:
-            comp = make_compressor(name, digits=digits)
-            c = comp.compress(y)
+        for name in lossless_codecs():
+            c = make_codec(name, digits=digits).compress(y)
             assert np.array_equal(c.decompress(), y), name
             for k in positions:
                 assert c.access(k) == y[k], (name, k)
@@ -54,9 +53,8 @@ class TestCrossCompressorAgreement:
     def test_range_queries_agree(self, rng):
         y = load("DU", n=1200)
         digits = DATASETS["DU"].digits
-        for name in ("Zstd*", "DAC", "LeCo", "ALP", "NeaTS"):
-            comp = make_compressor(name, digits=digits)
-            c = comp.compress(y)
+        for name in ("zstd", "dac", "leco", "alp", "neats"):
+            c = make_codec(name, digits=digits).compress(y)
             for lo, hi in [(0, 50), (500, 1100), (1195, 1200)]:
                 assert np.array_equal(c.decompress_range(lo, hi), y[lo:hi]), name
 
@@ -65,15 +63,15 @@ class TestPaperShapeClaims:
     """The qualitative results of the paper, checked at reproduction scale."""
 
     def test_neats_best_special_purpose_ratio_on_most_datasets(self):
-        special = ["Chimp128", "Chimp", "TSXor", "DAC", "Gorilla", "LeCo", "ALP"]
+        special = ["chimp128", "chimp", "tsxor", "dac", "gorilla", "leco", "alp"]
         wins = 0
         names = ["IT", "US", "AP", "DP", "DU", "BM"]
         for ds in names:
             y = load(ds, n=3000)
             digits = DATASETS[ds].digits
-            neats_bits = make_compressor("NeaTS").compress(y).size_bits()
+            neats_bits = make_codec("neats").compress(y).size_bits()
             best_other = min(
-                make_compressor(c, digits=digits).compress(y).size_bits()
+                make_codec(c, digits=digits).compress(y).size_bits()
                 for c in special
             )
             if neats_bits <= best_other:
@@ -94,8 +92,8 @@ class TestPaperShapeClaims:
         import time
 
         y = load("CT", n=3000)
-        neats = make_compressor("NeaTS").compress(y)
-        xz = make_compressor("Xz").compress(y)
+        neats = make_codec("neats").compress(y)
+        xz = make_codec("xz").compress(y)
         ks = rng.integers(0, len(y), 100).tolist()
 
         t0 = time.perf_counter()
@@ -111,6 +109,6 @@ class TestPaperShapeClaims:
 
     def test_gorilla_weak_ratio_fast_family(self):
         y = load("US", n=2000)
-        gorilla = make_compressor("Gorilla").compress(y)
-        neats = make_compressor("NeaTS").compress(y)
+        gorilla = make_codec("gorilla").compress(y)
+        neats = make_codec("neats").compress(y)
         assert gorilla.size_bits() > neats.size_bits()

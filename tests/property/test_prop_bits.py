@@ -3,7 +3,7 @@
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from repro.bits import BitReader, BitVector, BitWriter, EliasFano, PackedArray, WaveletTree
+from repro.bits import BitReader, BitVector, BitWriter, EliasFano, PackedArray
 
 SETTINGS = dict(max_examples=60, deadline=None)
 
@@ -101,25 +101,3 @@ class TestEliasFanoProps:
             p = ef.predecessor(x)
             assert p <= x
             assert p in values
-
-
-class TestWaveletProps:
-    @given(
-        symbols=st.lists(st.integers(0, 6), max_size=250),
-        data=st.data(),
-    )
-    @settings(**SETTINGS)
-    def test_access_rank_consistency(self, symbols, data):
-        wt = WaveletTree(symbols, sigma=7)
-        assert wt.to_list() == symbols
-        if symbols:
-            i = data.draw(st.integers(0, len(symbols)))
-            s = data.draw(st.integers(0, 6))
-            assert wt.rank(s, i) == symbols[:i].count(s)
-
-    @given(symbols=st.lists(st.integers(0, 4), max_size=200))
-    @settings(**SETTINGS)
-    def test_ranks_partition_positions(self, symbols):
-        wt = WaveletTree(symbols, sigma=5)
-        total = sum(wt.count(s) for s in range(5))
-        assert total == len(symbols)
