@@ -21,6 +21,11 @@ Timings are best-of-``repeats`` (containerised CI timers are noisy; the
 minimum is the most stable location statistic).  ``--quick`` shrinks the
 series so the pipeline can run as a CI smoke test; the committed artefacts
 come from a full run.  Every file's meta records the CPU count.
+
+``repro bench --compare BASE.json`` then holds the run's Table III to a
+committed one (:func:`compare_table3`): every ``bits_per_value`` cell the
+run measured must equal BASE's exactly, and the NeaTS family's compress
+speed against BASE is printed, not gated.
 """
 
 from __future__ import annotations
@@ -38,7 +43,7 @@ from .. import kernels
 from ..data import DATASETS
 from .evaluation import lossless_codecs, run_evaluation
 
-__all__ = ["run_bench", "BENCH_FILES"]
+__all__ = ["run_bench", "BENCH_FILES", "compare_table3"]
 
 #: the block-structured XOR-family codecs the decode kernels accelerate
 XOR_CODECS = ("gorilla", "chimp", "chimp128", "tsxor")
@@ -125,6 +130,43 @@ def _table3_row(stats) -> dict:
         "decompress_mb_s": round(stats.decompress_mb_s, 3),
         "warm_access_us": round(stats.access_seconds_per_query * 1e6, 3),
     }
+
+
+def compare_table3(base: dict, new: dict) -> tuple[list[str], list[str]]:
+    """Hold the Table III of a run (``new``) to a committed one (``base``).
+
+    Returns the cells whose ``bits_per_value`` differ, one line each with
+    BASE's value and the new one (a cell BASE lacks differs too), and one
+    line per rung and NeaTS-family codec with the new / BASE compress MB/s
+    ratio: its geometric mean, minimum and maximum over the generators.
+    """
+    differ: list[str] = []
+    speed: list[str] = []
+    for rung, codecs in new["rungs"].items():
+        base_codecs = base["rungs"].get(rung, {})
+        for cid, rows in codecs.items():
+            base_rows = base_codecs.get(cid, {})
+            for ds, row in rows.items():
+                was = base_rows.get(ds, {}).get("bits_per_value")
+                if was != row["bits_per_value"]:
+                    differ.append(
+                        f"n={rung} {cid} {ds}: bits_per_value "
+                        f"{was} in BASE, {row['bits_per_value']} now"
+                    )
+        for cid in ("neats", "leats", "sneats"):
+            ratios = [
+                row["compress_mb_s"] / base_codecs[cid][ds]["compress_mb_s"]
+                for ds, row in codecs.get(cid, {}).items()
+                if base_codecs.get(cid, {}).get(ds, {}).get("compress_mb_s")
+            ]
+            if ratios:
+                mean = float(np.exp(np.mean(np.log(ratios))))
+                speed.append(
+                    f"n={rung} {cid}: compress MB/s {mean:.3f}x BASE "
+                    f"(geometric mean over {len(ratios)} generators; "
+                    f"{min(ratios):.3f}-{max(ratios):.3f})"
+                )
+    return differ, speed
 
 
 def bench_decompression(n: int, repeats: int, log=None) -> dict:

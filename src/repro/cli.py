@@ -331,11 +331,27 @@ def _cmd_lint(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    from .bench.runner import run_bench
+    from .bench.runner import compare_table3, run_bench
 
+    base = json.loads(Path(args.compare).read_text()) if args.compare else None
     written = run_bench(args.out, quick=args.quick, n=args.n, log=print)
     for path in written:
         print(f"wrote {path}")
+    if base is None:
+        return 0
+    new = json.loads((Path(args.out) / "BENCH_table3.json").read_text())
+    differ, speed = compare_table3(base, new)
+    for line in speed:
+        print(line)
+    if differ:
+        print(f"{len(differ)} Table III cell(s) differ from {args.compare}:")
+        for line in differ:
+            print(f"  {line}")
+        return 1
+    cells = sum(
+        len(rows) for codecs in new["rungs"].values() for rows in codecs.values()
+    )
+    print(f"bits_per_value: all {cells} cells match {args.compare}")
     return 0
 
 
@@ -699,6 +715,10 @@ def main(argv: list[str] | None = None) -> int:
                         "configuration")
     p.add_argument("--n", type=int, default=None,
                    help="override the benchmark series length")
+    p.add_argument("--compare", metavar="BASE.json", default=None,
+                   help="after the run, exit 1 unless every bits_per_value "
+                        "cell of its Table III equals BASE's; print the NeaTS "
+                        "family's compress speed against BASE")
     p.set_defaults(func=_cmd_bench)
 
     p = sub.add_parser("fsck",

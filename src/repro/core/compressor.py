@@ -145,8 +145,15 @@ class NeaTS:
         eps_stride: int = 1,
     ) -> None:
         self.models = list(models)
+        if not self.models:
+            raise ValueError("models must name at least one function kind")
         for name in self.models:
             get_model(name)  # fail fast on typos
+        if eps_set is not None and len(eps_set) == 0:
+            raise ValueError(
+                "eps_set must hold at least one error bound; "
+                "pass None for the per-series default"
+            )
         self.eps_set = eps_set
         self.eps_stride = eps_stride
 
@@ -183,7 +190,9 @@ class NeaTS:
         if len(y) == 0:
             raise ValueError("cannot compress an empty series")
         self._check_domain(y)
-        eps_set = self.eps_set or default_eps_set(y, self.eps_stride)
+        eps_set = (
+            default_eps_set(y, self.eps_stride) if self.eps_set is None else self.eps_set
+        )
         shift = self._shift_for(y, eps_set)
         z = y.astype(np.float64) + shift  # fitting precision only
         z_exact = y + shift  # int64: exact, used for residual measurement
@@ -223,6 +232,8 @@ class _SNeaTS(NeaTS):
         super().__init__(**kwargs)
         if not 0 < sample_fraction <= 1:
             raise ValueError("sample_fraction must be in (0, 1]")
+        if top_k < 1:
+            raise ValueError(f"top_k must be at least 1, got {top_k}")
         self.sample_fraction = sample_fraction
         self.top_k = top_k
 

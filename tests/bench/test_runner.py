@@ -12,8 +12,10 @@ from repro.bench.runner import (
     _series,
     bench_decompression,
     bench_random_access,
+    compare_table3,
     run_bench,
 )
+from repro.cli import main
 from repro.codecs import codec_spec
 from repro.data import DATASETS
 
@@ -76,6 +78,52 @@ def test_table3_bits_per_value_is_the_compressed_size(
     assert row[codec_id][dataset]["bits_per_value"] == (
         compressed.size_bits() / TINY_N
     )
+
+
+def _doctored(table3: dict, codec_id: str, dataset: str) -> dict:
+    """A copy of ``table3`` with one cell's bits_per_value moved."""
+    copy = json.loads(json.dumps(table3))
+    copy["rungs"][str(TINY_N)][codec_id][dataset]["bits_per_value"] += 0.125
+    return copy
+
+
+def test_compare_names_each_cell_that_differs(written):
+    _, paths = written
+    table3 = _payload(paths, "BENCH_table3.json")
+    differ, speed = compare_table3(table3, table3)
+    assert differ == []
+    assert [line.split(":")[0] for line in speed] == [
+        f"n={TINY_N} {cid}" for cid in ("neats", "leats", "sneats")
+    ]
+    was = table3["rungs"][str(TINY_N)]["neats"]["CT"]["bits_per_value"]
+    differ, _ = compare_table3(_doctored(table3, "neats", "CT"), table3)
+    assert differ == [
+        f"n={TINY_N} neats CT: bits_per_value {was + 0.125} in BASE, {was} now"
+    ]
+
+
+def test_compare_counts_a_cell_base_lacks(written):
+    _, paths = written
+    table3 = _payload(paths, "BENCH_table3.json")
+    base = json.loads(json.dumps(table3))
+    del base["rungs"][str(TINY_N)]["gorilla"]["BT"]
+    differ, _ = compare_table3(base, table3)
+    assert len(differ) == 1 and differ[0].startswith(f"n={TINY_N} gorilla BT:")
+
+
+def test_cli_compare_exits_1_on_a_doctored_base(written, tmp_path, capsys):
+    _, paths = written
+    table3 = _payload(paths, "BENCH_table3.json")
+    base = tmp_path / "base.json"
+    args = ["bench", "--quick", "--n", str(TINY_N), "--out", str(tmp_path / "run")]
+    base.write_text(json.dumps(table3))
+    assert main([*args, "--compare", str(base)]) == 0
+    assert "cells match" in capsys.readouterr().out
+    base.write_text(json.dumps(_doctored(table3, "sneats", "IT")))
+    assert main([*args, "--compare", str(base)]) == 1
+    out = capsys.readouterr().out
+    assert "1 Table III cell(s) differ" in out
+    assert f"n={TINY_N} sneats IT: bits_per_value" in out
 
 
 def test_decompression_payload_shape():

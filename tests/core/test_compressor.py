@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import repro
 from repro.core import NeaTS, default_eps_set
 from repro.data import DATASETS, dataset_names
 
@@ -117,6 +118,25 @@ class TestVariants:
         c = comp.compress(smooth_series)
         used = {(f.model_name, f.eps) for f in c.fragments}
         assert len({name for name, _ in used}) <= 2
+
+    def test_sneats_refuses_top_k_below_one(self):
+        with pytest.raises(ValueError, match="top_k"):
+            NeaTS.with_model_selection(top_k=0)
+        with pytest.raises(ValueError, match="top_k"):
+            repro.compress(np.arange(100), codec="sneats", top_k=0)
+
+    def test_refuses_empty_models(self):
+        with pytest.raises(ValueError, match="models"):
+            NeaTS(models=[])
+        with pytest.raises(ValueError, match="models"):
+            NeaTS.with_model_selection(models=())
+
+    def test_refuses_empty_eps_set(self):
+        # An empty E is refused, not replaced by the default E.
+        with pytest.raises(ValueError, match="eps_set"):
+            NeaTS(eps_set=[])
+        with pytest.raises(ValueError, match="eps_set"):
+            repro.compress(np.arange(100), codec="neats", eps_set=[])
 
     def test_sneats_invalid_fraction(self):
         with pytest.raises(ValueError):

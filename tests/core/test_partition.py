@@ -1,27 +1,35 @@
 """Unit tests for Algorithm 1 (optimal partitioning)."""
 
+import importlib
 import math
 import tracemalloc
 from array import array
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
+from repro.core.compressor import default_eps_set
 from repro.core.convex import RangeLineFitter
-from repro.core.models import ALL_MODELS, get_model, make_approximation
+from repro.core.models import ALL_MODELS, DEFAULT_MODELS, get_model, make_approximation
 from repro.core.partition import (
     FRAGMENT_OVERHEAD_BITS,
     LAYOUT_FRAGMENT_BITS,
     PARAM_BITS,
     Fragment,
     PartitionResult,
+    _live,
     _shortest_path,
     correction_bits,
     partition,
     partition_lossy,
 )
 from repro.core.transforms import precompute_transform
+from repro.data import DATASETS
+
+#: the module itself: ``repro.core.partition`` names the function
+partition_module = importlib.import_module("repro.core.partition")
 
 
 def kappa_of(model, lossy=False):
@@ -524,6 +532,181 @@ class TestShortestPathAgainstReference:
             n, lambda p, k: next(iters[p]), cbits, kappa
         )
         assert _shortest_path(n, chains, cbits, kappa) == want
+
+
+class TestDominance:
+    """A pair is left out of the relaxation when another pair has the same
+    chain, a width and κ both no larger, and one of them smaller or both
+    equal and comes first; the dominated pair may come first."""
+
+    # Pair 0 repeats pair 1's chain with the larger width and the same κ;
+    # pair 2 repeats it with the same width and the larger κ.  Only pair 1
+    # and pair 3, whose chain differs, stay.
+    CASE = (
+        3,
+        [array("q", [1, 3]), array("q", [1, 3]), array("q", [1, 3]), array("q", [3])],
+        [2, 1, 1, 0],
+        [3, 3, 4, 9],
+    )
+
+    def test_dominated_pairs_are_left_out(self):
+        _, chains, cbits, kappa = self.CASE
+        assert [p for p, _ in _live(chains, cbits, kappa)] == [1, 3]
+
+    def test_equal_pairs_keep_the_first(self):
+        chains = [array("q", [2, 4])] * 3
+        assert [p for p, _ in _live(chains, [1, 1, 1], [2, 2, 2])] == [0]
+
+    def test_incomparable_pairs_both_stay(self):
+        # narrower but dearer, and wider but cheaper: neither dominates
+        chains = [array("q", [2, 4])] * 2
+        assert [p for p, _ in _live(chains, [1, 2], [5, 3])] == [0, 1]
+
+    def test_same_path_as_every_pair(self):
+        n, chains, cbits, kappa = self.CASE
+        iters = [iter(chain) for chain in chains]
+        want = _reference_relaxation(n, lambda p, k: next(iters[p]), cbits, kappa)
+        assert _shortest_path(n, chains, cbits, kappa) == want
+
+
+def _certify(case, width):
+    """The certifying pass over the pairs of ``case`` no wider than
+    ``width``, bounded by the narrowest width and the smallest κ of the
+    rest."""
+    n, chains, cbits, kappa = case
+    rest = [p for p, c in enumerate(cbits) if c > width]
+    walked = [None if p in rest else chain for p, chain in enumerate(chains)]
+    bound = (min(cbits[p] for p in rest), min(kappa[p] for p in rest))
+    return _shortest_path(n, walked, cbits, kappa, bound)
+
+
+class TestCertifyingPass:
+    """When the pass over the narrower pairs certifies, its path and cost are
+    the relaxation's over every pair, ties included."""
+
+    # Node 1 ties at 1 between the wider pair 0, which comes first and wins
+    # with every pair, and the walked pair 1: a bound edge (0, 1) of cost 1
+    # ties too, so the pass must not certify.
+    TIE_AT_END = ((1, [array("q", [1]), array("q", [1])], [1, 0], [0, 1]), 0)
+    # The same tie at node 1 of the path 0 -> 1 -> 3, inside the path.
+    TIE_INSIDE = ((3, [array("q", [1, 3]), array("q", [1, 3])], [2, 0], [0, 2]), 0)
+    # The wider pair 2 reaches node 1 for 1, under the walked pairs' 2, and
+    # the path 0 -> 1 -> 4 over it costs 3; the pass's own path to node 4
+    # runs through node 1, whose back-pointer the bound edge left stale.
+    CHEAPER_INSIDE = (
+        (4, [array("q", [1, 4]), array("q", [1, 4]), array("q", [4])], [0, 0, 1], [2, 2, 0]),
+        0,
+    )
+
+    @given(chain_sets(), st.integers(0, 2))
+    @example(*TIE_AT_END)
+    @example(*TIE_INSIDE)
+    @example(*CHEAPER_INSIDE)
+    @settings(max_examples=400, deadline=None)
+    def test_certified_path_is_every_pairs(self, case, width):
+        _, _, cbits, _ = case
+        assume(min(cbits) <= width < max(cbits))
+        got = _certify(case, width)
+        if got is not None:
+            n, chains, cbits, kappa = case
+            assert got == _shortest_path(n, chains, cbits, kappa)
+
+    def test_ties_and_cheaper_nodes_do_not_certify(self):
+        assert _certify(*self.TIE_AT_END) is None
+        assert _certify(*self.TIE_INSIDE) is None
+        assert _certify(*self.CHEAPER_INSIDE) is None
+
+    def test_certifies_when_narrow_pairs_are_cheap(self):
+        # One width-0 fragment covers all ten points for κ 1; any path
+        # through the width-3 pair costs at least 10 * 3 + 1.
+        case = (10, [array("q", [10]), array("q", [2, 10])], [0, 3], [1, 1])
+        assert _certify(case, 0) == ([(0, 10, 0, 0)], 1.0)
+
+
+_SPIKED_LINE = 5 * np.arange(290) + np.isin(np.arange(290), [96, 193])
+
+
+class TestCertifiedAgainstReference:
+    """``partition`` with a pass attempted after every width but the last
+    (the attempt rule decides only when) against the oracle."""
+
+    @given(
+        y=shaped_series,
+        models=st.lists(st.sampled_from(ALL_MODELS), min_size=1, max_size=11),
+        eps=st.lists(eps_values, min_size=1, max_size=4),
+    )
+    @example(y=_CONSTANT, models=list(ALL_MODELS), eps=[7, 7, 3])
+    @example(y=np.arange(300) % 17, models=["linear", "quadratic"], eps=[1, 3, 3, 255])
+    # ε = 1's linear fragment is cheaper than ε = 0's two: bounding the
+    # unwalked pairs by the anchored kind's larger κ would certify ε = 0.
+    @example(y=np.array([0, 1, 0]), models=["linear", "anchored_quadratic"], eps=[1])
+    # Two unit spikes on a line: ε = 1 (width 2) beats ε = 0's five
+    # fragments, which a bound at ε = 3's width 3 would certify.
+    @example(y=_SPIKED_LINE, models=["linear"], eps=[1, 3])
+    @settings(max_examples=60, deadline=None)
+    def test_same_fragments_and_cost(self, y, models, eps):
+        eps_set = [0.0] + [float(e) for e in eps]
+        z = _shifted(y, eps_set)
+        with mock.patch.object(
+            partition_module, "_worth_attempting", lambda *args: True
+        ):
+            got = partition(z, models, eps_set)
+        want = _reference_partition(z, models, eps_set)
+        assert got.fragments == want.fragments
+        assert got.cost_bits == want.cost_bits
+        assert got.pairs_walked <= len(models) * len(eps_set)
+
+
+def _generator_case(name, n=1024):
+    """A generator's series at its default seed, shifted, with NeaTS's
+    default ``E``."""
+    y = DATASETS[name].generate(n)
+    eps = default_eps_set(y)
+    return _shifted(y, eps), [float(e) for e in eps]
+
+
+class TestGenerators:
+    @pytest.mark.parametrize("name", sorted(DATASETS))
+    def test_same_as_reference(self, name):
+        z, eps_set = _generator_case(name)
+        got = partition(z, list(DEFAULT_MODELS), eps_set)
+        want = _reference_partition(z, list(DEFAULT_MODELS), eps_set)
+        assert got.fragments == want.fragments
+        assert got.cost_bits == want.cost_bits
+        assert got.pairs_walked <= len(DEFAULT_MODELS) * len(eps_set)
+
+    def test_most_generators_walk_fewer_pairs(self):
+        fewer = []
+        for name in sorted(DATASETS):
+            z, eps_set = _generator_case(name)
+            result = partition(z, list(DEFAULT_MODELS), eps_set)
+            if result.pairs_walked < len(DEFAULT_MODELS) * len(eps_set):
+                fewer.append(name)
+        assert len(fewer) >= len(DATASETS) // 2, fewer
+
+
+class TestPairsWalked:
+    def test_every_pair_of_a_single_width(self, rng):
+        z = 1000 + np.cumsum(rng.normal(0, 5, 300))
+        models = ["linear", "quadratic", "radical"]
+        assert partition(z, models, [3.0, 2.0]).pairs_walked == 6
+        assert partition_lossy(z, models, 7.0).pairs_walked == 3
+
+    def test_no_attempt_walks_every_pair(self, rng):
+        z = 1000 + np.cumsum(rng.normal(0, 5, 300))
+        eps_set = [0.0, 1.0, 3.0, 7.0]
+        with mock.patch.object(
+            partition_module, "_worth_attempting", lambda *args: False
+        ):
+            result = partition(z, ["linear", "exponential"], eps_set)
+        assert result.pairs_walked == 8
+
+    def test_certified_constant_series_walks_the_narrowest_width(self):
+        # Every kind fits the constant series exactly at ε = 0.
+        z = _shifted(np.full(500, 3, dtype=np.int64), [0.0, 1.0, 3.0, 7.0])
+        result = partition(z, ["linear", "exponential"], [0.0, 1.0, 3.0, 7.0])
+        assert result.pairs_walked == 2
+        assert [f.eps for f in result.fragments] == [0.0]
 
 
 class TestMemory:
