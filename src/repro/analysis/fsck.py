@@ -12,6 +12,8 @@ the *whole* structure up front, without decoding values unless asked:
   count monotonicity, frame self-accounting (``frame_span``) — and a torn
   tail (bytes past the last complete record) is reported as a defect: the
   format recovers from it, but the bytes are a lost append;
+* **group logs** (``RPGW0001``): the same walk, plus each record's digits
+  and the log's codec against the manifest;
 * **SeriesDB directories**: manifest format and entries, shard files
   present with matching crc32 and snapshot magic, WAL generation files
   consistent with the manifest (codec and digits match the configuration),
@@ -21,9 +23,14 @@ the *whole* structure up front, without decoding values unless asked:
   replay, and lossy payloads must agree with their frame params (ε and
   segment count).
 
-The struct layouts are imported from :mod:`repro.codecs.container`,
-:mod:`repro.codecs.serialize`, and :mod:`repro.core.tiered` — fsck can
-never drift from the parsers it audits.
+Appendable archives and group logs are walked by the readers' own
+scanners (:func:`repro.codecs.container._scan_append` and
+``_scan_group``), which say where and why a walk stopped; fsck maps each
+stop reason to its code and checks every complete record's crc and frame.
+Manifests are read by the store's :func:`~repro.store.seriesdb.read_manifest`.
+So fsck's complete records and torn tails are exactly the ones recovery
+keeps and drops, and a manifest the store refuses is FSK020 here.  The
+one-shot header layout is imported from :mod:`repro.codecs.container`.
 
 Problem codes (``FSK###``) are machine-stable for ``--json`` consumers;
 exit codes: 0 = clean, 1 = defects found, 2 = target unusable/missing.
@@ -31,7 +38,6 @@ exit codes: 0 = clean, 1 = defects found, 2 = target unusable/missing.
 
 from __future__ import annotations
 
-import json
 import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -40,17 +46,16 @@ from ..codecs import serialize
 from ..codecs.container import (
     APPEND_MAGIC,
     ARCHIVE_MAGIC,
-    GROUP_MAGIC,
     LEGACY_MAGIC,
-    _APPEND_HEADER,
-    _GROUP_HEADER,
-    _GROUP_RECORD,
+    LogScan,
+    TruncatedLogHeader,
     _HEADER,
-    _RECORD,
+    _scan_append,
+    _scan_group,
 )
 from ..codecs.registry import available_codecs, codec_spec, load_compressed
 from ..store.partitioned import PARTITION_MANIFEST_FORMAT, _PART_DIR
-from ..store.seriesdb import MANIFEST_FORMAT, MANIFEST_NAME
+from ..store.seriesdb import MANIFEST_FORMAT, MANIFEST_NAME, read_manifest
 
 __all__ = ["Problem", "FsckReport", "fsck_path", "fsck_archive", "fsck_seriesdb",
            "fsck_partitioned", "PROBLEM_CODES"]
@@ -174,13 +179,10 @@ def fsck_path(target, *, deep: bool = False) -> FsckReport:
     target = Path(target)
     if target.is_dir():
         try:
-            manifest = json.loads((target / MANIFEST_NAME).read_text("utf-8"))
-        except (OSError, json.JSONDecodeError):
-            manifest = None
-        if (
-            isinstance(manifest, dict)
-            and manifest.get("format") == PARTITION_MANIFEST_FORMAT
-        ):
+            manifest = read_manifest(target / MANIFEST_NAME)
+        except (OSError, ValueError):
+            manifest = {}
+        if manifest.get("format") == PARTITION_MANIFEST_FORMAT:
             return fsck_partitioned(target, deep=deep)
         return fsck_seriesdb(target, deep=deep)
     return fsck_archive(target, deep=deep)
@@ -192,19 +194,22 @@ def fsck_path(target, *, deep: bool = False) -> FsckReport:
 def _check_frame(
     report: FsckReport, path, label: str, frame, *, deep: bool,
     expect_n: int | None = None,
-) -> None:
-    """Frame-header sanity (and, deep, a full decode) for one codec frame."""
+) -> int:
+    """Frame-header sanity (and, deep, a full decode) for one codec frame.
+
+    Returns the value count its header records (0 when it does not parse).
+    """
     try:
         parsed = serialize.read_frame(frame)
     except ValueError as exc:
         report.add("FSK006", path, f"{label}: {exc}")
-        return
+        return 0
     if parsed.codec_id not in available_codecs():
         report.add(
             "FSK007", path,
             f"{label}: codec {parsed.codec_id!r} is not registered",
         )
-        return
+        return parsed.n
     if expect_n is not None and parsed.n != expect_n:
         report.add(
             "FSK008", path,
@@ -213,13 +218,13 @@ def _check_frame(
         )
     report.tally("frames")
     if not deep:
-        return
+        return parsed.n
     try:
         compressed = load_compressed(parsed)
         values = compressed.decompress()
     except Exception as exc:  # any decode failure is the finding itself
         report.add("FSK010", path, f"{label}: decode failed: {exc}")
-        return
+        return parsed.n
     if len(values) != parsed.n:
         report.add(
             "FSK008", path,
@@ -247,6 +252,7 @@ def _check_frame(
                 f"payload holds {have_seg}",
             )
     report.tally("decoded_values", len(values))
+    return parsed.n
 
 
 def _fsck_oneshot(report: FsckReport, path: Path, data: bytes, deep: bool) -> None:
@@ -274,97 +280,68 @@ def _fsck_oneshot(report: FsckReport, path: Path, data: bytes, deep: bool) -> No
     _check_frame(report, path, "frame", frame, deep=deep)
 
 
+def _reason(exc: ValueError, path) -> str:
+    """A reader's error message without the path the problem already names."""
+    return str(exc).removeprefix(f"{path}: ")
+
+
+#: why a log scan stopped short of the end of its file -> the code reported
+_STOP_CODES = {
+    "overrun": "FSK012",
+    "count": "FSK014",
+    "frame": "FSK016",
+    "series id": "FSK033",
+}
+
+
+def _crc_ok(report: FsckReport, path, label: str, frame, crc: int) -> bool:
+    """Whether a complete record's frame matches its crc32 (else FSK013)."""
+    actual = zlib.crc32(frame)
+    if actual != crc:
+        report.add(
+            "FSK013", path,
+            f"{label}: frame crc32 {actual:#010x} != recorded {crc:#010x}",
+        )
+    return actual == crc
+
+
+def _check_stop(report: FsckReport, path, scan: LogScan, size: int) -> None:
+    """Report why a log walk stopped, and the torn tail past its records."""
+    if scan.stop is not None:
+        report.add(_STOP_CODES[scan.stop], path, scan.detail)
+    if scan.end < size:
+        report.add(
+            "FSK015", path,
+            f"{size - scan.end} byte(s) beyond the last complete record "
+            "(interrupted append; the next writer truncates them)",
+        )
+
+
 def _fsck_appendable(
     report: FsckReport, path: Path, data: bytes, deep: bool
 ) -> None:
     report.kind = "appendable"
-    if len(data) < _APPEND_HEADER.size:
-        report.add(
-            "FSK002", path,
-            f"{len(data)} bytes, appendable header needs {_APPEND_HEADER.size}",
-        )
-        return
-    magic, digits, idlen, plen = _APPEND_HEADER.unpack_from(data)
-    pos = _APPEND_HEADER.size
-    if len(data) < pos + idlen + plen:
-        report.add(
-            "FSK011", path,
-            f"header says {idlen}+{plen} id/params bytes, only "
-            f"{len(data) - pos} present",
-        )
-        return
     try:
-        codec_id = data[pos:pos + idlen].decode("utf-8")
-        params = json.loads(data[pos + idlen:pos + idlen + plen])
-        if not isinstance(params, dict):
-            raise ValueError("params are not a JSON object")
-    except (UnicodeDecodeError, json.JSONDecodeError, ValueError) as exc:
-        report.add("FSK011", path, f"corrupt codec id/params block: {exc}")
+        scan = _scan_append(data, path)
+    except ValueError as exc:
+        short = isinstance(exc, TruncatedLogHeader)
+        report.add("FSK002" if short else "FSK011", path, _reason(exc, path))
         return
-    if codec_id not in available_codecs():
-        report.add("FSK007", path, f"codec {codec_id!r} is not registered")
-    pos += idlen + plen
-    total, index = 0, 0
-    # Unlike the recovering reader (_scan_append), fsck distinguishes *why*
-    # the walk stopped: every structural break is reported, then whatever
-    # bytes remain are the torn tail.
-    while len(data) - pos >= _RECORD.size:
-        frame_len, crc, cum = _RECORD.unpack_from(data, pos)
-        start = pos + _RECORD.size
+    if scan.codec_id not in available_codecs():
+        report.add("FSK007", path, f"codec {scan.codec_id!r} is not registered")
+    total = 0
+    for index, (start, frame_len, crc, cum) in enumerate(scan.records):
         label = f"record {index}"
-        if start + frame_len > len(data):
-            report.add(
-                "FSK012", path,
-                f"{label}: length {frame_len} overruns the file by "
-                f"{start + frame_len - len(data)} bytes",
-            )
-            break
-        if cum <= total:
-            report.add(
-                "FSK014", path,
-                f"{label}: cumulative count {cum} not greater than "
-                f"previous {total}",
-            )
-            break
         frame = data[start:start + frame_len]
-        try:
-            span = serialize.frame_span(frame)
-        except ValueError as exc:
-            report.add("FSK016", path, f"{label}: {exc}")
-            break
-        if span != frame_len:
-            report.add(
-                "FSK016", path,
-                f"{label}: record says {frame_len} bytes, frame accounts "
-                f"for {span}",
+        # A crc mismatch leaves the chain sound: the record's values still
+        # count, so later records are judged against the right total.
+        if _crc_ok(report, path, label, frame, crc):
+            _check_frame(
+                report, path, label, frame, deep=deep, expect_n=cum - total,
             )
-            break
-        if zlib.crc32(frame) != crc:
-            report.add(
-                "FSK013", path,
-                f"{label}: frame crc32 {zlib.crc32(frame):#010x} != "
-                f"recorded {crc:#010x}",
-            )
-            # structure (lengths, cumulative count) is sound: keep walking
-            # the chain and account the record's values so later records
-            # are judged against the right running total
-            total = cum
-            pos = start + frame_len
-            index += 1
-            continue
-        _check_frame(
-            report, path, label, frame, deep=deep, expect_n=cum - total,
-        )
-        report.tally("records")
+            report.tally("records")
         total = cum
-        pos = start + frame_len
-        index += 1
-    if pos < len(data):
-        report.add(
-            "FSK015", path,
-            f"{len(data) - pos} byte(s) beyond the last complete record "
-            "(interrupted append; the next writer truncates them)",
-        )
+    _check_stop(report, path, scan, len(data))
     report.tally("values", total)
 
 
@@ -471,66 +448,24 @@ def _fsck_group_log(
     except OSError as exc:
         report.add("FSK001", path, str(exc))
         return counts
-    if data[:8] != GROUP_MAGIC:
-        report.add(
-            "FSK033", path,
-            f"magic {data[:8]!r} is not a group WAL ({GROUP_MAGIC!r})",
-        )
-        return counts
-    if len(data) < _GROUP_HEADER.size:
-        report.add(
-            "FSK033", path,
-            f"{len(data)} bytes, group header needs {_GROUP_HEADER.size}",
-        )
-        return counts
-    _, idlen, plen = _GROUP_HEADER.unpack_from(data)
-    pos = _GROUP_HEADER.size
-    if len(data) < pos + idlen + plen:
-        report.add(
-            "FSK033", path,
-            f"header says {idlen}+{plen} id/params bytes, only "
-            f"{len(data) - pos} present",
-        )
-        return counts
     try:
-        codec_id = data[pos:pos + idlen].decode("utf-8")
-        params = json.loads(data[pos + idlen:pos + idlen + plen])
-        if not isinstance(params, dict):
-            raise ValueError("params are not a JSON object")
-    except (UnicodeDecodeError, json.JSONDecodeError, ValueError) as exc:
-        report.add("FSK033", path, f"corrupt codec id/params block: {exc}")
+        scan = _scan_group(data, path)
+    except ValueError as exc:
+        report.add("FSK033", path, _reason(exc, path))
         return counts
-    if codec_id not in available_codecs():
-        report.add("FSK007", path, f"codec {codec_id!r} is not registered")
+    if scan.codec_id not in available_codecs():
+        report.add("FSK007", path, f"codec {scan.codec_id!r} is not registered")
     hot_codec = manifest.get("hot_codec")
-    if hot_codec and codec_id != hot_codec:
+    if hot_codec and scan.codec_id != hot_codec:
         report.add(
             "FSK034", path,
-            f"group WAL codec {codec_id!r} != configured hot codec "
+            f"group WAL codec {scan.codec_id!r} != configured hot codec "
             f"{hot_codec!r}",
         )
     series = manifest.get("series")
     series = series if isinstance(series, dict) else {}
-    pos += idlen + plen
-    index = 0
-    while len(data) - pos >= _GROUP_RECORD.size:
-        sid_len, digits, frame_len, crc = _GROUP_RECORD.unpack_from(data, pos)
-        sid_start = pos + _GROUP_RECORD.size
-        frame_start = sid_start + sid_len
+    for index, (sid, digits, start, frame_len, crc) in enumerate(scan.records):
         label = f"record {index}"
-        if sid_len == 0 or frame_start + frame_len > len(data):
-            report.add(
-                "FSK012", path,
-                f"{label}: lengths {sid_len}+{frame_len} overrun the file "
-                f"by {frame_start + frame_len - len(data)} bytes",
-            )
-            break
-        try:
-            sid = data[sid_start:frame_start].decode("utf-8")
-        except UnicodeDecodeError as exc:
-            report.add("FSK033", path, f"{label}: series id not UTF-8: {exc}")
-            break
-        frame = data[frame_start:frame_start + frame_len]
         entry = series.get(sid)
         if isinstance(entry, dict) and int(entry.get("digits", 0)) != digits:
             report.add(
@@ -538,44 +473,26 @@ def _fsck_group_log(
                 f"{label}: series {sid!r} digits {digits} != manifest "
                 f"digits {entry.get('digits', 0)}",
             )
-        try:
-            span = serialize.frame_span(frame)
-        except ValueError as exc:
-            report.add("FSK016", path, f"{label}: {exc}")
-            break
-        if span != frame_len:
-            report.add(
-                "FSK016", path,
-                f"{label}: record says {frame_len} frame bytes, frame "
-                f"accounts for {span}",
+        frame = data[start:start + frame_len]
+        if _crc_ok(report, path, label, frame, crc):
+            counts[sid] = counts.get(sid, 0) + _check_frame(
+                report, path, f"{label} (series {sid!r})", frame, deep=deep
             )
-            break
-        if zlib.crc32(frame) != crc:
-            report.add(
-                "FSK013", path,
-                f"{label}: frame crc32 {zlib.crc32(frame):#010x} != "
-                f"recorded {crc:#010x}",
-            )
-            # the chain structure is sound: keep walking the tail
-            pos = frame_start + frame_len
-            index += 1
-            continue
-        _check_frame(report, path, f"{label} (series {sid!r})", frame, deep=deep)
-        try:
-            counts[sid] = counts.get(sid, 0) + serialize.read_frame(frame).n
-        except ValueError:
-            pass  # _check_frame reported FSK006 for this frame already
-        report.tally("records")
-        pos = frame_start + frame_len
-        index += 1
-    if pos < len(data):
-        report.add(
-            "FSK015", path,
-            f"{len(data) - pos} byte(s) beyond the last complete record "
-            "(interrupted group append; the next writer truncates them)",
-        )
+            report.tally("records")
+    _check_stop(report, path, scan, len(data))
     report.tally("group_wals")
     return counts
+
+
+def _read_manifest(report: FsckReport, path: Path) -> dict | None:
+    """The manifest at ``path`` through the store's reader, else reported."""
+    try:
+        return read_manifest(path)
+    except OSError as exc:
+        report.add("FSK001", path, str(exc))
+    except ValueError as exc:
+        report.add("FSK020", path, _reason(exc, path))
+    return None
 
 
 def fsck_seriesdb(root, *, deep: bool = False) -> FsckReport:
@@ -583,13 +500,8 @@ def fsck_seriesdb(root, *, deep: bool = False) -> FsckReport:
     root = Path(root)
     report = FsckReport(target=str(root), kind="seriesdb", deep=deep)
     manifest_path = root / MANIFEST_NAME
-    try:
-        manifest = json.loads(manifest_path.read_text("utf-8"))
-    except OSError as exc:
-        report.add("FSK001", manifest_path, str(exc))
-        return report
-    except json.JSONDecodeError as exc:
-        report.add("FSK020", manifest_path, f"manifest is not JSON: {exc}")
+    manifest = _read_manifest(report, manifest_path)
+    if manifest is None:
         return report
     if manifest.get("format") != MANIFEST_FORMAT:
         report.add(
@@ -644,30 +556,27 @@ def fsck_seriesdb(root, *, deep: bool = False) -> FsckReport:
                     )
                 elif sub.ok:
                     try:
-                        raw = wal_path.read_bytes()
-                        _, wal_digits, idlen, _ = _APPEND_HEADER.unpack_from(raw)
-                        wal_codec = raw[
-                            _APPEND_HEADER.size:_APPEND_HEADER.size + idlen
-                        ].decode("utf-8")
-                        if hot_codec and wal_codec != hot_codec:
-                            report.add(
-                                "FSK027", wal_path,
-                                f"series {sid!r}: WAL codec {wal_codec!r} != "
-                                f"configured hot codec {hot_codec!r}",
-                            )
-                        recorded = int(entry.get("digits", 0))
-                        if wal_digits != recorded:
-                            report.add(
-                                "FSK027", wal_path,
-                                f"series {sid!r}: WAL digits {wal_digits} != "
-                                f"manifest digits {recorded}",
-                            )
-                        wal_count = sub.checked.get("values", 0)
-                    except Exception as exc:
+                        scan = _scan_append(wal_path.read_bytes(), wal_path)
+                    except (OSError, ValueError) as exc:
                         report.add(
                             "FSK026", wal_path,
                             f"series {sid!r}: WAL header unreadable: {exc}",
                         )
+                    else:
+                        if hot_codec and scan.codec_id != hot_codec:
+                            report.add(
+                                "FSK027", wal_path,
+                                f"series {sid!r}: WAL codec {scan.codec_id!r} "
+                                f"!= configured hot codec {hot_codec!r}",
+                            )
+                        recorded = int(entry.get("digits", 0))
+                        if scan.digits != recorded:
+                            report.add(
+                                "FSK027", wal_path,
+                                f"series {sid!r}: WAL digits {scan.digits} != "
+                                f"manifest digits {recorded}",
+                            )
+                        wal_count = sub.checked.get("values", 0)
         expected_counts[sid] = int(entry.get("count", 0)) + wal_count
     group_rel = manifest.get("group_wal")
     if group_rel:
@@ -741,13 +650,8 @@ def fsck_partitioned(root, *, deep: bool = False) -> FsckReport:
     root = Path(root)
     report = FsckReport(target=str(root), kind="partitioned", deep=deep)
     manifest_path = root / MANIFEST_NAME
-    try:
-        manifest = json.loads(manifest_path.read_text("utf-8"))
-    except OSError as exc:
-        report.add("FSK001", manifest_path, str(exc))
-        return report
-    except json.JSONDecodeError as exc:
-        report.add("FSK020", manifest_path, f"manifest is not JSON: {exc}")
+    manifest = _read_manifest(report, manifest_path)
+    if manifest is None:
         return report
     if manifest.get("format") != PARTITION_MANIFEST_FORMAT:
         report.add(
@@ -791,10 +695,8 @@ def fsck_partitioned(root, *, deep: bool = False) -> FsckReport:
             report.tally(key, value)
         report.tally("partitions")
         try:
-            part_series = json.loads(
-                part_manifest.read_text("utf-8")
-            ).get("series")
-        except (OSError, json.JSONDecodeError, AttributeError):
+            part_series = read_manifest(part_manifest).get("series")
+        except (OSError, ValueError):
             continue  # fsck_seriesdb reported it; skip the cross-check
         if not isinstance(part_series, dict):
             continue

@@ -25,7 +25,8 @@ come from a full run.  Every file's meta records the CPU count.
 ``repro bench --compare BASE.json`` then holds the run's Table III to a
 committed one (:func:`compare_table3`): every ``bits_per_value`` cell the
 run measured must equal BASE's exactly, and the NeaTS family's compress
-speed against BASE is printed, not gated.
+speed against BASE is printed, not gated, both raw and divided by the
+host factor (how much faster every other codec ran).
 """
 
 from __future__ import annotations
@@ -132,6 +133,14 @@ def _table3_row(stats) -> dict:
     }
 
 
+#: the paper's codecs, whose compress speed ``--compare`` prints against BASE
+_NEATS_FAMILY = ("neats", "leats", "sneats")
+
+
+def _geomean(ratios: list[float]) -> float:
+    return float(np.exp(np.mean(np.log(ratios))))
+
+
 def compare_table3(base: dict, new: dict) -> tuple[list[str], list[str]]:
     """Hold the Table III of a run (``new``) to a committed one (``base``).
 
@@ -139,6 +148,10 @@ def compare_table3(base: dict, new: dict) -> tuple[list[str], list[str]]:
     BASE's value and the new one (a cell BASE lacks differs too), and one
     line per rung and NeaTS-family codec with the new / BASE compress MB/s
     ratio: its geometric mean, minimum and maximum over the generators.
+    Each line also gives the rung's host factor, the geometric mean of the
+    ratio over every other codec's cells, and the mean divided by it: a
+    faster or slower host moves every codec alike, a change to NeaTS only
+    its own.
     """
     differ: list[str] = []
     speed: list[str] = []
@@ -153,19 +166,31 @@ def compare_table3(base: dict, new: dict) -> tuple[list[str], list[str]]:
                         f"n={rung} {cid} {ds}: bits_per_value "
                         f"{was} in BASE, {row['bits_per_value']} now"
                     )
-        for cid in ("neats", "leats", "sneats"):
-            ratios = [
+        ratios = {
+            cid: [
                 row["compress_mb_s"] / base_codecs[cid][ds]["compress_mb_s"]
-                for ds, row in codecs.get(cid, {}).items()
+                for ds, row in rows.items()
                 if base_codecs.get(cid, {}).get(ds, {}).get("compress_mb_s")
             ]
-            if ratios:
-                mean = float(np.exp(np.mean(np.log(ratios))))
-                speed.append(
-                    f"n={rung} {cid}: compress MB/s {mean:.3f}x BASE "
-                    f"(geometric mean over {len(ratios)} generators; "
-                    f"{min(ratios):.3f}-{max(ratios):.3f})"
-                )
+            for cid, rows in codecs.items()
+        }
+        host = [r for cid, rs in ratios.items() if cid not in _NEATS_FAMILY
+                for r in rs]
+        for cid in _NEATS_FAMILY:
+            own = ratios.get(cid)
+            if not own:
+                continue
+            mean = _geomean(own)
+            line = (
+                f"n={rung} {cid}: compress MB/s {mean:.3f}x BASE "
+                f"(geometric mean over {len(own)} generators; "
+                f"{min(own):.3f}-{max(own):.3f})"
+            )
+            if host:
+                factor = _geomean(host)
+                line += (f"; host factor {factor:.3f}x over {len(host)} other "
+                         f"cells, so {mean / factor:.3f}x normalised")
+            speed.append(line)
     return differ, speed
 
 

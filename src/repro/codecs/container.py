@@ -65,9 +65,11 @@ from __future__ import annotations
 import json
 import mmap
 import os
+import reprlib
 import struct
 import zlib
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -89,6 +91,7 @@ __all__ = [
     "append_open",
     "write_atomic",
     "mmap_view",
+    "check_log_fields",
 ]
 
 ARCHIVE_MAGIC = b"RPAC0001"
@@ -101,6 +104,42 @@ _APPEND_HEADER = struct.Struct("<8siHI")  # magic, digits, codec id len, params 
 _RECORD = struct.Struct("<QIQ")  # frame length, crc32(frame), cumulative count
 _GROUP_HEADER = struct.Struct("<8sHI")  # magic, codec id len, params len
 _GROUP_RECORD = struct.Struct("<HiQI")  # sid len, digits, frame len, crc32(frame)
+
+
+def _field_range(code: str) -> range:
+    """The integers one struct field of format ``code`` holds."""
+    bits = 8 * struct.calcsize("<" + code)
+    if code.islower():  # signed
+        return range(-(1 << (bits - 1)), 1 << (bits - 1))
+    return range(1 << bits)
+
+
+# The series-id length and digits fields of a group record; every archive
+# header stores digits in the same signed 32-bit field.
+_SID_BYTES = _field_range(_GROUP_RECORD.format[1])
+_DIGITS = _field_range(_GROUP_RECORD.format[2])
+
+
+def check_log_fields(digits, series_id: str | None = None) -> None:
+    """Refuse ``digits`` or a series id that a log record's fields cannot hold.
+
+    Callers run it before they write or register anything, so a refusal
+    changes nothing.  Raises ``ValueError`` naming the series and the limit.
+    """
+    who = "" if series_id is None else f"series {reprlib.repr(series_id)}: "
+    if int(digits) not in _DIGITS:
+        raise ValueError(
+            f"{who}digits={int(digits)} is outside {_DIGITS[0]}..{_DIGITS[-1]}, "
+            "the range the digits field holds"
+        )
+    if series_id is None:
+        return
+    size = len(series_id.encode("utf-8"))
+    if not 0 < size <= _SID_BYTES[-1]:
+        raise ValueError(
+            f"{who}the id is {size} UTF-8 bytes; a log record holds "
+            f"1..{_SID_BYTES[-1]}"
+        )
 
 
 def write_atomic(path, blob: bytes) -> None:
@@ -430,6 +469,7 @@ def save(path, compressed: Compressed, digits: int | None = None) -> int:
         compressed._verify()
         compressed = compressed.compressed
     digits = 0 if digits is None else int(digits)
+    check_log_fields(digits)
     frame = compressed.to_bytes()
     blob = _HEADER.pack(ARCHIVE_MAGIC, digits, zlib.crc32(frame), len(frame)) + frame
     write_atomic(path, blob)
@@ -517,51 +557,102 @@ def _open_lazy(path: Path) -> Archive:
 # -- the appendable multi-frame container (RPAL0001) ---------------------------
 
 
-def _scan_append(buf, path):
-    """Parse an ``RPAL0001`` buffer: header plus every *complete* record.
+class TruncatedLogHeader(ValueError):
+    """A log buffer that ends inside its fixed header fields."""
 
-    Returns ``(digits, codec_id, params, records, end)`` where ``records``
-    is a list of ``(frame start, frame length, crc32, cumulative count)``
-    and ``end`` is the offset just past the last complete record.  Bytes
-    beyond ``end`` are a tail torn by an interrupted append: appends are
-    strictly ordered fsync'd tail writes, so only the final record can be
-    incomplete — it is ignored here and truncated by the next writer.
-    Structural damage inside the header (not appendable, bad params)
-    raises; a torn tail never does.
+
+class LogScan(NamedTuple):
+    """One walk of an ``RPAL0001`` or ``RPGW0001`` buffer.
+
+    ``records`` are the *complete* records; ``end`` is the offset past the
+    last.  Bytes beyond it are a tail torn by an interrupted append (only
+    the final write can tear), which readers ignore and the next writer
+    truncates.  ``stop`` says why the walk ended there: ``None`` when less
+    than a record header remains, else ``"overrun"`` (a record runs past
+    the end, or has an empty series id), ``"count"`` (a cumulative count
+    does not grow), ``"frame"`` (its header fails, or spans another
+    length) or ``"series id"`` (not UTF-8); ``detail`` in one line.
     """
-    view = buf if isinstance(buf, memoryview) else memoryview(buf)
-    if view.nbytes < _APPEND_HEADER.size:
-        raise ValueError(f"{path}: truncated appendable archive header")
-    magic, digits, idlen, plen = _APPEND_HEADER.unpack_from(view)
-    if magic != APPEND_MAGIC:
-        raise ValueError(f"{path}: not an appendable archive (bad magic)")
-    pos = _APPEND_HEADER.size
+
+    digits: int | None  #: the header's decimal scaling (group logs: None)
+    codec_id: str
+    params: dict
+    records: list
+    end: int
+    stop: str | None = None
+    detail: str = ""
+
+
+def _scan_header(view: memoryview, path, layout: struct.Struct, magic: bytes,
+                 noun: str, article: str):
+    """Parse a log header: ``(fields, codec id, params, offset past it)``.
+
+    ``layout`` starts with the magic and ends with the codec id and params
+    lengths.  A damaged header raises ``ValueError``; a torn tail never does.
+    """
+    if view.nbytes < layout.size:
+        raise TruncatedLogHeader(f"{path}: truncated {noun} header")
+    fields = layout.unpack_from(view)
+    if fields[0] != magic:
+        raise ValueError(f"{path}: not {article} {noun} (bad magic)")
+    idlen, plen = fields[-2:]
+    pos = layout.size
     if view.nbytes < pos + idlen + plen:
-        raise ValueError(f"{path}: truncated appendable archive header")
+        raise ValueError(f"{path}: truncated {noun} header")
     codec_id = bytes(view[pos : pos + idlen]).decode("utf-8")
     try:
         params = json.loads(bytes(view[pos + idlen : pos + idlen + plen]))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise ValueError(f"{path}: corrupt appendable archive params") from exc
+        raise ValueError(f"{path}: corrupt {noun} params") from exc
     if not isinstance(params, dict):
-        raise ValueError(f"{path}: corrupt appendable archive params")
-    pos += idlen + plen
-    records, total, end = [], 0, pos
+        raise ValueError(f"{path}: corrupt {noun} params")
+    return fields, codec_id, params, pos + idlen + plen
+
+
+def _frame_stop(view: memoryview, start: int, frame_len: int) -> str | None:
+    """Why the frame at ``start`` does not exactly fill its record, or ``None``."""
+    try:
+        span = serialize.frame_span(view[start : start + frame_len])
+    except ValueError as exc:
+        return str(exc)
+    if span != frame_len:
+        return f"record says {frame_len} frame bytes, frame accounts for {span}"
+    return None
+
+
+def _scan_append(buf, path) -> LogScan:
+    """Walk an ``RPAL0001`` buffer: header plus every complete record.
+
+    ``records`` are ``(frame start, frame length, crc32, cumulative
+    count)`` tuples (see :class:`LogScan` for the rest).
+    """
+    view = buf if isinstance(buf, memoryview) else memoryview(buf)
+    fields, codec_id, params, pos = _scan_header(
+        view, path, _APPEND_HEADER, APPEND_MAGIC, "appendable archive", "an"
+    )
+    records: list = []
+    total, end = 0, pos
+    stop = why = None
     while view.nbytes - pos >= _RECORD.size:
         frame_len, crc, cum = _RECORD.unpack_from(view, pos)
         start = pos + _RECORD.size
-        if start + frame_len > view.nbytes or cum <= total:
-            break  # torn tail: the record header never finished landing
-        try:
-            span = serialize.frame_span(view[start : start + frame_len])
-        except ValueError:
-            break  # frame header torn mid-write
-        if span != frame_len:
+        if start + frame_len > view.nbytes:
+            stop, why = "overrun", (f"length {frame_len} overruns the file by "
+                                    f"{start + frame_len - view.nbytes} bytes")
+            break
+        if cum <= total:
+            stop, why = "count", (f"cumulative count {cum} not greater than "
+                                  f"previous {total}")
+            break
+        why = _frame_stop(view, start, frame_len)
+        if why:
+            stop = "frame"
             break
         records.append((start, frame_len, crc, cum))
         total = cum
         pos = end = start + frame_len
-    return digits, codec_id, params, records, end
+    detail = f"record {len(records)}: {why}" if stop else ""
+    return LogScan(fields[1], codec_id, params, records, end, stop, detail)
 
 
 class _AppendRun:
@@ -696,27 +787,27 @@ class _MultiRunCompressed(Compressed):
 
 def _open_append(path: Path, buf, *, lazy: bool) -> Archive:
     """An :class:`Archive` over an ``RPAL0001`` buffer (bytes or mmap view)."""
-    digits, codec_id, params, records, end = _scan_append(buf, path)
+    scan = _scan_append(buf, path)
     view = buf if isinstance(buf, memoryview) else memoryview(buf)
     runs, total = [], 0
-    for start, frame_len, crc, cum in records:
+    for start, frame_len, crc, cum in scan.records:
         runs.append(_AppendRun(view[start : start + frame_len], crc, cum - total))
         total = cum
     compressed = _MultiRunCompressed(
         runs,
-        codec_id=codec_id,
-        codec_params=params,
+        codec_id=scan.codec_id,
+        codec_params=scan.params,
         path=path,
         source=view if lazy else None,
     )
-    compressed.truncated_bytes = view.nbytes - end
+    compressed.truncated_bytes = view.nbytes - scan.end
     if not lazy:
         compressed._load_all()  # eager contract: errors surface at open time
     return Archive(
         compressed=compressed,
-        digits=digits,
-        codec_id=codec_id,
-        params=dict(params),
+        digits=scan.digits,
+        codec_id=scan.codec_id,
+        params=dict(scan.params),
         path=path,
     )
 
@@ -764,6 +855,7 @@ class AppendableArchive:
                 "re-approximate an approximation"
             )
         get_codec(codec, **params)  # probe: bad params must fail before I/O
+        check_log_fields(digits)
         path = Path(path)
         if path.exists():
             raise ValueError(
@@ -798,18 +890,18 @@ class AppendableArchive:
                 f"{path} is a sealed one-shot archive (RPAC0001); it cannot "
                 "be appended to — create a new appendable archive instead"
             )
-        digits, codec_id, params, records, end = _scan_append(data, path)
+        scan = _scan_append(data, path)
         archive = cls()
         archive.path = path
-        archive.digits = digits
-        archive.codec_id = codec_id
-        archive.params = dict(params)
-        archive._total = records[-1][3] if records else 0
-        archive._num_records = len(records)
-        archive._end = end
-        if len(data) > end:  # torn tail from a crashed append: drop it now
+        archive.digits = scan.digits
+        archive.codec_id = scan.codec_id
+        archive.params = dict(scan.params)
+        archive._total = scan.records[-1][3] if scan.records else 0
+        archive._num_records = len(scan.records)
+        archive._end = scan.end
+        if len(data) > scan.end:  # torn tail from a crashed append: drop it now
             with open(path, "r+b") as fh:
-                fh.truncate(end)
+                fh.truncate(scan.end)
                 fh.flush()
                 os.fsync(fh.fileno())
         return archive
@@ -910,53 +1002,46 @@ def append_open(
     )
 
 
-def _scan_group(data, path):
-    """Parse an ``RPGW0001`` buffer: header plus every *complete* record.
+def _scan_group(data, path) -> LogScan:
+    """Walk an ``RPGW0001`` buffer: header plus every complete record.
 
-    Returns ``(codec_id, params, records, end)`` where ``records`` is a
-    list of ``(series id, digits, frame start, frame length, crc32)`` and
-    ``end`` is the offset just past the last complete record.  Like
-    :func:`_scan_append`, bytes beyond ``end`` are a tail torn by an
-    interrupted group write — ignored here, truncated by the next writer.
-    Structural damage in the header raises; a torn tail never does.
+    ``records`` are ``(series id, digits, frame start, frame length,
+    crc32)`` tuples; the torn-tail contract is :func:`_scan_append`'s
+    (see :class:`LogScan`).
     """
     view = memoryview(data)
-    if view.nbytes < _GROUP_HEADER.size:
-        raise ValueError(f"{path}: truncated group log header")
-    magic, idlen, plen = _GROUP_HEADER.unpack_from(view)
-    if magic != GROUP_MAGIC:
-        raise ValueError(f"{path}: not a group log (bad magic)")
-    pos = _GROUP_HEADER.size
-    if view.nbytes < pos + idlen + plen:
-        raise ValueError(f"{path}: truncated group log header")
-    codec_id = bytes(view[pos : pos + idlen]).decode("utf-8")
-    try:
-        params = json.loads(bytes(view[pos + idlen : pos + idlen + plen]))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise ValueError(f"{path}: corrupt group log params") from exc
-    if not isinstance(params, dict):
-        raise ValueError(f"{path}: corrupt group log params")
-    pos += idlen + plen
-    records, end = [], pos
+    _, codec_id, params, pos = _scan_header(
+        view, path, _GROUP_HEADER, GROUP_MAGIC, "group log", "a"
+    )
+    records: list = []
+    end = pos
+    stop = why = None
     while view.nbytes - pos >= _GROUP_RECORD.size:
         sid_len, digits, frame_len, crc = _GROUP_RECORD.unpack_from(view, pos)
         sid_start = pos + _GROUP_RECORD.size
         frame_start = sid_start + sid_len
-        if sid_len == 0 or frame_start + frame_len > view.nbytes:
-            break  # torn tail: the record never finished landing
+        if sid_len == 0:
+            stop, why = "overrun", "empty series id"
+            break
+        if frame_start + frame_len > view.nbytes:
+            stop, why = "overrun", (
+                f"lengths {sid_len}+{frame_len} overrun the file by "
+                f"{frame_start + frame_len - view.nbytes} bytes"
+            )
+            break
         try:
             sid = bytes(view[sid_start:frame_start]).decode("utf-8")
-        except UnicodeDecodeError:
-            break  # series id torn mid-write
-        try:
-            span = serialize.frame_span(view[frame_start : frame_start + frame_len])
-        except ValueError:
-            break  # frame header torn mid-write
-        if span != frame_len:
+        except UnicodeDecodeError as exc:
+            stop, why = "series id", f"series id not UTF-8: {exc}"
+            break
+        why = _frame_stop(view, frame_start, frame_len)
+        if why:
+            stop = "frame"
             break
         records.append((sid, digits, frame_start, frame_len, crc))
         pos = end = frame_start + frame_len
-    return codec_id, params, records, end
+    detail = f"record {len(records)}: {why}" if stop else ""
+    return LogScan(None, codec_id, params, records, end, stop, detail)
 
 
 class GroupLog:
@@ -1019,16 +1104,16 @@ class GroupLog:
         """Resume an existing group log for writing (drops any torn tail)."""
         path = Path(path)
         data = path.read_bytes()
-        codec_id, params, records, end = _scan_group(data, path)
+        scan = _scan_group(data, path)
         log = cls()
         log.path = path
-        log.codec_id = codec_id
-        log.params = dict(params)
-        log._num_records = len(records)
-        log._end = end
-        if len(data) > end:  # torn tail from a crashed write: drop it now
+        log.codec_id = scan.codec_id
+        log.params = dict(scan.params)
+        log._num_records = len(scan.records)
+        log._end = scan.end
+        if len(data) > scan.end:  # torn tail from a crashed write: drop it now
             with open(path, "r+b") as fh:
-                fh.truncate(end)
+                fh.truncate(scan.end)
                 fh.flush()
                 os.fsync(fh.fileno())
         return log
@@ -1051,8 +1136,7 @@ class GroupLog:
         """
         blob, written = bytearray(), 0
         for series_id, digits, frame in records:
-            if not series_id:
-                raise ValueError("group log records need a non-empty series id")
+            check_log_fields(digits, series_id)
             # The recovery scan cuts the log at the first record whose frame
             # header disagrees with its length, taking every later record
             # with it: refuse such a frame here instead.
@@ -1090,10 +1174,9 @@ def read_group_log(path):
     """
     path = Path(path)
     data = path.read_bytes()
-    codec_id, params, records, _end = _scan_group(data, path)
     view = memoryview(data)
     out = []
-    for sid, digits, start, frame_len, crc in records:
+    for sid, digits, start, frame_len, crc in _scan_group(data, path).records:
         frame = view[start : start + frame_len]
         if zlib.crc32(frame) != crc:
             raise ValueError(

@@ -104,32 +104,24 @@ class RunIndex:
             yield i, max(lo, start) - start, min(hi, int(self._cum[i])) - start
 
 
-def _is_lossy(codec, codec_id: str | None) -> bool:
-    """Whether a tier codec is error-bounded (the registry flag wins)."""
-    from .. import codecs
-    from ..baselines.base import LossyCompressor
+def _is_lossy(codec_id: str) -> bool:
+    """Whether a tier codec is error-bounded (the registry flag)."""
+    from ..codecs import codec_spec
 
-    if codec_id is not None:
-        return codecs.codec_spec(codec_id).lossy
-    # A pre-built instance may be a registry proxy (get_codec output): its
-    # spec knows; otherwise unwrap and check the compressor itself.
-    spec = getattr(codec, "spec", None)
-    if isinstance(spec, codecs.CodecSpec):
-        return spec.lossy
-    inner = getattr(codec, "_inner", codec)
-    return isinstance(inner, LossyCompressor)
+    return codec_spec(codec_id).lossy
 
 
-def _resolve(codec, params: dict | None):
-    """A (compressor, codec_id, params) triple from an id or an instance."""
+def _resolve(codec, params: dict | None, tier: str):
+    """A (compressor, codec_id, params) triple from a registry id."""
     from ..codecs import get_codec
 
-    if isinstance(codec, str):
-        params = dict(params or {})
-        return get_codec(codec, **params), codec, params
-    # A pre-built compressor instance (legacy API): usable, but the store
-    # cannot name it in a persisted header.
-    return codec, None, {}
+    if not isinstance(codec, str):
+        raise ValueError(
+            f"{tier}_codec must be a registry id (e.g. 'gorilla', 'neats'), "
+            f"not a {type(codec).__name__}; pass the id and its params instead"
+        )
+    params = dict(params or {})
+    return get_codec(codec, **params), codec, params
 
 
 class TieredStore:
@@ -140,11 +132,10 @@ class TieredStore:
     seal_threshold:
         Buffer size (values) at which a hot block is sealed.
     hot_codec / cold_codec:
-        Registry id (e.g. ``"gorilla"``, ``"zstd"``, ``"neats"``) or a
-        pre-built compressor instance.  Ids are required for
-        :meth:`to_bytes` persistence.  The hot codec must be lossless: a
-        snapshot encodes the write buffer with it and consolidation decodes
-        it, so a lossy one would approximate values twice.
+        Registry id (e.g. ``"gorilla"``, ``"zstd"``, ``"neats"``); a
+        snapshot records it.  The hot codec must be lossless: a snapshot
+        encodes the write buffer with it and consolidation decodes it, so
+        a lossy one would approximate values twice.
     hot_params / cold_params:
         Constructor params forwarded to the codec factories.
     """
@@ -157,29 +148,22 @@ class TieredStore:
         *,
         hot_params: dict | None = None,
         cold_params: dict | None = None,
-        hot_compressor=None,
-        cold_compressor=None,
     ) -> None:
         if seal_threshold < 1:
             raise ValueError("seal_threshold must be positive")
-        # Legacy keyword aliases (pre-registry API) take precedence when given.
-        if hot_compressor is not None:
-            hot_codec = hot_compressor
-        if cold_compressor is not None:
-            cold_codec = cold_compressor
         self._seal_threshold = seal_threshold
         self._hot_codec, self._hot_id, self._hot_params = _resolve(
-            hot_codec, hot_params
+            hot_codec, hot_params, "hot"
         )
-        if _is_lossy(self._hot_codec, self._hot_id):
+        if _is_lossy(self._hot_id):
             raise ValueError(
-                f"hot tier cannot use lossy codec {self._hot_id or hot_codec!r}: "
+                f"hot tier cannot use lossy codec {self._hot_id!r}: "
                 "snapshots encode the write buffer with it and consolidation "
                 "decodes it, and re-approximating an approximation would "
                 "compound the error beyond any bound"
             )
         self._cold_codec, self._cold_id, self._cold_params = _resolve(
-            cold_codec, cold_params
+            cold_codec, cold_params, "cold"
         )
         # Native int64, 8 B per value (a list of ints costs ~36 B): a
         # SeriesDB keeps every dirty shard's buffer in memory until it flushes.
@@ -265,11 +249,7 @@ class TieredStore:
         (see ``_guard``).
         """
         self._assert_guarded()
-        if (
-            self._hot_id is not None
-            and block.codec_id is not None
-            and block.codec_id != self._hot_id
-        ):
+        if block.codec_id is not None and block.codec_id != self._hot_id:
             raise ValueError(
                 f"adopted block was compressed with {block.codec_id!r}, "
                 f"but this store's hot tier is {self._hot_id!r}"
@@ -322,7 +302,7 @@ class TieredStore:
         if not self._hot:
             return
         parts = []
-        remerge = bool(self._cold) and not _is_lossy(self._cold_codec, self._cold_id)
+        remerge = bool(self._cold) and not _is_lossy(self._cold_id)
         if remerge:
             parts.extend(run.decompress() for run in self._cold)
         parts.extend(block.decompress() for block in self._hot)
@@ -432,14 +412,8 @@ class TieredStore:
         ``buffer_len`` in the header counts the buffered values, and
         ``tail_frame_len`` (present only with a tail frame) the frame's
         bytes, so a store with an empty buffer serialises as it always
-        did.  Requires both tiers to be configured by codec id.
+        did.
         """
-        if self._hot_id is None or self._cold_id is None:
-            raise ValueError(
-                "persistence requires codec ids; construct the store with "
-                "hot_codec/cold_codec strings (e.g. 'gorilla', 'neats') "
-                "instead of compressor instances"
-            )
         frames = [block.to_bytes() for block in self._hot]
         cold_frames = [run.to_bytes() for run in self._cold]
         tail = self._tail

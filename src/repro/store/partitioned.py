@@ -72,6 +72,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ..codecs.container import check_log_fields
 from ..codecs.container import write_atomic as _write_atomic
 from .parallel import default_workers, process_map, thread_map
 from .seriesdb import (
@@ -303,7 +304,7 @@ class PartitionedSeriesDB:
             src.flush()
         finally:
             src.close()
-        manifest = json.loads((src_dir / MANIFEST_NAME).read_text("utf-8"))
+        manifest = read_manifest(src_dir / MANIFEST_NAME)
         if int(partitions) < 1:
             raise ValueError("partitions must be positive")
         partitions = int(partitions)
@@ -494,6 +495,7 @@ class PartitionedSeriesDB:
                     if not sid or not isinstance(sid, str):
                         raise ValueError(f"invalid series id {sid!r}")
                     new_sids.append(sid)
+                check_log_fields(digits or 0, sid)
                 part = self._series_map.get(
                     sid, zlib.crc32(sid.encode("utf-8")) % self._partitions
                 )

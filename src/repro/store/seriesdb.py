@@ -89,6 +89,7 @@ from ..baselines.base import Compressed
 from ..codecs import get_codec
 from ..codecs.container import (
     GroupLog,
+    check_log_fields,
     mmap_view,
     open_archive,
     read_group_log,
@@ -465,6 +466,7 @@ class SeriesDB:
                     if not sid or not isinstance(sid, str):
                         raise ValueError(f"invalid series id {sid!r}")
                     buffered = 0
+                check_log_fields(digits or 0, sid)
                 # A partly filled buffer is topped up first, so the cuts
                 # line up with the blocks extend() would seal.
                 head = min(threshold - buffered, len(values)) if buffered else 0

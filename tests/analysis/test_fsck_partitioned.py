@@ -2,11 +2,13 @@
 
 import json
 import shutil
+import struct
 
 import numpy as np
 import pytest
 
 from repro.analysis import fsck_partitioned, fsck_path
+from repro.codecs.container import _GROUP_HEADER, _GROUP_RECORD, read_group_log
 from repro.store import PartitionedSeriesDB, SeriesDB
 
 
@@ -80,6 +82,13 @@ class TestPartitionProblems:
         (proot / "MANIFEST.json").write_text(json.dumps(manifest))
         assert codes(fsck_partitioned(proot)) == ["FSK030"]
 
+    def test_partition_manifest_not_an_object_is_fsk020(self, proot):
+        (proot / "p0000" / "MANIFEST.json").write_text("[]")
+        report = fsck_path(proot)
+        found = [p for p in report.problems if p.code == "FSK020"]
+        assert found and "p0000" in found[0].path
+        assert report.exit_code == 1
+
     def test_partition_defect_keeps_its_own_code(self, proot):
         # corrupt one partition's manifest: the finding surfaces with the
         # single-dir code (FSK020), pathed inside the partition
@@ -102,6 +111,58 @@ class TestGroupWalProblems:
     def _group_path(self, root):
         manifest = json.loads((root / "MANIFEST.json").read_text())
         return root / manifest["group_wal"]
+
+    def _records(self, path):
+        """``[(record offset, sid length, frame length), ...]`` of a group log."""
+        data = path.read_bytes()
+        _, idlen, plen = _GROUP_HEADER.unpack_from(data)
+        pos = _GROUP_HEADER.size + idlen + plen
+        records = []
+        while pos + _GROUP_RECORD.size <= len(data):
+            sid_len, _, frame_len, _ = _GROUP_RECORD.unpack_from(data, pos)
+            records.append((pos, sid_len, frame_len))
+            pos += _GROUP_RECORD.size + sid_len + frame_len
+        return records
+
+    def _patch(self, path, offset, blob):
+        raw = bytearray(path.read_bytes())
+        raw[offset:offset + len(blob)] = blob
+        path.write_bytes(bytes(raw))
+
+    # Field offsets inside a record header (sid len H, digits i, frame len Q).
+    _DIGITS, _FRAME_LEN = 2, 6
+
+    def test_frame_length_overrun_is_fsk012(self, groot):
+        path = self._group_path(groot)
+        pos, _, _ = self._records(path)[2]
+        self._patch(path, pos + self._FRAME_LEN, struct.pack("<Q", 2**40))
+        assert set(codes(fsck_path(groot))) == {"FSK012", "FSK015"}
+
+    def test_short_frame_length_is_fsk016(self, groot):
+        path = self._group_path(groot)
+        pos, _, frame_len = self._records(path)[0]
+        self._patch(path, pos + self._FRAME_LEN, struct.pack("<Q", frame_len - 8))
+        assert set(codes(fsck_path(groot))) == {"FSK015", "FSK016"}
+
+    def test_series_id_not_utf8_is_fsk033(self, groot):
+        path = self._group_path(groot)
+        pos, _, _ = self._records(path)[1]
+        self._patch(path, pos + _GROUP_RECORD.size, b"\xff")
+        assert set(codes(fsck_path(groot))) == {"FSK015", "FSK033"}
+
+    def test_digits_conflict_is_fsk034(self, groot):
+        path = self._group_path(groot)
+        pos, _, _ = self._records(path)[1]
+        self._patch(path, pos + self._DIGITS, struct.pack("<i", 7))
+        assert set(codes(fsck_path(groot))) == {"FSK034"}
+
+    def test_torn_last_record_is_fsk012_and_fsk015(self, groot):
+        path = self._group_path(groot)
+        path.write_bytes(path.read_bytes()[:-5])
+        assert set(codes(fsck_path(groot))) == {"FSK012", "FSK015"}
+        assert len(read_group_log(path)) == 2
+        db = SeriesDB.open(groot)
+        assert [db.count(sid) for sid in ("s0", "s1", "s2")] == [400, 400, 0]
 
     def test_clean_group_log_deep_ok(self, groot):
         report = fsck_path(groot, deep=True)
@@ -134,6 +195,21 @@ class TestGroupWalProblems:
         manifest["hot_codec"] = "zstd"
         (groot / "MANIFEST.json").write_text(json.dumps(manifest))
         assert "FSK034" in codes(fsck_path(groot))
+
+    def test_recovery_semantics_match_fsck(self, groot):
+        """The records fsck verifies are exactly those recovery replays."""
+        path = self._group_path(groot)
+        raw = path.read_bytes()
+        ends = [pos + _GROUP_RECORD.size + sid_len + frame_len
+                for pos, sid_len, frame_len in self._records(path)]
+        cuts = {len(raw) - 5, (ends[0] + ends[1]) // 2}
+        cuts |= {end + delta for end in ends[:-1] for delta in (-1, 0, 1)}
+        for cut in sorted(cuts):
+            path.write_bytes(raw[:cut])
+            report = fsck_path(groot)
+            replayed = read_group_log(path)
+            assert report.checked.get("records", 0) == len(replayed), cut
+            assert ("FSK015" in codes(report)) == (cut not in ends), cut
 
     def test_group_log_surfaces_through_partitioned_root(self, tmp_path, rng):
         root = tmp_path / "pdb"

@@ -104,6 +104,20 @@ def test_unparseable_manifest(db_root):
     assert codes(fsck_seriesdb(db_root)) == {"FSK020"}
 
 
+def test_manifest_not_an_object(db_root):
+    (db_root / "MANIFEST.json").write_text("[]")
+    report = fsck_path(db_root)
+    assert codes(report) == {"FSK020"}
+    assert report.exit_code == 1
+
+
+def test_manifest_not_utf8(db_root):
+    (db_root / "MANIFEST.json").write_bytes(b"\xff\xfe{")
+    report = fsck_path(db_root)
+    assert codes(report) == {"FSK020"}
+    assert report.exit_code == 1
+
+
 def test_wrong_manifest_format(db_root):
     data = manifest(db_root)
     data["format"] = "RPDB9999"

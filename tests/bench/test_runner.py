@@ -102,6 +102,28 @@ def test_compare_names_each_cell_that_differs(written):
     ]
 
 
+def test_compare_divides_out_the_host_factor():
+    """Every codec 1.3x faster is the host, not the change: 1.000x normalised."""
+
+    def table(mb_s):
+        codecs = ("neats", "leats", "sneats", "gorilla", "xz", "alp")
+        return {"rungs": {"4096": {
+            cid: {ds: {"bits_per_value": 2.5, "compress_mb_s": mb_s}
+                  for ds in ("IT", "CT")}
+            for cid in codecs
+        }}}
+
+    differ, speed = compare_table3(table(10.0), table(13.0))
+    assert differ == []
+    assert [line.split(":")[0] for line in speed] == [
+        f"n=4096 {cid}" for cid in ("neats", "leats", "sneats")
+    ]
+    for line in speed:
+        assert "1.300x BASE" in line
+        assert "host factor 1.300x over 6 other cells" in line
+        assert line.endswith("1.000x normalised")
+
+
 def test_compare_counts_a_cell_base_lacks(written):
     _, paths = written
     table3 = _payload(paths, "BENCH_table3.json")

@@ -299,6 +299,6 @@ def _record_ends(log_path, batches):
     """File offsets at which each record of ``log_path`` ends."""
     from repro.codecs.container import _scan_append
 
-    _, _, _, records, _ = _scan_append(log_path.read_bytes(), log_path)
+    records = _scan_append(log_path.read_bytes(), log_path).records
     assert len(records) == len(batches)
     return [start + frame_len for start, frame_len, _, _ in records]

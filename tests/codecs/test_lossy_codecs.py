@@ -338,20 +338,10 @@ class TestTieredStoreLossyCold:
         assert np.max(np.abs(restored.decompress() - series[:2048])) <= eps + 1e-9
         assert abs(restored.access(1500) - series[1500]) <= eps + 1e-9
 
-    @pytest.mark.parametrize("make_codec", [
-        lambda eps: get_codec("pla", eps=eps),    # registry proxy instance
-        lambda eps: PlaCompressor(eps),           # bare compressor instance
-    ])
-    def test_instance_cold_codec_detected_as_lossy(self, series, make_codec):
-        """A pre-built lossy compressor instance (proxy or bare) must take
-        the append-a-run path too — never the lossless re-merge that would
-        re-approximate the approximation."""
-        eps = 5.0
-        store = repro.TieredStore(seal_threshold=256, hot_codec="gorilla",
-                                  cold_codec=make_codec(eps))
-        for lo in (0, 1024):
-            store.extend(series[lo : lo + 1024])
-            store.consolidate()
-        assert store.tier_report()["cold_runs"] == 2
-        got = store.range(0, 2048)
-        assert np.max(np.abs(got - series[:2048])) <= eps + 1e-9
+    def test_instance_cold_codec_refused(self):
+        """Lossiness is read off the registry id, so a pre-built instance
+        (registry proxy or bare compressor) is refused at construction."""
+        for codec in (get_codec("pla", eps=5.0), PlaCompressor(5.0)):
+            with pytest.raises(ValueError, match="cold_codec must be a registry id"):
+                repro.TieredStore(seal_threshold=256, hot_codec="gorilla",
+                                  cold_codec=codec)

@@ -378,14 +378,14 @@ class TestTieredStorePersistence:
         with pytest.raises(ValueError, match="checksum"):
             repro.TieredStore.from_bytes(bytes(blob))
 
-    def test_instance_codecs_cannot_persist(self, series):
+    def test_instance_codecs_cannot_persist(self):
+        """A snapshot names its codecs, so an instance is refused up front."""
         from repro.baselines.gorilla import GorillaCompressor
 
-        store = repro.TieredStore(seal_threshold=256,
-                                  hot_compressor=GorillaCompressor())
-        store.extend(series)
-        with pytest.raises(ValueError, match="codec ids"):
-            store.to_bytes()
+        with pytest.raises(ValueError, match="registry id"):
+            repro.TieredStore(seal_threshold=256, hot_codec=GorillaCompressor())
+        with pytest.raises(ValueError, match="cold_codec must be a registry id"):
+            repro.TieredStore(cold_codec=repro.get_codec("neats"))
 
 
 class TestStarImportDoesNotShadowOpen:

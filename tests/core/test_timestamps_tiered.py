@@ -471,7 +471,7 @@ class TestTailFrame:
 
         with pytest.raises(ValueError, match="hot tier cannot use lossy"):
             TieredStore(hot_codec="pla", hot_params={"eps": 1})
-        with pytest.raises(ValueError, match="hot tier cannot use lossy"):
+        with pytest.raises(ValueError, match="hot_codec must be a registry id"):
             TieredStore(hot_codec=get_codec("neats_l", eps=1))
 
     def test_seriesdb_names_the_shard_and_fsck_reports_it(self, tmp_path):

@@ -67,7 +67,7 @@ def test_append_reopen_equals_concatenation(tmp_path, batches):
 def test_any_truncation_yields_sealed_prefix(tmp_path, batches, data):
     path = build(tmp_path, batches)
     blob = path.read_bytes()
-    _, _, _, records, _ = _scan_append(blob, path)
+    records = _scan_append(blob, path).records
     ends = [start + frame_len for start, frame_len, _, _ in records]
     header_end = records[0][0] - _RECORD.size  # first record header starts here
     cut = data.draw(st.integers(header_end, len(blob) - 1), label="cut")
