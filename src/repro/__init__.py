@@ -69,8 +69,8 @@ pass, background compaction)::
 Past one directory: :class:`PartitionedSeriesDB` shards the keyspace over
 N independent SeriesDB partitions (hash-placed series, per-partition
 locks and group logs, one fsync per partition per ingest batch, process
-fan-out for compaction, scatter-gather reads), behind the same
-``SeriesStore`` protocol — :func:`open_store` opens either kind::
+fan-out for compaction, multi-series reads in the calling thread), behind
+the same ``SeriesStore`` protocol — :func:`open_store` opens either kind::
 
     pdb = repro.PartitionedSeriesDB("bigdir", partitions=4)
     pdb.ingest_many(series_by_id)   # one fsync per partition

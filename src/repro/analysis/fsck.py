@@ -389,6 +389,8 @@ def fsck_archive(path, *, deep: bool = False) -> FsckReport:
 # -- SeriesDB directories ------------------------------------------------------
 
 _TIER_MAGIC = b"RPTS0001"
+# Series entry fields that must be JSON integers when present.
+_ENTRY_INTS = ("count", "crc32", "digits", "hot_values", "buffer_values")
 
 
 def _fsck_shard(
@@ -400,11 +402,11 @@ def _fsck_shard(
     except OSError as exc:
         report.add("FSK022", path, f"series {sid!r}: {exc}")
         return None
-    if zlib.crc32(data) != int(entry.get("crc32", -1)):
+    if zlib.crc32(data) != entry.get("crc32", -1):
         report.add(
             "FSK023", path,
             f"series {sid!r}: shard crc32 {zlib.crc32(data):#010x} != "
-            f"manifest {int(entry.get('crc32', -1)):#010x}",
+            f"manifest {entry.get('crc32', -1):#010x}",
         )
         return None
     if data[:8] != _TIER_MAGIC:
@@ -424,7 +426,7 @@ def _fsck_shard(
         report.add("FSK024", path, f"series {sid!r}: snapshot parse: {exc}")
         return None
     count = len(store)
-    if count != int(entry.get("count", -1)):
+    if count != entry.get("count", -1):
         report.add(
             "FSK025", path,
             f"series {sid!r}: snapshot holds {count} values, manifest "
@@ -435,12 +437,14 @@ def _fsck_shard(
 
 
 def _fsck_group_log(
-    report: FsckReport, path: Path, manifest: dict, deep: bool
+    report: FsckReport, path: Path, hot_codec: str | None, series: dict,
+    deep: bool,
 ) -> dict[str, int]:
     """Structurally verify one group-commit WAL (``RPGW0001``).
 
-    Returns per-series value counts taken from the frame headers, so the
-    caller can fold them into the deep replay cross-check (FSK029).
+    ``series`` holds the manifest entries whose fields passed the entry
+    check.  Returns per-series value counts taken from the frame headers,
+    so the caller can fold them into the deep replay cross-check (FSK029).
     """
     counts: dict[str, int] = {}
     try:
@@ -455,19 +459,16 @@ def _fsck_group_log(
         return counts
     if scan.codec_id not in available_codecs():
         report.add("FSK007", path, f"codec {scan.codec_id!r} is not registered")
-    hot_codec = manifest.get("hot_codec")
     if hot_codec and scan.codec_id != hot_codec:
         report.add(
             "FSK034", path,
             f"group WAL codec {scan.codec_id!r} != configured hot codec "
             f"{hot_codec!r}",
         )
-    series = manifest.get("series")
-    series = series if isinstance(series, dict) else {}
     for index, (sid, digits, start, frame_len, crc) in enumerate(scan.records):
         label = f"record {index}"
         entry = series.get(sid)
-        if isinstance(entry, dict) and int(entry.get("digits", 0)) != digits:
+        if entry is not None and entry.get("digits", 0) != digits:
             report.add(
                 "FSK034", path,
                 f"{label}: series {sid!r} digits {digits} != manifest "
@@ -516,20 +517,30 @@ def fsck_seriesdb(root, *, deep: bool = False) -> FsckReport:
     hot_codec = manifest.get("hot_codec")
     referenced: set[str] = set()
     expected_counts: dict[str, int] = {}
+    usable: dict[str, dict] = {}  # the entries whose fields passed
     for sid, entry in series.items():
-        if not isinstance(entry, dict) or "shard" not in entry:
+        if not isinstance(entry, dict) or not isinstance(entry.get("shard"), str):
             report.add(
                 "FSK021", manifest_path, f"series {sid!r}: malformed entry"
             )
             continue
-        report.tally("series")
         shard_rel = entry["shard"]
-        referenced.add(shard_rel)
+        referenced.add(shard_rel)  # a bad field does not orphan the shard
+        bad = [k for k in _ENTRY_INTS if k in entry and type(entry[k]) is not int]
+        if bad:
+            report.add(
+                "FSK021", manifest_path,
+                f"series {sid!r}: field {bad[0]!r} is {entry[bad[0]]!r}, "
+                "not an integer",
+            )
+            continue
+        usable[sid] = entry
+        report.tally("series")
         shard_path = root / shard_rel
         snapshot_count: int | None = None
         if shard_path.exists():
             snapshot_count = _fsck_shard(report, shard_path, entry, sid, deep)
-        elif int(entry.get("count", 0)) != 0:
+        elif entry.get("count", 0) != 0:
             report.add(
                 "FSK022", shard_path,
                 f"series {sid!r}: manifest records {entry.get('count')} "
@@ -569,7 +580,7 @@ def fsck_seriesdb(root, *, deep: bool = False) -> FsckReport:
                                 f"series {sid!r}: WAL codec {scan.codec_id!r} "
                                 f"!= configured hot codec {hot_codec!r}",
                             )
-                        recorded = int(entry.get("digits", 0))
+                        recorded = entry.get("digits", 0)
                         if scan.digits != recorded:
                             report.add(
                                 "FSK027", wal_path,
@@ -577,7 +588,7 @@ def fsck_seriesdb(root, *, deep: bool = False) -> FsckReport:
                                 f"manifest digits {recorded}",
                             )
                         wal_count = sub.checked.get("values", 0)
-        expected_counts[sid] = int(entry.get("count", 0)) + wal_count
+        expected_counts[sid] = entry.get("count", 0) + wal_count
     group_rel = manifest.get("group_wal")
     if group_rel:
         referenced.add(group_rel)
@@ -590,7 +601,9 @@ def fsck_seriesdb(root, *, deep: bool = False) -> FsckReport:
         group_path = root / group_rel
         # Absent is fine: group logs are created lazily at first append.
         if group_path.exists():
-            group_counts = _fsck_group_log(report, group_path, manifest, deep)
+            group_counts = _fsck_group_log(
+                report, group_path, hot_codec, usable, deep
+            )
             for sid, n in group_counts.items():
                 expected_counts[sid] = expected_counts.get(sid, 0) + n
     shard_dir = root / "shards"

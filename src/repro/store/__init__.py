@@ -14,8 +14,8 @@ registry and the framed ``Compressed`` serialisation:
 * :class:`PartitionedSeriesDB` — N independent ``SeriesDB`` partition
   directories behind one façade: hash-placed series, per-partition
   locks/logs/manifests, in-process batch ingest (one fsync per partition
-  per batch), process fan-out for compaction, and scatter-gather
-  multi-series reads.
+  per batch), process fan-out for compaction, and multi-series reads in
+  the calling thread.
 
 Both store kinds implement the :class:`SeriesStore` protocol
 (:mod:`repro.store.interface`); :func:`open_store` opens a directory as
@@ -30,7 +30,6 @@ from .parallel import (
     compress_many_frames,
     default_workers,
     process_map,
-    thread_map,
 )
 from .partitioned import PartitionedSeriesDB, open_store
 from .seriesdb import SeriesDB
@@ -40,7 +39,6 @@ __all__ = [
     "compress_many_frames",
     "default_workers",
     "process_map",
-    "thread_map",
     "SeriesDB",
     "SeriesStore",
     "PartitionedSeriesDB",

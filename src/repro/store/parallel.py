@@ -89,27 +89,21 @@ def compress_many_frames(
         (key, np.asarray(values), codec, dict(params))
         for key, values in series_map.items()
     ]
-    if not tasks:
-        return {}
-    if workers is None:
-        workers = default_workers()
-    workers = max(1, min(int(workers), len(tasks)))
-    if workers == 1 or len(tasks) == 1:
-        return dict(map(_compress_frame, tasks))
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return dict(pool.map(_compress_frame, tasks, chunksize=1))
+    return dict(process_map(_compress_frame, tasks, workers=workers))
 
 
 def process_map(fn, tasks, *, workers: int | None = None) -> list:
     """Run ``fn`` over ``tasks`` in a process pool, order-preserving.
 
-    The partition fan-out primitive of
-    :meth:`~repro.store.partitioned.PartitionedSeriesDB.compact`: each task
-    is a self-contained picklable description of one partition's work (a
-    directory to compact), ``fn`` a module-level function.
-    ``workers <= 1`` or a single task runs serially in-process with no
-    pool — the same degradation rule as :func:`compress_many_frames`, and
-    what keeps deterministic-schedule tests fork-free.
+    The one fan-out rule of the store: :func:`compress_many_frames` maps
+    one series per task through it, and
+    :meth:`~repro.store.partitioned.PartitionedSeriesDB.compact` one
+    partition directory per task.  Each task is a self-contained picklable
+    description of its work, ``fn`` a module-level function.
+    ``workers=None`` means :func:`default_workers`; the count is clamped to
+    the task count, and ``workers <= 1`` or a single task runs serially
+    in-process with no pool, which keeps deterministic-schedule tests
+    fork-free.
     """
     tasks = list(tasks)
     if not tasks:
@@ -126,11 +120,10 @@ def process_map(fn, tasks, *, workers: int | None = None) -> list:
 def thread_map(fn, tasks, *, workers: int | None = None) -> list:
     """Run ``fn`` over ``tasks`` in a thread pool, order-preserving.
 
-    The scatter-gather primitive for cross-partition *reads*: queries
-    against distinct partitions only contend on distinct locks and spend
-    their time in decompression, so threads are enough (no pickling, no
-    fork cost) and results come back cheap.  Same serial degradation rule
-    as :func:`process_map`.
+    Nothing in ``repro`` calls it: multi-series reads run in the calling
+    thread.  It stays importable only because perfbench's tracer wraps it
+    for the ``parallel.thread_map`` span, and goes when that span does.
+    Same serial degradation rule as :func:`process_map`.
     """
     tasks = list(tasks)
     if not tasks:

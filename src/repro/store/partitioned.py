@@ -17,7 +17,8 @@ protocol::
       p0001/
         ...
 
-Because partitions share nothing, the façade can split work up:
+Because partitions share nothing, the façade can split work up where
+that pays:
 
 * ``ingest_many`` splits the batch by partition and ingests each
   sub-batch in this process, partition by partition.  Each partition
@@ -28,9 +29,9 @@ Because partitions share nothing, the façade can split work up:
   (:func:`repro.store.parallel.process_map`): NeaTS compaction is
   CPU-bound, so real CPU parallelism pays there.
 * Multi-series reads (:meth:`PartitionedSeriesDB.access_many` /
-  :meth:`~PartitionedSeriesDB.range_many`) scatter per-partition query
-  groups over threads and gather the answers — queries against distinct
-  partitions contend on distinct locks.
+  :meth:`~PartitionedSeriesDB.range_many`) check every id, then answer
+  each query in the calling thread, in query order: the reads are
+  Python work under the GIL, so threads would overlap nothing.
 
 **Partition map.**  The root manifest pins every series to its partition
 explicitly (``"series": {"cpu": 0, "mem": 3, ...}``, in global ingestion
@@ -74,7 +75,7 @@ import numpy as np
 
 from ..codecs.container import check_log_fields
 from ..codecs.container import write_atomic as _write_atomic
-from .parallel import default_workers, process_map, thread_map
+from .parallel import default_workers, process_map
 from .seriesdb import (
     DEFAULT_CACHE_CAPACITY,
     LEGACY_MANIFEST_KEYS,
@@ -108,9 +109,9 @@ class PartitionedSeriesDB:
 
     Implements the same :class:`~repro.store.interface.SeriesStore`
     protocol as ``SeriesDB`` — the equivalence suite holds the two to
-    identical answers — plus the partition-aware extras
-    (:meth:`access_many`, :meth:`range_many`, :meth:`partition_of`,
-    :meth:`migrate`).
+    identical answers — plus the partition-aware extras: the multi-series
+    reads :meth:`access_many` and :meth:`range_many`, which run in the
+    calling thread, :meth:`partition_of` and :meth:`migrate`.
 
     Parameters
     ----------
@@ -533,49 +534,33 @@ class PartitionedSeriesDB:
             self._check_open()
             return self._handles[self._partition_of(series_id)].decompress(series_id)
 
-    def access_many(self, queries, *, workers: int | None = None) -> dict:
-        """Scatter-gather point lookups: ``{sid: k}`` -> ``{sid: value}``.
+    def access_many(self, queries) -> dict:
+        """Multi-series point lookups: ``{sid: k}`` -> ``{sid: value}``.
 
-        Queries are grouped by partition and the groups run on a thread
-        pool — distinct partitions decode under distinct locks, so the
-        scatter really overlaps.  Unknown series raise before any
-        partition is queried.
+        Every id is checked before any partition is read, so an unknown
+        series raises with nothing decoded; the lookups then run in the
+        calling thread, in query order.
         """
         with self._lock:
             self._check_open()
-            groups = self._group_queries(queries)
-            jobs = [
-                (self._handles[part], sids) for part, sids in groups.items()
-            ]
+            handles = [self._handles[self._partition_of(sid)] for sid in queries]
+            return {
+                sid: handle.access(sid, queries[sid])
+                for sid, handle in zip(queries, handles)
+            }
 
-            def lookup(job):
-                handle, sids = job
-                return {sid: handle.access(sid, queries[sid]) for sid in sids}
+    def range_many(self, queries) -> dict:
+        """Multi-series range reads: ``{sid: (lo, hi)}`` -> ``{sid: array}``.
 
-            out: dict = {}
-            for result in thread_map(lookup, jobs, workers=workers):
-                out.update(result)
-            return {sid: out[sid] for sid in queries}
-
-    def range_many(self, queries, *, workers: int | None = None) -> dict:
-        """Scatter-gather range reads: ``{sid: (lo, hi)}`` -> ``{sid: array}``."""
+        Checked and answered like :meth:`access_many`.
+        """
         with self._lock:
             self._check_open()
-            groups = self._group_queries(queries)
-            jobs = [
-                (self._handles[part], sids) for part, sids in groups.items()
-            ]
-
-            def slice_(job):
-                handle, sids = job
-                return {
-                    sid: handle.range(sid, *queries[sid]) for sid in sids
-                }
-
-            out: dict = {}
-            for result in thread_map(slice_, jobs, workers=workers):
-                out.update(result)
-            return {sid: out[sid] for sid in queries}
+            handles = [self._handles[self._partition_of(sid)] for sid in queries]
+            return {
+                sid: handle.range(sid, *queries[sid])
+                for sid, handle in zip(queries, handles)
+            }
 
     # -- maintenance ----------------------------------------------------------
 
@@ -649,13 +634,6 @@ class PartitionedSeriesDB:
             raise ValueError(
                 f"unknown series {series_id!r}; known: {known}"
             ) from None
-
-    def _group_queries(self, queries) -> dict[int, list[str]]:
-        """Partition index -> the queried sids it owns (validates up front)."""
-        groups: dict[int, list[str]] = {}
-        for sid in queries:
-            groups.setdefault(self._partition_of(sid), []).append(sid)
-        return groups
 
     def _write_root_manifest(self) -> None:
         manifest = {

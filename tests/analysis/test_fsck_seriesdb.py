@@ -132,6 +132,23 @@ def test_malformed_series_entry(db_root):
     assert "FSK021" in codes(fsck_seriesdb(db_root))
 
 
+@pytest.mark.parametrize("sid, field, value, deep", [
+    ("mem", "count", "lots", False),
+    ("mem", "crc32", "x", False),
+    ("mem", "digits", "two", True),
+    ("cpu", "digits", "two", False),  # 'cpu' has records in the live group log
+])
+def test_non_integer_entry_field_is_reported(db_root, sid, field, value, deep):
+    data = manifest(db_root)
+    data["series"][sid][field] = value
+    rewrite_manifest(db_root, data)
+    report = fsck_path(db_root, deep=deep)
+    assert codes(report) == {"FSK021"}
+    assert report.exit_code == 1
+    [problem] = report.problems
+    assert repr(sid) in problem.message and repr(field) in problem.message
+
+
 # -- shard defects --------------------------------------------------------------
 
 

@@ -6,8 +6,9 @@ partition's own (sanitized) lock orders its WAL and shard-cache writes.
 Under every explored interleaving of concurrent ingest / compact / query
 / close through one :class:`PartitionedSeriesDB`, the vector-clock ledger
 must stay free of races and the façade-then-partition nesting free of
-lock-order inversions.  Every fan-out runs with ``workers=1``, and ingest
-never fans out, so the scheduler controls every thread in play.
+lock-order inversions.  Compaction runs with ``workers=1``, and ingest
+and multi-series reads never fan out (reads run in the calling thread),
+so the scheduler controls every thread in play.
 
 Seeds can be pinned with ``REPRO_SCHED_SEED`` — the CI ``race`` job runs
 this file once per fixed seed.
@@ -92,8 +93,7 @@ class TestPartitionedStress:
             for _ in range(3):
                 if "warm/a" in db:
                     db.access("warm/a", 5)
-                    db.range_many({"warm/a": (0, 40), "warm/b": (0, 40)},
-                                  workers=1)
+                    db.range_many({"warm/a": (0, 40), "warm/b": (0, 40)})
 
         def closes():
             db.flush()

@@ -59,9 +59,9 @@ class TestCompressMany:
             assert c.access(1234) == values[1234]
             assert len(c) == len(values)
 
-    def test_values_fallback_codec_roundtrips(self, fleet):
-        # dac has no native payload: frames re-run the codec on load,
-        # which must still reproduce an identical object.
+    def test_dac_pooled_matches_serial(self, fleet):
+        # Pooled workers return dac's native frames; parsed in the parent
+        # they must decode and size exactly as a serial compression does.
         small = {sid: v[:800] for sid, v in list(fleet.items())[:2]}
         out = compress_many(small, codec="dac", workers=2)
         for sid, values in small.items():

@@ -1,9 +1,10 @@
-"""Tests for PartitionedSeriesDB: placement, scatter-gather, migration."""
+"""Tests for PartitionedSeriesDB: placement, multi-series reads, migration."""
 
 import builtins
 import io
 import json
 import os
+import threading
 import zlib
 
 import numpy as np
@@ -38,6 +39,16 @@ def pdb(tmp_path, fleet):
     db.ingest_many(fleet)
     db.flush()
     return db
+
+
+def spy_reads(monkeypatch, record):
+    """Wrap ``SeriesDB.access``/``range`` so each call first runs ``record(args)``."""
+    for read in ("access", "range"):
+        real = getattr(SeriesDB, read)
+        monkeypatch.setattr(
+            SeriesDB, read,
+            lambda self, *a, _real=real: (record(a), _real(self, *a))[1],
+        )
 
 
 class TestProtocol:
@@ -141,6 +152,47 @@ class TestQueries:
         ranges = pdb.range_many({sid: (50, 400) for sid in sids})
         for sid in sids:
             assert np.array_equal(ranges[sid], fleet[sid][50:400])
+
+    @pytest.mark.parametrize("many, arg", [
+        ("access_many", 5), ("range_many", (5, 9)),
+    ])
+    def test_unknown_id_raises_before_any_read(
+        self, pdb, fleet, monkeypatch, many, arg
+    ):
+        reads = []
+        spy_reads(monkeypatch, reads.append)
+        first, *rest = fleet
+        queries = {first: arg, "nope": arg, **{sid: arg for sid in rest}}
+        with pytest.raises(ValueError, match="unknown series 'nope'"):
+            getattr(pdb, many)(queries)
+        assert reads == []
+
+    def test_answers_follow_query_order(self, pdb, fleet):
+        sids = list(reversed(fleet))
+        assert len({pdb.partition_of(sid) for sid in sids}) > 1
+        got = pdb.access_many({sid: 7 for sid in sids})
+        assert list(got) == sids
+        ranges = pdb.range_many({sid: (7, 9) for sid in sids})
+        assert list(ranges) == sids
+
+    def test_empty_queries_answer_empty(self, pdb):
+        assert pdb.access_many({}) == {}
+        assert pdb.range_many({}) == {}
+
+    def test_reads_run_in_the_callers_thread(self, tmp_path, fleet, monkeypatch):
+        db = PartitionedSeriesDB(tmp_path / "two", partitions=2)
+        db.ingest_many(fleet)
+        assert {db.partition_of(sid) for sid in fleet} == {0, 1}
+        threads = []
+        spy_reads(monkeypatch, lambda args: threads.append(threading.get_ident()))
+        got = db.access_many({sid: 11 for sid in fleet})
+        ranges = db.range_many({sid: (11, 20) for sid in fleet})
+        monkeypatch.undo()
+        db.close()
+        assert got == {sid: values[11] for sid, values in fleet.items()}
+        for sid, values in fleet.items():
+            assert np.array_equal(ranges[sid], values[11:20])
+        assert threads == [threading.get_ident()] * (2 * len(fleet))
 
     def test_ingest_single_series_roundtrip(self, pdb, rng):
         extra = np.cumsum(rng.integers(-5, 6, 300)).astype(np.int64)
