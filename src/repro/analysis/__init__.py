@@ -4,11 +4,13 @@ Two tools live here, both wired into the CLI and CI:
 
 * ``repro lint`` (:func:`run_lint`) — an AST-based linter (stdlib ``ast``,
   no dependencies) enforcing the conventions the paper's trust story rests
-  on: codec-protocol conformance, binary-format discipline, durability
-  discipline (atomic/fsync'd writes only), SeriesDB lock discipline, and
-  bans on pickle/eval/memoryview-writes.  A committed baseline file
-  (:class:`Baseline`) grandfathers existing debt so CI fails only on *new*
-  violations.
+  on: binary-layout confinement, durability discipline (atomic/fsync'd
+  writes only), SeriesDB lock discipline, and bans on pickle/eval.  Each
+  rule family stays only because it flags a seeded defect the test suite
+  misses (the audit in ``docs/analysis-rules.md``); codec-protocol
+  conformance went, since the ``Compressed`` ABCs and the codec tests
+  already catch it.  A committed baseline file (:class:`Baseline`)
+  grandfathers existing debt so CI fails only on *new* violations.
 
 * ``repro fsck`` (:func:`fsck_path`) — an offline structural verifier for
   everything the system persists: one-shot and appendable archives

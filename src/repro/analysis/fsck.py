@@ -647,6 +647,19 @@ def fsck_seriesdb(root, *, deep: bool = False) -> FsckReport:
 # -- partitioned roots ---------------------------------------------------------
 
 
+def _logged_series(root: Path, manifest: dict) -> set[str]:
+    """Series ids named by the records of a SeriesDB's live group log."""
+    rel = manifest.get("group_wal")
+    if not isinstance(rel, str):
+        return set()
+    path = root / rel
+    try:
+        scan = _scan_group(path.read_bytes(), path)
+    except (OSError, ValueError):
+        return set()  # absent, or fsck_seriesdb reported it
+    return {record[0] for record in scan.records}
+
+
 def fsck_partitioned(root, *, deep: bool = False) -> FsckReport:
     """Recursively verify a partitioned SeriesDB root (``RPPD0001``).
 
@@ -656,9 +669,11 @@ def fsck_partitioned(root, *, deep: bool = False) -> FsckReport:
     per-partition problems keep their original codes and paths, so
     ``--json`` consumers see exactly where inside the tree each defect
     lives.  Finally the root partition map is cross-checked against what
-    each partition's own manifest claims: a series present in two
-    partitions, present but unmapped, mapped to the wrong partition, or
-    mapped but present nowhere all report FSK032.
+    each partition's own manifest, and its live group log, claims: a
+    series present in two partitions, present in a manifest but unmapped,
+    mapped to the wrong partition, or mapped but present nowhere all
+    report FSK032.  A series only the group log names may be unmapped: a
+    crash before the root commit leaves it so, and opening adopts it.
     """
     root = Path(root)
     report = FsckReport(target=str(root), kind="partitioned", deep=deep)
@@ -708,13 +723,18 @@ def fsck_partitioned(root, *, deep: bool = False) -> FsckReport:
             report.tally(key, value)
         report.tally("partitions")
         try:
-            part_series = read_manifest(part_manifest).get("series")
+            part_data = read_manifest(part_manifest)
         except (OSError, ValueError):
             continue  # fsck_seriesdb reported it; skip the cross-check
+        part_series = part_data.get("series")
         if not isinstance(part_series, dict):
             continue
         readable.add(part)
-        for sid in part_series:
+        # A new series lives only in the group log until its first flush
+        # commits it; recovery registers it at open, and reconciliation
+        # adopts it into the map if the root commit never happened.
+        logged = _logged_series(part_dir, part_data) - part_series.keys()
+        for sid in [*part_series, *sorted(logged)]:
             if sid in owned:
                 report.add(
                     "FSK032", part_dir,
@@ -724,6 +744,8 @@ def fsck_partitioned(root, *, deep: bool = False) -> FsckReport:
                 continue
             owned[sid] = part
             mapped = series_map.get(sid)
+            if mapped is None and sid in logged:
+                continue
             if mapped is None:
                 report.add(
                     "FSK032", part_dir,

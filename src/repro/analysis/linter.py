@@ -2,8 +2,9 @@
 
 ``run_lint`` is the library surface (the CLI and CI call it; tests point it
 at fixture trees).  It parses every target file once, feeds the per-file
-rules of :mod:`repro.analysis.rules` and the cross-file rules of
-:mod:`repro.analysis.protocol`, and returns findings sorted by location.
+rules of :mod:`repro.analysis.rules` (and, with ``dataflow=True``, those of
+:mod:`repro.analysis.dataflow` and :mod:`repro.analysis.concurrency`), and
+returns findings sorted by location.
 ``lint_paths`` resolves what to analyse: given nothing it lints the
 installed ``repro`` package sources — so ``repro lint`` works from any
 checkout or install without configuration.
@@ -16,7 +17,6 @@ import os
 from pathlib import Path
 
 from .findings import Baseline, Finding, apply_baseline
-from .protocol import check_protocol_conformance, check_registry_specs
 from .rules import Module, run_per_file_rules
 
 __all__ = ["default_root", "lint_paths", "run_lint"]
@@ -81,27 +81,22 @@ def _parse(root: Path, files: list[Path]) -> tuple[list[Module], list[Finding]]:
 def run_lint(
     paths: list | None = None,
     *,
-    check_registry: bool = True,
     baseline: Baseline | None = None,
     dataflow: bool = False,
 ) -> list[Finding]:
     """Lint ``paths`` (default: the repro package) and return all findings.
 
-    ``check_registry`` gates the RPR002 live-registry cross-check (tests
-    linting fixture trees turn it off — fixtures register nothing).
     ``dataflow`` additionally runs the CFG-based RPR5xx/6xx/7xx rules of
     :mod:`repro.analysis.dataflow` (buffer lifetime, resource release,
-    lock order).  When a ``baseline`` is given, grandfathered findings come
-    back flagged ``baselined``; the caller decides whether those fail the
-    run.
+    lock order) and the RPR80x guarded-by rules of
+    :mod:`repro.analysis.concurrency`.  When a ``baseline`` is given,
+    grandfathered findings come back flagged ``baselined``; the caller
+    decides whether those fail the run.
     """
     root, files = lint_paths(paths)
     modules, findings = _parse(root, files)
     for module in modules:
         findings.extend(run_per_file_rules(module))
-    findings.extend(check_protocol_conformance(modules))
-    if check_registry:
-        findings.extend(check_registry_specs(modules))
     if dataflow:
         from .concurrency import check_guarded_by
         from .dataflow import check_lock_order, run_dataflow_rules

@@ -1,26 +1,23 @@
 """Per-file AST lint rules: the invariants convention used to enforce.
 
 Every rule here is a pure function over one parsed module (no imports of
-the code under analysis); the cross-file protocol-conformance rules live in
-:mod:`repro.analysis.protocol`.  The catalogue:
-
-``RPR101`` **struct-format** — every literal ``struct`` format string must
-    parse, and the argument count at ``pack``/tuple-unpack call sites must
-    match the format's field arity.  Covers direct ``struct.pack(fmt,...)``
-    calls and module-level ``struct.Struct`` constants (the idiom the
-    container and frame layouts use).
+the code under analysis).  Each one stays because it flags a seeded defect
+the test suite does not catch (the audit table in
+``docs/analysis-rules.md``).  The catalogue:
 
 ``RPR102`` **struct-confinement** — raw ``struct`` use is confined to the
     modules that own a documented binary layout (``baselines/_native.py``,
     ``codecs/container.py``, ``codecs/serialize.py``, ``bits/io.py``).
-    Everything else should reuse those layouts; stray ``import struct``
-    elsewhere is existing debt tracked by the baseline.
+    Everything else should reuse those layouts: a second copy of a format
+    string reads the same bytes today and drifts silently tomorrow.
 
-``RPR201`` **durability-discipline** — a write-mode binary ``open`` is only
-    legal inside the sanctioned writers (``write_atomic`` and the fsync'd
-    tail-append path of ``AppendableArchive``).  A bare
-    ``open(path, "wb").write(...)`` can be torn by a crash and must route
-    through :func:`repro.codecs.container.write_atomic`.
+``RPR201`` **durability-discipline** — a write-mode binary ``open``, and
+    any ``Path.write_bytes``/``Path.write_text`` call, is only legal inside
+    the sanctioned writers (``write_atomic`` and the fsync'd tail-append
+    paths of ``AppendableArchive`` and ``GroupLog``).  A bare
+    ``open(path, "wb").write(...)`` or ``path.write_bytes(...)`` can be
+    torn by a crash and must route through
+    :func:`repro.codecs.container.write_atomic`.
 
 ``RPR301`` **lock-discipline** — public :class:`SeriesDB` methods touching
     the shared shard-cache / dirty-set / manifest state must hold
@@ -31,17 +28,11 @@ the code under analysis); the cross-file protocol-conformance rules live in
     arbitrary code; archives are the only persistence format.
 
 ``RPR402`` **no-eval** — ``eval``/``exec`` are banned outright.
-
-``RPR403`` **no-memoryview-write** — arrays parsed zero-copy off an mmap
-    (``np.frombuffer``) are views into shared file bytes: writing through
-    them (item assignment, ``setflags(write=True)``) corrupts the mapped
-    archive for every other reader.
 """
 
 from __future__ import annotations
 
 import ast
-import struct as _struct
 from dataclasses import dataclass
 
 from .findings import Finding
@@ -62,21 +53,6 @@ RULE_CATALOGUE: dict[str, tuple[str, str]] = {
     "RPR000": (
         "source file must parse (syntax/encoding errors stop every other rule)",
         "fix the syntax or encoding error",
-    ),
-    "RPR001": (
-        "codec protocol conformance: concrete Compressed subclasses must "
-        "implement size_bits/decompress/access (and reconstruct/num_segments/"
-        "from_payload when lossy)",
-        "implement the missing methods or mark the class abstract",
-    ),
-    "RPR002": (
-        "registry spec discipline: lossy codecs need a native loader and a "
-        "required eps param; every factory must expose compress()",
-        "fix the register_codec(...) call to match the codec's contract",
-    ),
-    "RPR101": (
-        "struct format strings must parse and match call-site arity",
-        "align the format string with the packed/unpacked fields",
     ),
     "RPR102": (
         "raw struct use is confined to the binary-layout modules",
@@ -99,10 +75,6 @@ RULE_CATALOGUE: dict[str, tuple[str, str]] = {
     "RPR402": (
         "eval/exec are banned",
         "replace with explicit parsing or dispatch",
-    ),
-    "RPR403": (
-        "no writing through memoryview-backed (np.frombuffer) arrays",
-        "copy() the array before mutating it",
     ),
     # Dataflow rules (repro lint --dataflow), implemented in dataflow.py.
     "RPR501": (
@@ -155,20 +127,11 @@ RULE_CATALOGUE: dict[str, tuple[str, str]] = {
 #: rule id -> a minimal source example tripping it (``repro lint --explain``)
 RULE_EXAMPLES: dict[str, str] = {
     "RPR000": 'def broken(:   # SyntaxError: no other rule can run\n    pass',
-    "RPR001": (
-        "class MyCodec(Compressed):   # concrete subclass...\n"
-        "    def size_bits(self):     # ...missing decompress() and access()\n"
-        "        return 0"
-    ),
-    "RPR002": (
-        '# lossy codec registered without a required eps param:\n'
-        'register_codec(CodecSpec("mylossy", factory, lossy=True, params={}))'
-    ),
-    "RPR101": 'struct.pack("<II", 1)   # format packs 2 fields, 1 value given',
     "RPR102": "import struct   # outside the binary-layout modules",
     "RPR201": (
-        'open(path, "wb").write(blob)   # a crash mid-write tears the file;\n'
-        "# route it through write_atomic() instead"
+        'open(path, "wb").write(blob)   # a crash mid-write tears the file,\n'
+        "path.write_bytes(blob)         # and so does this one;\n"
+        "# route both through write_atomic() instead"
     ),
     "RPR301": (
         "class SeriesDB:\n"
@@ -177,10 +140,6 @@ RULE_EXAMPLES: dict[str, str] = {
     ),
     "RPR401": "import pickle   # arbitrary code execution on load",
     "RPR402": 'eval(expression)   # banned outright',
-    "RPR403": (
-        "arr = np.frombuffer(view, dtype=np.int64)\n"
-        "arr[0] = 42   # writes through the shared mapped bytes"
-    ),
     "RPR501": (
         "def frame(path):\n"
         "    view = mmap_view(path)\n"
@@ -245,51 +204,20 @@ RULE_EXAMPLES: dict[str, str] = {
     ),
 }
 
-# -- RPR101 / RPR102: binary-format discipline ---------------------------------
+# -- RPR102: binary-format discipline ------------------------------------------
 
-#: modules allowed to speak raw struct (they own a documented layout, or —
-#: for the linter itself — validate format strings with struct.calcsize)
+#: modules allowed to speak raw struct: they own a documented layout
 STRUCT_ALLOWED_SUFFIXES = (
     "baselines/_native.py",
     "codecs/container.py",
     "codecs/serialize.py",
     "bits/io.py",
-    "analysis/rules.py",
 )
-
-
-def _struct_arity(fmt: str) -> int | None:
-    """Number of values a format string packs/unpacks, or None if invalid."""
-    try:
-        _struct.calcsize(fmt)
-    except _struct.error:
-        return None
-    body = fmt[1:] if fmt[:1] in "@=<>!" else fmt
-    arity, repeat = 0, ""
-    for ch in body:
-        if ch.isdigit():
-            repeat += ch
-            continue
-        if ch.isspace():
-            repeat = ""
-            continue
-        count = int(repeat) if repeat else 1
-        repeat = ""
-        if ch in "sp":
-            arity += 1  # a length-prefixed run is one python value
-        elif ch != "x":
-            arity += count
-    return arity
 
 
 def _literal_str(node: ast.AST) -> str | None:
     if isinstance(node, ast.Constant) and isinstance(node.value, str):
         return node.value
-    if isinstance(node, ast.Constant) and isinstance(node.value, bytes):
-        try:
-            return node.value.decode("ascii")
-        except UnicodeDecodeError:
-            return None
     return None
 
 
@@ -303,94 +231,6 @@ def _call_name(node: ast.Call) -> str:
     if isinstance(target, ast.Name):
         parts.append(target.id)
     return ".".join(reversed(parts))
-
-
-def check_struct_formats(module: Module) -> list[Finding]:
-    """RPR101: literal format validity plus pack/unpack arity at call sites."""
-    findings: list[Finding] = []
-    # Module-level `NAME = struct.Struct("<fmt>")` constants.
-    constants: dict[str, int] = {}
-    for node in module.tree.body:
-        if (
-            isinstance(node, ast.Assign)
-            and len(node.targets) == 1
-            and isinstance(node.targets[0], ast.Name)
-            and isinstance(node.value, ast.Call)
-            and _call_name(node.value) == "struct.Struct"
-            and node.value.args
-        ):
-            fmt = _literal_str(node.value.args[0])
-            if fmt is None:
-                continue
-            arity = _struct_arity(fmt)
-            if arity is None:
-                findings.append(Finding(
-                    "RPR101", module.relpath, node.lineno,
-                    f"invalid struct format string {fmt!r}",
-                    "fix the format string (see the struct module docs)",
-                ))
-            else:
-                constants[node.targets[0].id] = arity
-
-    def expected_args(call: ast.Call) -> int | None:
-        """Arity a pack-style call should receive, or None when unknown."""
-        name = _call_name(call)
-        if name == "struct.pack" and call.args:
-            fmt = _literal_str(call.args[0])
-            if fmt is not None:
-                arity = _struct_arity(fmt)
-                if arity is None:
-                    findings.append(Finding(
-                        "RPR101", module.relpath, call.lineno,
-                        f"invalid struct format string {fmt!r}",
-                        "fix the format string (see the struct module docs)",
-                    ))
-                    return None
-                if not any(isinstance(a, ast.Starred) for a in call.args[1:]):
-                    return arity + 1  # fmt itself plus the values
-        elif "." in name:
-            head, _, tail = name.rpartition(".")
-            if tail == "pack" and head in constants:
-                if not any(isinstance(a, ast.Starred) for a in call.args):
-                    return constants[head]
-        return None
-
-    for node in ast.walk(module.tree):
-        if isinstance(node, ast.Call):
-            want = expected_args(node)
-            if want is not None and len(node.args) != want:
-                name = _call_name(node)
-                findings.append(Finding(
-                    "RPR101", module.relpath, node.lineno,
-                    f"{name}() packs {want - (1 if name == 'struct.pack' else 0)}"
-                    f" field(s) but is given "
-                    f"{len(node.args) - (1 if name == 'struct.pack' else 0)}"
-                    " value(s)",
-                    "match the argument list to the format string",
-                ))
-        elif isinstance(node, ast.Assign) and isinstance(node.value, ast.Call):
-            # Tuple-unpack arity: `a, b, c = S.unpack_from(buf, off)`.
-            name = _call_name(node.value)
-            head, _, tail = name.rpartition(".")
-            if tail in ("unpack", "unpack_from"):
-                arity = None
-                if head in constants:
-                    arity = constants[head]
-                elif head == "struct" and node.value.args:
-                    fmt = _literal_str(node.value.args[0])
-                    arity = _struct_arity(fmt) if fmt is not None else None
-                if arity is not None and len(node.targets) == 1:
-                    target = node.targets[0]
-                    if isinstance(target, ast.Tuple) and not any(
-                        isinstance(e, ast.Starred) for e in target.elts
-                    ) and len(target.elts) != arity:
-                        findings.append(Finding(
-                            "RPR101", module.relpath, node.lineno,
-                            f"{name}() yields {arity} field(s) but "
-                            f"{len(target.elts)} target(s) unpack it",
-                            "match the unpack targets to the format string",
-                        ))
-    return findings
 
 
 def check_struct_confinement(module: Module) -> list[Finding]:
@@ -415,7 +255,7 @@ def check_struct_confinement(module: Module) -> list[Finding]:
 
 # -- RPR201: durability discipline ---------------------------------------------
 
-#: (path suffix, qualified function name) pairs allowed to open for writing
+#: (path suffix, qualified function name) pairs allowed to write files
 DURABILITY_ALLOWED = (
     ("codecs/container.py", "write_atomic"),
     ("codecs/container.py", "AppendableArchive.open"),
@@ -424,13 +264,20 @@ DURABILITY_ALLOWED = (
     ("codecs/container.py", "GroupLog.append_group"),
 )
 
+#: ``pathlib.Path`` methods that write a whole file in place
+_PATH_WRITERS = frozenset({"write_bytes", "write_text"})
+
 
 def _is_write_mode(mode: str) -> bool:
     return "b" in mode and any(ch in mode for ch in "wa+")
 
 
 def check_durability(module: Module) -> list[Finding]:
-    """RPR201: binary write-mode open calls outside the sanctioned writers."""
+    """RPR201: file writes outside the sanctioned writers.
+
+    A write is a binary write-mode ``open`` or a ``Path.write_bytes`` /
+    ``Path.write_text`` call; text-mode ``open`` (CSV export) is not one.
+    """
     findings: list[Finding] = []
     allowed = {
         qual for suffix, qual in DURABILITY_ALLOWED
@@ -442,6 +289,7 @@ def check_durability(module: Module) -> list[Finding]:
             stack = stack + (node.name,)
         if isinstance(node, ast.Call):
             mode = None
+            what = None
             if (
                 isinstance(node.func, ast.Name)
                 and node.func.id == "open"
@@ -459,18 +307,23 @@ def check_durability(module: Module) -> list[Finding]:
                 )
             ):
                 mode = _literal_str(node.args[0])
+            elif (
+                isinstance(node.func, ast.Attribute)
+                and node.func.attr in _PATH_WRITERS
+            ):
+                what = f"bare Path.{node.func.attr}()"
             for kw in node.keywords:
                 if kw.arg == "mode":
                     mode = _literal_str(kw.value)
             if mode is not None and _is_write_mode(mode):
-                qual = ".".join(s for s in stack if s)
-                if qual not in allowed:
-                    findings.append(Finding(
-                        "RPR201", module.relpath, node.lineno,
-                        f"bare binary write (mode {mode!r}) can be torn by "
-                        "a crash",
-                        RULE_CATALOGUE["RPR201"][1],
-                    ))
+                what = f"bare binary write (mode {mode!r})"
+            qual = ".".join(s for s in stack if s)
+            if what is not None and qual not in allowed:
+                findings.append(Finding(
+                    "RPR201", module.relpath, node.lineno,
+                    f"{what} can be torn by a crash",
+                    RULE_CATALOGUE["RPR201"][1],
+                ))
         for child in ast.iter_child_nodes(node):
             visit(child, stack)
 
@@ -568,7 +421,7 @@ def check_lock_discipline(module: Module) -> list[Finding]:
     return findings
 
 
-# -- RPR401 / RPR402 / RPR403: outright bans -----------------------------------
+# -- RPR401 / RPR402: outright bans --------------------------------------------
 
 _BANNED_MODULES = {"pickle", "cPickle", "dill", "shelve"}
 
@@ -601,65 +454,11 @@ def check_bans(module: Module) -> list[Finding]:
     return findings
 
 
-def check_memoryview_writes(module: Module) -> list[Finding]:
-    """RPR403: mutation of arrays adopted zero-copy from a byte buffer."""
-    findings: list[Finding] = []
-    for func in ast.walk(module.tree):
-        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            continue
-        adopted: set[str] = set()
-        for node in ast.walk(func):
-            if isinstance(node, ast.Assign) and isinstance(node.value, ast.Call):
-                callee = _call_name(node.value)
-                if callee.endswith("frombuffer") or callee == "memoryview":
-                    for target in node.targets:
-                        if isinstance(target, ast.Name):
-                            adopted.add(target.id)
-        if not adopted:
-            continue
-        for node in ast.walk(func):
-            if isinstance(node, ast.Assign):
-                for target in node.targets:
-                    if (
-                        isinstance(target, ast.Subscript)
-                        and isinstance(target.value, ast.Name)
-                        and target.value.id in adopted
-                    ):
-                        findings.append(Finding(
-                            "RPR403", module.relpath, node.lineno,
-                            f"writes into {target.value.id!r}, a buffer-"
-                            "backed array adopted zero-copy",
-                            RULE_CATALOGUE["RPR403"][1],
-                        ))
-            if (
-                isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Attribute)
-                and node.func.attr == "setflags"
-                and isinstance(node.func.value, ast.Name)
-                and node.func.value.id in adopted
-                and any(
-                    kw.arg == "write"
-                    and isinstance(kw.value, ast.Constant)
-                    and kw.value.value is True
-                    for kw in node.keywords
-                )
-            ):
-                findings.append(Finding(
-                    "RPR403", module.relpath, node.lineno,
-                    f"re-enables writes on {node.func.value.id!r}, a "
-                    "buffer-backed array adopted zero-copy",
-                    RULE_CATALOGUE["RPR403"][1],
-                ))
-    return findings
-
-
 PER_FILE_RULES = (
-    check_struct_formats,
     check_struct_confinement,
     check_durability,
     check_lock_discipline,
     check_bans,
-    check_memoryview_writes,
 )
 
 

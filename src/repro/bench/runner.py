@@ -41,6 +41,7 @@ from pathlib import Path
 import numpy as np
 
 from .. import kernels
+from ..codecs.container import write_atomic
 from ..data import DATASETS
 from .evaluation import lossless_codecs, run_evaluation
 
@@ -323,6 +324,7 @@ def run_bench(
         if log:
             log(f"{filename}:")
         path = out_dir / filename
-        path.write_text(json.dumps(suite(), indent=2) + "\n")
+        blob = json.dumps(suite(), indent=2) + "\n"
+        write_atomic(path, blob.encode("utf-8"))
         written.append(path)
     return written

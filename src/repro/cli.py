@@ -28,11 +28,12 @@ Usage::
 headers, frame lengths, per-frame crc32s, cumulative-count monotonicity,
 torn tails, and (for a SeriesDB directory) manifest <-> shard <-> WAL
 consistency — without decoding values unless ``--deep``.  ``lint`` runs
-the repo's AST-based invariant checks (codec-protocol conformance,
-binary-format/durability/lock discipline, pickle/eval bans) against any
-source tree; the committed baseline file grandfathers existing debt so
-only *new* violations fail.  Exit codes for both: 0 = clean, 1 =
-violations/defects, 2 = target unusable.
+the repo's AST-based invariant checks (binary-layout confinement,
+durability and lock discipline, pickle/eval bans; with ``--dataflow``,
+buffer lifetime, resource release, lock order and guarded-by inference)
+against any source tree; the committed baseline file grandfathers
+existing debt so only *new* violations fail.  Exit codes for both:
+0 = clean, 1 = violations/defects, 2 = target unusable.
 
 The ``db`` family drives a :class:`repro.store.SeriesDB`: a directory of
 per-series tiered-store shards with a JSON manifest, batch-ingested in
@@ -684,7 +685,11 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--n", type=int, default=None)
     p.set_defaults(func=_cmd_generate)
 
-    p = sub.add_parser("lint", help="AST-based invariant linter over the repo")
+    p = sub.add_parser(
+        "lint",
+        help="AST-based invariant linter over the repo: binary-layout, "
+             "durability and lock discipline, pickle/eval bans",
+    )
     p.add_argument("paths", nargs="*", metavar="path",
                    help="files or directories to lint (default: the "
                         "installed repro package sources)")
@@ -700,7 +705,8 @@ def main(argv: list[str] | None = None) -> int:
                         "example (e.g. --explain RPR801), then exit")
     p.add_argument("--dataflow", action="store_true",
                    help="also run the CFG-based RPR5xx/6xx/7xx rules "
-                        "(buffer lifetime, resource release, lock order)")
+                        "(buffer lifetime, resource release, lock order) "
+                        "and the RPR80x guarded-by rules")
     p.add_argument("--json", action="store_true",
                    help="machine-readable findings for tooling")
     p.set_defaults(func=_cmd_lint)

@@ -472,44 +472,51 @@ class PartitionedSeriesDB:
     def ingest_many(self, series_map, *, digits: int | None = None) -> dict:
         """Batch ingest: split by partition, each sub-batch in this process.
 
-        A new series is assigned a partition and the assignment committed
-        to the root manifest *before* any data lands in the partition —
-        recovery must never find data the map cannot place.  Each
-        partition then runs :meth:`SeriesDB.ingest_many` on its sub-batch:
-        one compression pass, one group-log write and one fsync per
-        touched partition.
+        Each touched partition runs :meth:`SeriesDB.ingest_many` on its
+        sub-batch: one compression pass, one group-log write and one fsync.
+        A new series is placed on its partition, and the root manifest
+        committed, only after that partition's ingest returns, so a failed
+        write leaves no series behind.  A crash before the commit loses
+        nothing either: the partition recovers the series from its group
+        log at open, and :meth:`_reconcile` adopts it into the map.
 
         Atomic per partition, not across partitions: each partition
         validates its whole sub-batch before mutating anything, so a bad
         series fails its partition cleanly, but other partitions may have
-        already committed theirs.  Returns series id -> new total count.
+        already committed theirs (their new series are placed even then).
+        Returns series id -> new total count.
         """
         with self._lock:
             self._check_open()
             groups: dict[int, dict[str, np.ndarray]] = {}
-            new_sids = []
             for sid, values in series_map.items():
                 values = np.asarray(values, dtype=np.int64)
                 if values.ndim != 1:
                     raise ValueError(f"series {sid!r}: expected a 1-D array")
-                if sid not in self._series_map:
-                    if not sid or not isinstance(sid, str):
-                        raise ValueError(f"invalid series id {sid!r}")
-                    new_sids.append(sid)
+                if sid not in self._series_map and (
+                    not sid or not isinstance(sid, str)
+                ):
+                    raise ValueError(f"invalid series id {sid!r}")
                 check_log_fields(digits or 0, sid)
                 part = self._series_map.get(
                     sid, zlib.crc32(sid.encode("utf-8")) % self._partitions
                 )
                 groups.setdefault(part, {})[sid] = values
-            for sid in new_sids:  # commit the map before any data lands
-                self._assign(sid)
-            if new_sids:
-                self._write_root_manifest()
             counts: dict[str, int] = {}
-            for part in sorted(groups):
-                counts.update(
-                    self._handles[part].ingest_many(groups[part], digits=digits)
-                )
+            placed: list[str] = []
+            try:
+                for part in sorted(groups):
+                    counts.update(
+                        self._handles[part].ingest_many(groups[part], digits=digits)
+                    )
+                    placed += [
+                        sid for sid in groups[part] if sid not in self._series_map
+                    ]
+            finally:
+                for sid in placed:
+                    self._assign(sid)
+                if placed:
+                    self._write_root_manifest()
             return counts
 
     # -- queries --------------------------------------------------------------
@@ -619,8 +626,8 @@ class PartitionedSeriesDB:
         """Place a new series on its partition (called under the lock).
 
         The single choke point that mutates the partition map — the
-        sanitizer instruments it, and :meth:`_write_root_manifest` must
-        follow before any data lands under the new id.
+        sanitizer instruments it.  Called once the series' data is durable
+        in its partition, and followed by :meth:`_write_root_manifest`.
         """
         part = zlib.crc32(series_id.encode("utf-8")) % self._partitions
         self._series_map[series_id] = part

@@ -484,19 +484,25 @@ class SeriesDB:
                     pieces, hot.compress_many(pieces.values())
                 )
             }
-            # Phase 3 — register every series, then log the whole batch
-            # (the group commit: ONE fsync), then apply it.  Cached shards
-            # come first and each shard is pinned as soon as it is loaded:
-            # a batch wider than the cache must not evict a shard it is
-            # about to mutate.
+            # Phase 3 — log the whole batch (the group commit: ONE fsync),
+            # then register its new series and apply it.  A new series
+            # enters the manifest only once its records are durable, so a
+            # failed log write leaves nothing behind (recovery re-registers
+            # a logged series from its records).  Known shards are loaded
+            # first, cached ones before evicted ones, and each is pinned as
+            # soon as it is loaded: a batch wider than the cache must not
+            # evict a shard it is about to mutate.
             stores: dict[str, TieredStore] = {}
             for sid, _ in sorted(plans, key=lambda plan: plan[0] not in self._stores):
-                stores[sid] = self._store_for_ingest(sid)
-                self._dirty.add(sid)
+                if sid in self._series:
+                    stores[sid] = self._store_for_ingest(sid)
+                    self._dirty.add(sid)
             records = []
             for sid, n_pieces in plans:
-                self._apply_digits(sid, digits)
-                sid_digits = int(self._series[sid].get("digits", 0))
+                if digits is not None:
+                    sid_digits = int(digits)
+                else:
+                    sid_digits = int(self._series.get(sid, {}).get("digits", 0))
                 records += [
                     (sid, sid_digits, frames[(sid, i)]) for i in range(n_pieces)
                 ]
@@ -504,6 +510,9 @@ class SeriesDB:
                 self._append_log(records)
             counts = {}
             for sid, n_pieces in plans:
+                if sid not in stores:
+                    stores[sid] = self._store_for_ingest(sid)
+                self._apply_digits(sid, digits)
                 store = stores[sid]
                 for i in range(n_pieces):
                     piece = pieces[(sid, i)]
@@ -743,8 +752,10 @@ class SeriesDB:
         it does not yet name this log generation (first ingest, or after a
         flush that died before its commit): crash recovery finds the log
         through the manifest, so data must never land in an unreferenced
-        file.  Records carry series id and digits, so recovery can even
-        re-register a series whose manifest entry never committed.
+        file.  That commit never names the batch's new series:
+        :meth:`ingest_many` registers them only once this returns.  Records
+        carry series id and digits, so recovery re-registers a logged
+        series the manifest does not name yet.
         """
         if self._group_name is None:
             self._group_name = self._group_gen_name()

@@ -21,7 +21,7 @@ def lint_tree(tmp_path, files):
         path = tmp_path / rel
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(textwrap.dedent(source))
-    return run_lint([str(tmp_path)], check_registry=False, dataflow=True)
+    return run_lint([str(tmp_path)], dataflow=True)
 
 
 def by_rule(findings, rule):
@@ -207,7 +207,7 @@ def test_init_call_sites_count_as_held(tmp_path):
 
 def test_package_is_clean_of_guarded_by_findings():
     findings = run_lint(
-        [str(REPO_ROOT / "src" / "repro")], check_registry=False, dataflow=True
+        [str(REPO_ROOT / "src" / "repro")], dataflow=True
     )
     fired = [f for f in findings if f.rule.startswith("RPR80")]
     assert fired == [], [f"{f.file}:{f.line} {f.rule} {f.message}" for f in fired]
@@ -224,13 +224,15 @@ def test_every_rule_has_an_explain_example():
 def test_explain_cli_prints_rationale_and_example(capsys):
     from repro.cli import main
 
-    assert main(["lint", "--explain", "rpr801"]) == 0
-    out = capsys.readouterr().out
-    title, hint = RULE_CATALOGUE["RPR801"]
-    assert "RPR801" in out and title in out
-    assert "fix:" in out and hint in out
-    assert "minimal failing example" in out
+    for rule_id, (title, hint) in sorted(RULE_CATALOGUE.items()):
+        assert main(["lint", "--explain", rule_id.lower()]) == 0
+        out = capsys.readouterr().out
+        assert rule_id in out and title in out
+        assert "fix:" in out and hint in out
+        assert "minimal failing example" in out
+        assert RULE_EXAMPLES[rule_id].splitlines()[0] in out
 
-    assert main(["lint", "--explain", "RPR999"]) == 2
-    err = capsys.readouterr().err
-    assert "RPR999" in err
+    # Unknown, and retired by the audit in docs/analysis-rules.md.
+    for rule_id in ("RPR999", "RPR001", "RPR002", "RPR101", "RPR403"):
+        assert main(["lint", "--explain", rule_id]) == 2
+        assert rule_id in capsys.readouterr().err

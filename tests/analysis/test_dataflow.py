@@ -20,7 +20,7 @@ def lint_tree(tmp_path, files):
         path = tmp_path / rel
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(textwrap.dedent(source))
-    return run_lint([str(tmp_path)], check_registry=False, dataflow=True)
+    return run_lint([str(tmp_path)], dataflow=True)
 
 
 def by_rule(findings, rule):
@@ -326,7 +326,7 @@ def test_rpr702_bare_acquire(tmp_path):
 def test_package_is_dataflow_clean():
     """The gate CI runs: zero dataflow findings on src/repro, no baseline."""
     findings = run_lint(
-        [str(REPO_ROOT / "src" / "repro")], check_registry=False, dataflow=True
+        [str(REPO_ROOT / "src" / "repro")], dataflow=True
     )
     dataflow = [f for f in findings if f.rule >= "RPR500"]
     assert dataflow == []
@@ -335,5 +335,5 @@ def test_package_is_dataflow_clean():
 def test_dataflow_off_by_default(tmp_path):
     findings = lint_tree(tmp_path, {"bare.py": BARE_FIXTURE})
     assert by_rule(findings, "RPR702")
-    without = run_lint([str(tmp_path)], check_registry=False)
+    without = run_lint([str(tmp_path)])
     assert not by_rule(without, "RPR702")

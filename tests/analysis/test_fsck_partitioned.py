@@ -150,11 +150,19 @@ class TestGroupWalProblems:
         self._patch(path, pos + _GROUP_RECORD.size, b"\xff")
         assert set(codes(fsck_path(groot))) == {"FSK015", "FSK033"}
 
-    def test_digits_conflict_is_fsk034(self, groot):
-        path = self._group_path(groot)
+    def test_digits_conflict_is_fsk034(self, tmp_path, rng):
+        # Record digits are checked against the series' manifest entry,
+        # which a new series gets from its first flush: flush, then log.
+        root = tmp_path / "gdb"
+        db = SeriesDB(root, hot_codec="gorilla")
+        db.ingest_many(_fleet(rng, k=3))
+        db.flush()
+        db.ingest_many(_fleet(rng, k=3))
+        del db
+        path = self._group_path(root)
         pos, _, _ = self._records(path)[1]
         self._patch(path, pos + self._DIGITS, struct.pack("<i", 7))
-        assert set(codes(fsck_path(groot))) == {"FSK034"}
+        assert set(codes(fsck_path(root))) == {"FSK034"}
 
     def test_torn_last_record_is_fsk012_and_fsk015(self, groot):
         path = self._group_path(groot)
@@ -162,7 +170,10 @@ class TestGroupWalProblems:
         assert set(codes(fsck_path(groot))) == {"FSK012", "FSK015"}
         assert len(read_group_log(path)) == 2
         db = SeriesDB.open(groot)
-        assert [db.count(sid) for sid in ("s0", "s1", "s2")] == [400, 400, 0]
+        assert [db.count(sid) for sid in ("s0", "s1")] == [400, 400]
+        # s2's only record is torn: it never became durable, so nothing
+        # registers it.
+        assert "s2" not in db
 
     def test_clean_group_log_deep_ok(self, groot):
         report = fsck_path(groot, deep=True)
@@ -210,6 +221,17 @@ class TestGroupWalProblems:
             replayed = read_group_log(path)
             assert report.checked.get("records", 0) == len(replayed), cut
             assert ("FSK015" in codes(report)) == (cut not in ends), cut
+
+    def test_live_later_batch_is_not_fsk032(self, tmp_path):
+        """A series that only a partition's live group log names is that
+        partition's: the map may name it before its first flush."""
+        root = tmp_path / "pdb"
+        db = PartitionedSeriesDB(root, partitions=2)
+        db.ingest_many({"a": np.arange(100)})
+        db.ingest_many({"b": np.arange(100)})
+        del db
+        report = fsck_path(root, deep=True)
+        assert report.ok, [p.render() for p in report.problems]
 
     def test_group_log_surfaces_through_partitioned_root(self, tmp_path, rng):
         root = tmp_path / "pdb"

@@ -5,7 +5,8 @@ digits in a signed 32-bit field; archive headers store digits the same
 way.  Values outside those fields must raise ``ValueError`` naming the
 series and the limit, before any series is registered or any byte lands
 on disk: a refused batch leaves ``series_ids()``, ``digits()`` and every
-file under the root as they were, on both store kinds.
+file under the root as they were, on both store kinds.  A batch whose
+group-log write fails registers none of its new series either.
 """
 
 import numpy as np
@@ -58,6 +59,37 @@ def test_refused_batch_changes_nothing(tmp_path, partitions, sid, digits, limit)
     assert _files(root) == before
     with open_store(root) as again:
         assert again.series_ids() == ["a"]
+
+
+@pytest.mark.parametrize("partitions", [1, 2])
+def test_failed_log_write_leaves_no_series(tmp_path, monkeypatch, partitions):
+    """A batch whose group-log write raises registers none of its series.
+
+    On a fresh root the first batch also commits the manifest that names
+    the log; that commit must not name the batch's new series, in memory
+    or after a reopen.
+    """
+    root = tmp_path / "db"
+    db = _make(root, partitions)
+
+    def disk_full(self, records):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(GroupLog, "append_group", disk_full)
+    with pytest.raises(OSError):
+        db.ingest_many({"new": np.arange(10)}, digits=3)
+    assert db.series_ids() == []
+    assert "new" not in db
+    monkeypatch.undo()
+    db.close()
+    with open_store(root) as again:
+        assert again.series_ids() == []
+        # The failure left nothing to trip over: the same batch lands.
+        assert again.ingest_many({"new": np.arange(10)}, digits=3) == {"new": 10}
+    with open_store(root) as again:
+        assert again.series_ids() == ["new"]
+        assert again.digits("new") == 3
+        assert again.range("new", 0, 10).tolist() == list(range(10))
 
 
 def test_group_log_refuses_out_of_range_fields(tmp_path):
