@@ -26,7 +26,10 @@ come from a full run.  Every file's meta records the CPU count.
 committed one (:func:`compare_table3`): every ``bits_per_value`` cell the
 run measured must equal BASE's exactly, and the NeaTS family's compress
 speed against BASE is printed, not gated, both raw and divided by the
-host factor (how much faster every other codec ran).
+host factor (how much faster every other codec ran).  It also holds the
+run to itself (:func:`neats_above_leats`): LeaTS is NeaTS restricted to
+linear functions, so no ``neats`` cell may exceed the ``leats`` cell of its
+generator and rung.
 """
 
 from __future__ import annotations
@@ -45,7 +48,7 @@ from ..codecs.container import write_atomic
 from ..data import DATASETS
 from .evaluation import lossless_codecs, run_evaluation
 
-__all__ = ["run_bench", "BENCH_FILES", "compare_table3"]
+__all__ = ["run_bench", "BENCH_FILES", "compare_table3", "neats_above_leats"]
 
 #: the block-structured XOR-family codecs the decode kernels accelerate
 XOR_CODECS = ("gorilla", "chimp", "chimp128", "tsxor")
@@ -193,6 +196,24 @@ def compare_table3(base: dict, new: dict) -> tuple[list[str], list[str]]:
                          f"cells, so {mean / factor:.3f}x normalised")
             speed.append(line)
     return differ, speed
+
+
+def neats_above_leats(table: dict) -> list[str]:
+    """The cells of a Table III run where NeaTS's frame is larger than
+    LeaTS's on the same generator and rung, one line each with both sizes."""
+    above: list[str] = []
+    for rung, codecs in table["rungs"].items():
+        leats = codecs.get("leats", {})
+        for ds, row in codecs.get("neats", {}).items():
+            bound = leats.get(ds, {}).get("bits_per_value")
+            bits = row["bits_per_value"]
+            if bound is not None and bits > bound:
+                n = int(rung)
+                above.append(
+                    f"n={rung} {ds}: neats {bits} bits/value "
+                    f"({bits * n / 8:.0f} B) > leats {bound} ({bound * n / 8:.0f} B)"
+                )
+    return above
 
 
 def bench_decompression(n: int, repeats: int, log=None) -> dict:

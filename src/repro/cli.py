@@ -332,7 +332,7 @@ def _cmd_lint(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    from .bench.runner import compare_table3, run_bench
+    from .bench.runner import compare_table3, neats_above_leats, run_bench
 
     base = json.loads(Path(args.compare).read_text()) if args.compare else None
     written = run_bench(args.out, quick=args.quick, n=args.n, log=print)
@@ -342,17 +342,24 @@ def _cmd_bench(args) -> int:
         return 0
     new = json.loads((Path(args.out) / "BENCH_table3.json").read_text())
     differ, speed = compare_table3(base, new)
+    above = neats_above_leats(new)
     for line in speed:
         print(line)
     if differ:
         print(f"{len(differ)} Table III cell(s) differ from {args.compare}:")
         for line in differ:
             print(f"  {line}")
+    if above:
+        print(f"{len(above)} Table III cell(s) where NeaTS is larger than LeaTS:")
+        for line in above:
+            print(f"  {line}")
+    if differ or above:
         return 1
     cells = sum(
         len(rows) for codecs in new["rungs"].values() for rows in codecs.values()
     )
-    print(f"bits_per_value: all {cells} cells match {args.compare}")
+    print(f"bits_per_value: all {cells} cells match {args.compare}, "
+          "and no neats cell exceeds leats")
     return 0
 
 
@@ -723,8 +730,10 @@ def main(argv: list[str] | None = None) -> int:
                    help="override the benchmark series length")
     p.add_argument("--compare", metavar="BASE.json", default=None,
                    help="after the run, exit 1 unless every bits_per_value "
-                        "cell of its Table III equals BASE's; print the NeaTS "
-                        "family's compress speed against BASE")
+                        "cell of its Table III equals BASE's and no neats "
+                        "cell exceeds the leats cell of its generator and "
+                        "rung; print the NeaTS family's compress speed "
+                        "against BASE")
     p.set_defaults(func=_cmd_bench)
 
     p = sub.add_parser("fsck",

@@ -25,6 +25,7 @@ True
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass
 
@@ -32,20 +33,24 @@ import numpy as np
 
 from ..baselines.base import Compressed
 from .models import DEFAULT_MODELS, get_model
-from .partition import Fragment, correction_bits, partition
-from .storage import NeaTSStorage
+from .partition import Fragment, partition
+from .storage import NeaTSStorage, correction_bits, lossless_band
 
 __all__ = ["NeaTS", "CompressedSeries", "default_eps_set"]
 
 
-def default_eps_set(values: np.ndarray, stride: int = 1) -> list[int]:
+def default_eps_set(values: np.ndarray, stride: int = 1) -> list[float]:
     """The error-bound set ``E`` for a series (§III-B complexity analysis).
 
     The paper bounds ``E`` by ``{0, 2, 4, ..., 2^ceil(log Δ)}`` where ``Δ`` is
-    the value range; we use the equivalent exact-width family
-    ``{0, 1, 3, 7, ..., 2^b - 1}`` so every ε maps to a distinct correction
-    width ``b+1`` and no code space is wasted.  ``stride > 1`` subsamples the
-    widths to trade a little compression ratio for partitioning speed.
+    the value range; we use one ε per correction width instead,
+    ``{0, ½, 1, 3, 7, ..., 2^b - 1}`` for the widths ``0, 1, 2, 3, 4, ...,
+    b + 1``, so every width from 0 up is there and no two ε share one.  A
+    lossless fragment is fitted to the band its width decodes
+    (:func:`~repro.core.storage.lossless_band`), so each ε stands for its
+    width; ε = ½ is the only one of width 1.  ``stride > 1`` keeps 0 and ½
+    and every ``stride``-th of the rest, trading a little compression ratio
+    for partitioning speed.
     """
     values = np.asarray(values)
     if len(values) == 0:
@@ -55,7 +60,7 @@ def default_eps_set(values: np.ndarray, stride: int = 1) -> list[int]:
     # shift overflow the int64 headroom, and an eps beyond 2^50 is already
     # "the trivial constant function fits everything" territory.
     max_width = min(max(delta.bit_length() - 1, 1), 50)
-    eps_set = [0]
+    eps_set: list[float] = [0, 0.5]
     eps_set.extend((1 << b) - 1 for b in range(1, max_width + 1, stride))
     return eps_set
 
@@ -141,7 +146,7 @@ class NeaTS:
     def __init__(
         self,
         models: tuple[str, ...] | list[str] = DEFAULT_MODELS,
-        eps_set: list[int] | None = None,
+        eps_set: list[float] | None = None,
         eps_stride: int = 1,
     ) -> None:
         self.models = list(models)
@@ -205,9 +210,14 @@ class NeaTS:
         return partition(z, list(self.models), eps_set).fragments
 
     @staticmethod
-    def _shift_for(y: np.ndarray, eps_set: list[int]) -> int:
-        """Global positivity shift: ``z - max(E) >= 1`` (paper footnote 2)."""
-        return int(1 + max(eps_set) - int(y.min()))
+    def _shift_for(y: np.ndarray, eps_set: list[float]) -> int:
+        """Global positivity shift (paper footnote 2): every band a fragment
+        can be fitted to starts at 1 or above, ``z + lo >= 1`` for the
+        widest ε's :func:`~repro.core.storage.lossless_band`, so the
+        logarithmic transforms are defined (for the default ``E`` this is
+        ``z - max(E) >= 1``)."""
+        lo, _ = lossless_band(correction_bits(max(eps_set)))
+        return math.ceil(1 - lo) - int(y.min())
 
     @staticmethod
     def _check_domain(y: np.ndarray) -> None:

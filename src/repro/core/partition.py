@@ -11,13 +11,22 @@ shortest path from node 1 to node ``n+1`` under the bit-cost weight
 (the corrections plus the function storage).  κ_f charges the float
 parameters plus what the fragment adds to the ``NeaTS102`` frame: its 6-bit
 width, its 4-bit kind id and :data:`START_BITS` for its Elias-Fano start.  The
-frame's size is then the optimal ``cost_bits`` plus a 320-bit header, the
-bits of fragments widened past their ε (see ``core/storage.py``), the start
-estimate's error ``S - START_BITS·m`` and under 71 bits of byte and word
-rounding: ``size_bits() - cost_bits`` is 126 to 732 bits per series on the 16
-bundled generators at 4096 values (widening 0 to 401 of it, the start
-estimate -216 to +7, rounding 2 to 64).  The lossy partitioner keeps a flat
-:data:`FRAGMENT_OVERHEAD_BITS` per fragment.
+lossy partitioner keeps a flat :data:`FRAGMENT_OVERHEAD_BITS` per fragment.
+
+What "ε-approximable" means depends on the mode.  A lossy fragment is fitted
+to ``z ± ε``, the L∞ guarantee NeaTS-L gives.  A lossless fragment of width
+``c = ceil(log2(2ε + 1))`` is fitted to the band the decoder can store in
+``c`` bits, :func:`~repro.core.storage.lossless_band`: ``[z - 2^(c-1) + 1.25,
+z + 2^(c-1) + 0.75]``, or ``[z + 0.25, z + 0.75]`` at width 0, which is wider
+than ``±ε`` above and a ¼ margin narrower at its lower edge, so that a float
+fit never leaves a correction its width cannot hold.  In lossless mode ε only
+names a width (two ε of one width fit the same band).  The frame's size is
+then the optimal ``cost_bits`` plus a 320-bit header, the bits of fragments
+widened past their width (see ``core/storage.py``; none on the bundled
+generators), the start estimate's error ``S - START_BITS·m`` and under 71
+bits of byte and word rounding: ``size_bits() - cost_bits`` is 102 to 389
+bits per series on the 16 bundled generators at 4096 values (widening 0, the
+start estimate -224 to +6, rounding 2 to 64).
 
 Edges are enumerated from each ``(f, ε)`` pair's *greedy chain*: the
 fragments the pair opens from node 0, each as long as MAKE-APPROXIMATION
@@ -30,8 +39,10 @@ previous one, and skips the starts whose fragment is known to be two points
 long (:func:`~repro.core.transforms.two_point_starts`).  The walks run one ε
 at a time, and each transform array becomes a Python list once: a kind's
 abscissae once per series, the bounds once per ε for all the kinds that
-share them (linear, logarithmic, radical and quadratic share ``z ∓ ε``,
-exponential and power their logarithms).
+share them (linear, logarithmic, radical and quadratic share the ends of the
+fitted range, exponential and power their logarithms).  A range ``z + o ±
+r`` is fitted as ``z' ± r`` over ``z' = z + o``, one array per ε, so the
+transforms and MAKE-APPROXIMATION keep their ``±ε`` form.
 
 The walks go in ascending correction width, all the pairs of one width
 together, and stop once a lower bound proves that no wider pair can enter
@@ -94,7 +105,8 @@ every chain walked.  The transient part is the abscissa lists, at most four
 whatever ``F`` holds (x, ln x, √x, x²), the current ε's bound lists, at most
 four pairs, and during a certifying pass its distances and marks:
 ``repro compress`` of 65,536 CT values with the default kinds peaks at
-64.5 MiB RSS (64.4 MiB when it walked every pair).  The paper's
+66.0 MiB RSS (66.1 MiB when it walked every pair; the shifted values of a
+lossless band's fit add one array of ``n`` floats).  The paper's
 O(n + |F||E|) fits each pair's fragment when the relaxation reaches it,
 which needs every transform at once.  Time is
 O(|F| |E| n).  Parameters are fitted again only for the fragments of the
@@ -106,7 +118,6 @@ lossy partitioner of NeaTS-L (§III-B, "Partitioning for lossy compression").
 
 from __future__ import annotations
 
-import math
 from array import array
 from dataclasses import dataclass
 from typing import Any, Callable
@@ -115,6 +126,7 @@ import numpy as np
 
 from .convex import RangeLineFitter
 from .models import Model, get_model, make_approximation
+from .storage import KIND_BITS, WIDTH_BITS, correction_bits, lossless_band
 from .transforms import (
     PairTransform,
     abscissae,
@@ -136,11 +148,6 @@ __all__ = [
 PARAM_BITS = 64
 #: per-fragment metadata bits the lossy codecs (NeaTS-L, PLA, AA) charge
 FRAGMENT_OVERHEAD_BITS = 96
-#: bits of a fragment's correction width in the frame's ``B``
-WIDTH_BITS = 6
-#: bits of a fragment's kind id in the frame's ``K`` (ids index
-#: ``storage.KIND_TABLE``)
-KIND_BITS = 4
 #: Algorithm 1's charge for a fragment's start in the Elias-Fano ``S``.  The
 #: ``m`` starts of a series of ``n`` values cost about ``m·(l + 1) + n >> l``
 #: bits with ``l = floor(log2(n/m))``, which no single edge's weight can
@@ -178,13 +185,6 @@ class PartitionResult:
     #: the (f, ε) pairs whose chains were walked: |F|·|E| unless a
     #: certifying pass ended the walks early
     pairs_walked: int = 0
-
-
-def correction_bits(eps: float) -> int:
-    """``ceil(log2(2ε + 1))`` — bits per correction for error bound ε."""
-    if eps < 0:
-        raise ValueError("eps must be non-negative")
-    return math.ceil(math.log2(2 * eps + 1)) if eps > 0 else 0
 
 
 def _model_cost_bits(model: Model, lossy: bool) -> int:
@@ -230,15 +230,15 @@ def partition(
 
     # Per-pair state in flat lists, indexed model-major by pair: the (f, ε)
     # pair and κ_f.  The order breaks ties.  ``widths`` holds each ε's
-    # per-point correction bits.
+    # per-point correction bits and ``fits`` the range its fragments are
+    # fitted to.
     widths = [0 if lossy else correction_bits(eps) for eps in eps_set]
+    fits = [_fit_range(eps, w, lossy) for eps, w in zip(eps_set, widths)]
     pairs = [(model, eps) for model in resolved for eps in eps_set]
     kappa = [_model_cost_bits(model, lossy) for model, _ in pairs]
 
     fitter = RangeLineFitter()
-    path, cost, pairs_walked = _optimal_path(
-        z, resolved, eps_set, widths, kappa, fitter
-    )
+    path, cost, pairs_walked = _optimal_path(z, resolved, fits, widths, kappa, fitter)
 
     # Fit the path's fragments again from their starts for their parameters,
     # one pair's transform at a time; the fit is deterministic, so they come
@@ -248,11 +248,12 @@ def partition(
         by_pair.setdefault(p, []).append(at)
     params: list[tuple[float, ...]] = [()] * len(path)
     for p, ats in by_pair.items():
-        model, eps = pairs[p]
-        pre = precompute_transform(model, eps, z)
+        model = pairs[p][0]
+        zc, radius = _centred(z, fits[p % len(eps_set)])
+        pre = precompute_transform(model, radius, zc)
         if pre is None:
             for at in ats:
-                params[at] = make_approximation(z, path[at][3], model, eps).params
+                params[at] = make_approximation(zc, path[at][3], model, radius).params
             continue
         t, lo, hi = pre.t.tolist(), pre.lo.tolist(), pre.hi.tolist()
         del pre
@@ -267,25 +268,43 @@ def partition(
     return PartitionResult(fragments, cost, pairs_walked)
 
 
+def _fit_range(eps: float, width: int, lossy: bool) -> tuple[float, float]:
+    """The range an ε's fragments are fitted to, as ``(offset, radius)``:
+    ``f(x)`` within ``z + offset ± radius``.  Lossy fragments keep ``z ± ε``;
+    lossless ones take the band their width decodes,
+    :func:`~repro.core.storage.lossless_band`."""
+    if lossy:
+        return 0.0, eps
+    lo, hi = lossless_band(width)
+    return (lo + hi) / 2, (hi - lo) / 2
+
+
+def _centred(z: np.ndarray, fit: tuple[float, float]) -> tuple[np.ndarray, float]:
+    """``z + offset`` and the radius: fitting that ``± radius`` is fitting
+    ``z`` to ``fit``'s range."""
+    offset, radius = fit
+    return (z + offset if offset else z), radius
+
+
 def _optimal_path(
     z: np.ndarray,
     models: list[Model],
-    eps_set: list[float],
+    fits: list[tuple[float, float]],
     widths: list[int],
     kappa: list[int],
     fitter: RangeLineFitter,
 ) -> tuple[list[tuple[int, int, int, int]], float, int]:
     """Walk the pairs' chains in ascending width and relax them.
 
-    ``widths[e]`` is the correction width of ``eps_set[e]``; pair ``p`` is
-    model ``p // len(eps_set)`` with ε ``p % len(eps_set)``.  After each
-    width, a certifying pass is attempted when :func:`_worth_attempting`
-    says so; the first that certifies ends the walks.  Returns the shortest
-    path as :func:`_shortest_path` gives it, its cost and the number of
-    pairs walked.
+    ``widths[e]`` and ``fits[e]`` are the correction width and the fitted
+    range of the ``e``-th ε; pair ``p`` is model ``p // len(fits)`` with ε
+    ``p % len(fits)``.  After each width, a certifying pass is attempted
+    when :func:`_worth_attempting` says so; the first that certifies ends
+    the walks.  Returns the shortest path as :func:`_shortest_path` gives
+    it, its cost and the number of pairs walked.
     """
     n = len(z)
-    n_eps = len(eps_set)
+    n_eps = len(fits)
     cbits = widths * len(models)
     chains: list[array[int] | None] = [None] * len(cbits)
     walk = _chain_walker(z, models, fitter)
@@ -296,9 +315,9 @@ def _optimal_path(
     found: tuple[list[tuple[int, int, int, int]], float] | None = None
     for at, width in enumerate(ladder):
         left = len(ladder) - at - 1
-        for e, eps in enumerate(eps_set):
+        for e, fit in enumerate(fits):
             if widths[e] == width:
-                for m, chain in enumerate(walk(eps)):
+                for m, chain in enumerate(walk(fit)):
                     p = m * n_eps + e
                     chains[p] = chain
                     if left:
@@ -475,9 +494,10 @@ def _shortest_path(
 
 def _chain_walker(
     z: np.ndarray, models: list[Model], fitter: RangeLineFitter
-) -> Callable[[float], list[array[int]]]:
+) -> Callable[[tuple[float, float]], list[array[int]]]:
     """A function that walks the greedy chain of every kind in ``models``
-    over ``z`` for one ε, and returns their ends in ``models`` order.
+    over ``z`` for one ε's fitted range (:func:`_fit_range`), and returns
+    their ends in ``models`` order.
 
     A chain starts a fragment at 0 and each next one where the previous
     ends, every fragment as long as MAKE-APPROXIMATION allows: these are the
@@ -496,13 +516,14 @@ def _chain_walker(
         if key is not None:
             sharing.setdefault(key[1], []).append((m, key[0]))
 
-    def walk(eps: float) -> list[array[int]]:
+    def walk(fit: tuple[float, float]) -> list[array[int]]:
+        zc, radius = _centred(z, fit)
         chains = [array("q")] * len(models)
         for m, model in enumerate(models):
             if names[m] is None:
-                chains[m] = _scalar_chain(z, model, eps)
+                chains[m] = _scalar_chain(zc, model, radius)
         for b_name, kinds in sharing.items():
-            lo, hi = bounds(b_name, z, eps)
+            lo, hi = bounds(b_name, zc, radius)
             marks = [
                 two_point_starts(PairTransform(ts[t_name], lo, hi))
                 for _, t_name in kinds

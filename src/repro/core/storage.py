@@ -42,16 +42,30 @@ list.  :meth:`NeaTSStorage.size_bits` is the frame's size in bits.
 directory and per-kind parameter counts) still load, through the same
 checks, and are written back as ``NeaTS102``.
 
-A note on exactness: the fitted parameters come from float64 geometry, so a
-residual can land one past ±ε.  The builder measures the *actual* residuals of
-every fragment and widens its correction width when required (``B`` is
-per-fragment anyway), making the lossless guarantee unconditional.
+The decoder's band.  A fragment of width ``c >= 1`` decodes position ``x`` as
+``⌊f(x)⌋ + r`` with ``r`` in ``[-2^(c-1), 2^(c-1) - 1]``, so it stores ``z``
+exactly whenever ``f(x)`` lies in ``[z - 2^(c-1) + 1, z + 2^(c-1) + 1)``; at
+width 0 there is no correction and the band is ``[z, z + 1)``.  That band is
+``2^c`` wide where ±ε spans ``2ε``: the default ``ε = 2^(c-1) - 1`` leaves
+two units of it unused, and the band of width 1 holds no integer ε at all.  :func:`lossless_band` is that band shrunk by :data:`BAND_MARGIN` on
+each side, and Algorithm 1 fits every lossless fragment into it instead of
+±ε (lossy fragments keep ±ε, their L∞ guarantee).  The margin absorbs the
+float64 rounding between the line fitted in transformed space and ``f``
+evaluated at the positions, which stays far under ¼ while the values are far
+under 2^50.
+
+The builder still measures the *actual* residuals of every fragment and
+widens its correction width when they need it (``B`` is per-fragment anyway),
+making the lossless guarantee unconditional: a fit that leaves the band (on
+huge values, or a fragment built by hand) costs a bit per value, not a wrong
+answer.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_right
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -60,9 +74,19 @@ from ..bits.eliasfano import decode_bits, encode_bits, encoded_bits
 from ..bits.packed import from_bits, to_bits, unpack_bits, unpack_fields
 from ..kernels.bitpack import scatter_fields
 from .models import Model, get_model
-from .partition import KIND_BITS, WIDTH_BITS, Fragment, correction_bits
 
-__all__ = ["KIND_TABLE", "NeaTSStorage"]
+if TYPE_CHECKING:
+    from .partition import Fragment
+
+__all__ = [
+    "BAND_MARGIN",
+    "KIND_BITS",
+    "KIND_TABLE",
+    "NeaTSStorage",
+    "WIDTH_BITS",
+    "correction_bits",
+    "lossless_band",
+]
 
 _MAGIC = b"NeaTS102"
 _MAGIC_V1 = b"NeaTS101"
@@ -84,6 +108,10 @@ KIND_TABLE: tuple[str, ...] = (
     "gaussian",
 )
 _KIND_ID = {name: i for i, name in enumerate(KIND_TABLE)}
+#: bits of a fragment's correction width in ``B``
+WIDTH_BITS = 6
+#: bits of a fragment's kind id in ``K`` (an index into :data:`KIND_TABLE`)
+KIND_BITS = 4
 _KIND_MODELS: list[Model] = [get_model(name) for name in KIND_TABLE]
 _KIND_PARAMS = np.array([model.n_params for model in _KIND_MODELS], dtype=np.int64)
 
@@ -120,6 +148,32 @@ def _floor_i64_scalar(value: float) -> int:
     if value <= -_CLAMP:
         return -int(_CLAMP)
     return math.floor(value)
+
+
+def correction_bits(eps: float) -> int:
+    """``ceil(log2(2ε + 1))`` — bits per correction for error bound ε."""
+    if eps < 0:
+        raise ValueError("eps must be non-negative")
+    return math.ceil(math.log2(2 * eps + 1)) if eps > 0 else 0
+
+
+#: how far inside the decoder's band, on each side, a lossless fragment's
+#: function is fitted (see the module docstring)
+BAND_MARGIN = 0.25
+
+
+def lossless_band(width: int) -> tuple[float, float]:
+    """The band ``[z + lo, z + hi]`` a lossless fragment of correction width
+    ``width`` is fitted to, as ``(lo, hi)``.
+
+    It is the decoder's band, ``[z - 2^(width-1) + 1, z + 2^(width-1) + 1)``
+    or ``[z, z + 1)`` at width 0, less :data:`BAND_MARGIN` on each side:
+    every ``f(x)`` in it has ``z - ⌊f(x)⌋`` inside the width's biased range.
+    """
+    if width == 0:
+        return BAND_MARGIN, 1 - BAND_MARGIN
+    half = 1 << (width - 1)
+    return 1 - half + BAND_MARGIN, 1 + half - BAND_MARGIN
 
 
 def _required_width(cmin: int, cmax: int, base_width: int) -> int:

@@ -2,7 +2,8 @@
 
 For the two-parameter models every transform of Table I is a pure function of
 the position ``x`` (known upfront) and of ``z ± ε`` (vectorisable with
-numpy).  :data:`KIND_TRANSFORMS` names each kind's abscissa and bound
+numpy); a lossless fragment's band is such a range about a shifted ``z``
+(see :mod:`repro.core.partition`).  :data:`KIND_TRANSFORMS` names each kind's abscissa and bound
 transforms, :func:`abscissae` and :func:`bounds` build them, and
 :func:`precompute_transform` builds the ``(t, lo, hi)`` sequences of one
 ``(f, ε)`` pair.  Algorithm 1 (:func:`repro.core.partition.partition`) builds

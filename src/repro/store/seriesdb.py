@@ -493,10 +493,13 @@ class SeriesDB:
             # soon as it is loaded: a batch wider than the cache must not
             # evict a shard it is about to mutate.
             stores: dict[str, TieredStore] = {}
+            pinned: list[str] = []  # the known shards this batch found clean
             for sid, _ in sorted(plans, key=lambda plan: plan[0] not in self._stores):
                 if sid in self._series:
                     stores[sid] = self._store_for_ingest(sid)
-                    self._dirty.add(sid)
+                    if sid not in self._dirty:
+                        pinned.append(sid)
+                        self._dirty.add(sid)
             records = []
             for sid, n_pieces in plans:
                 if digits is not None:
@@ -507,7 +510,14 @@ class SeriesDB:
                     (sid, sid_digits, frames[(sid, i)]) for i in range(n_pieces)
                 ]
             if records:
-                self._append_log(records)
+                try:
+                    self._append_log(records)
+                except BaseException:
+                    # Nothing was applied: the shards stay clean, so the
+                    # next flush neither rewrites them nor commits for them.
+                    self._dirty.difference_update(pinned)
+                    self._evict()
+                    raise
             counts = {}
             for sid, n_pieces in plans:
                 if sid not in stores:

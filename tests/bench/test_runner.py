@@ -13,6 +13,7 @@ from repro.bench.runner import (
     bench_decompression,
     bench_random_access,
     compare_table3,
+    neats_above_leats,
     run_bench,
 )
 from repro.cli import main
@@ -146,6 +147,50 @@ def test_cli_compare_exits_1_on_a_doctored_base(written, tmp_path, capsys):
     out = capsys.readouterr().out
     assert "1 Table III cell(s) differ" in out
     assert f"n={TINY_N} sneats IT: bits_per_value" in out
+
+
+def _neats_over_leats(table3: dict, dataset: str) -> dict:
+    """A copy of ``table3`` whose ``neats`` cell on ``dataset`` is 0.125
+    bits/value above its ``leats`` cell."""
+    copy = json.loads(json.dumps(table3))
+    rung = copy["rungs"][str(TINY_N)]
+    rung["neats"][dataset]["bits_per_value"] = (
+        rung["leats"][dataset]["bits_per_value"] + 0.125
+    )
+    return copy
+
+
+def test_neats_above_leats_names_generator_rung_and_sizes(written):
+    _, paths = written
+    table3 = _payload(paths, "BENCH_table3.json")
+    assert neats_above_leats(table3) == []
+    leats = table3["rungs"][str(TINY_N)]["leats"]["GE"]["bits_per_value"]
+    above = neats_above_leats(_neats_over_leats(table3, "GE"))
+    neats_b = (leats + 0.125) * TINY_N / 8
+    assert above == [
+        f"n={TINY_N} GE: neats {leats + 0.125} bits/value ({neats_b:.0f} B) "
+        f"> leats {leats} ({leats * TINY_N / 8:.0f} B)"
+    ]
+
+
+def test_cli_compare_exits_1_when_neats_exceeds_leats(
+    written, tmp_path, capsys, monkeypatch
+):
+    """The run itself, not BASE, breaks NeaTS <= LeaTS: BASE is doctored
+    the same way, so every cell matches it."""
+    import repro.bench.runner as runner
+
+    _, paths = written
+    doctored = _neats_over_leats(_payload(paths, "BENCH_table3.json"), "WD")
+    monkeypatch.setattr(runner, "bench_table3", lambda *a, **k: doctored)
+    base = tmp_path / "base.json"
+    base.write_text(json.dumps(doctored))
+    args = ["bench", "--quick", "--n", str(TINY_N), "--out", str(tmp_path / "run")]
+    assert main([*args, "--compare", str(base)]) == 1
+    out = capsys.readouterr().out
+    assert "differ" not in out
+    assert "1 Table III cell(s) where NeaTS is larger than LeaTS" in out
+    assert f"n={TINY_N} WD: neats" in out
 
 
 def test_decompression_payload_shape():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import repro
-from repro.core import NeaTS, default_eps_set
+from repro.core import NeaTS, correction_bits, default_eps_set
 from repro.data import DATASETS, dataset_names
 
 
@@ -16,8 +16,19 @@ class TestDefaultEpsSet:
     def test_exact_width_values(self, rng):
         y = rng.integers(0, 1 << 20, 100)
         eps_set = default_eps_set(y, stride=1)
-        for eps in eps_set[1:]:
+        # One ε per width, every width from 0 up: 0, ½, then 2^b - 1.
+        assert [correction_bits(eps) for eps in eps_set] == list(range(len(eps_set)))
+        assert eps_set[:2] == [0, 0.5]
+        for eps in eps_set[2:]:
             assert (eps + 1) & eps == 0  # eps = 2^b - 1
+
+    def test_stride_keeps_width_one(self, rng):
+        y = rng.integers(0, 1 << 20, 100)
+        eps_set = default_eps_set(y, stride=3)
+        assert eps_set[:3] == [0, 0.5, 1]
+        assert [correction_bits(eps) for eps in eps_set[2:]] == list(
+            range(2, 2 + 3 * len(eps_set[2:]), 3)
+        )
 
     def test_stride_reduces_size(self, rng):
         y = rng.integers(0, 1 << 20, 100)

@@ -26,55 +26,55 @@ from repro.data import DATASETS
 
 GOLDEN = {
     "leats": {
-        "AP": "e1ab2b92251fced26e7b892c5bbfd706ce1c3602e31002e17ef96a951ef55211",
-        "BM": "458898964d7682cfded9ba08d05e86375ac3ed7bcbc633f92291701f937494f4",
-        "BP": "4b34fd27bffe30d84051ec5eaf2a7c12cda8d0de811d0e61282606c0f1b3a054",
-        "BT": "543539d20dbd5b40c8cf0b15cb750242d630c776e580be362c632d4882855c86",
-        "BW": "486320dc54296ab2c0df1f3affb922fcdf585cadc5fb2d3f3ab42be8fc447916",
-        "CT": "8c0b6f992dabb3c002357a60ca835dd0645674c0df7b4eea9ebe60c6e2d1b581",
-        "DP": "844bdf7d1901c6335630b3c526d7fdc7adcba77ace7d0c26acbf7ce72c0d7f57",
-        "DU": "fe1d9da180f19ac0d700819417b559f24b57195dc46cddfd786215c9fbdc464d",
-        "ECG": "0d26d0e6135b881c8e6b47715a79f27c6b50d959b0ac355adb8f81bd2028c10c",
-        "GE": "f72019df253cf68dd01b4cd222c86ecb3e1975a082360c5644e72fe022bae524",
-        "IT": "8bbe9a255d0d6e91442156497828d7b7b56ff734c9bc3eecd9e19e7ab94a7ae4",
-        "LAT": "86306d8323c1748a3f3529c284c779aab31d13abab59fc1498d00a7b0589f35c",
-        "LON": "a49e999b2c30fcd35c25d1475878030d97a12a4ea678d29036c77bf10cf38bbd",
-        "UK": "70e89b52e2c27e5cf489f3db4cc7ca498d91f196c370e3094739814c47ac0e43",
-        "US": "c4fdd335d0047d49773671048ab5136a081f825029911c43d033f592be4eb82b",
-        "WD": "99d6222633ed1917a6e7ed3d9fc8fa55e2671e68c7e97a4157aec00f8eff73b5",
+        "AP": "ad5fdc8dbca4182abe4972f1026746ee063cebac6358c4a4b9b0cdb62ac0a136",
+        "BM": "3844bcd112156b7829b794515d7df0249d59371d08a4114c4c56f50536512985",
+        "BP": "fa576f9130a40b247f9dcade47892df3df704ccef923438eb5f1570370bc12ed",
+        "BT": "43487c1c7c6d0626f40409289b78fee0898bfca56c159c328e8f53843fd361ca",
+        "BW": "9461517b25477d70e729ff6e2000d6a13639065b1c8e9af8484d1c132929f259",
+        "CT": "5df7173793c477c7f8e9b28f4f400fef2564de48c27b86e18d719904bb8653d3",
+        "DP": "99898f0afaa3c7c29af3ad58ff25da52e17af67dee9647779165badbd3387b1c",
+        "DU": "479d71a14b19d74c811c537d0639b2ffd690473c6eae16e531f9c7bd70482f28",
+        "ECG": "3da2e3710a5bcaf4777509ba36394578112da8d915cda3e274a749a1253e52e2",
+        "GE": "43a94f085da2d469c9dd0fed44cd2133f039f60f576dc790e74a5d27e2ab8b21",
+        "IT": "8116b8d757b675f7b250a8914677db31b4402e036b425a84c404d52088300a40",
+        "LAT": "c0bd933086304e6a8cc49d65a1662908db63373057fc19cd2e843541be995f83",
+        "LON": "8e40de92a3b5b9bb4f4c1c547800c58bc9d804c67de2ee8b9d8ea262f6298c1a",
+        "UK": "2f8dca06731e902a27d87ad6b253307ba72f02f2538f5aa5666d2572d3cb6bee",
+        "US": "a98136de09e430f12764daaf506c24dd40b488961868d135c4a00a2985f74d79",
+        "WD": "cc7fe39f18c958606c77d6e24d3bb92a5ee8fb8214573de0eaa1cd3fb9c664f1",
     },
     "neats_lqr": {
-        "AP": "20d4ce46eb8f08522d858e19e020925828eb061ae8abd135c3897fc728e6848b",
-        "BM": "e67711ab2974428559a95c8df62026e65978be0c9ff911535647113497e7e40c",
-        "BP": "d9af492b31f286aaf30f4fb924fd04b57908fed5e3a470e73735b8eb519bd419",
-        "BT": "543539d20dbd5b40c8cf0b15cb750242d630c776e580be362c632d4882855c86",
-        "BW": "2c7b67cb7818b62f7b6eee6282c730ddde440b5a7297307922135239279bbf83",
-        "CT": "c72bda13e01ec207fa9c016368b614485e9837c19302fdc07a49fa5eee60a341",
-        "DP": "ec4e44ecd7d0a63f35a63127fe1c7feafa8d465064e94442cb0c08d4964060a6",
-        "DU": "a73e81511179daf97958a0f4844b574f0d93e300d63edfd59dbb01eaf1883e63",
-        "ECG": "21a85bc5fe28f57db946292a61e64e9ce90eba228f73f6ca1e17ce5177a019e0",
-        "GE": "8cba76d705a287a563d0b1eebf65abd4ae36fa842872a3d0c1740fe7850075d2",
-        "IT": "b9dc224a4fd790a3ee6d042e1473b7c6bf449094209df07979d963bdeb05534f",
-        "LAT": "409e3a3847ab8b933d0bb88f35b4cff1dbbde79ebba602f27de6746c9426ca8d",
-        "LON": "a49e999b2c30fcd35c25d1475878030d97a12a4ea678d29036c77bf10cf38bbd",
-        "UK": "70e89b52e2c27e5cf489f3db4cc7ca498d91f196c370e3094739814c47ac0e43",
-        "US": "5176e523643049283e7c681f7acaa836a2c033ce08693b5ae683095648886c4b",
-        "WD": "2f1d0434091138a314a8a935263dfbaa79c697afa15327ff59576941c19b0ba4",
+        "AP": "eb9a5b781513357c804e23750f5525fc1d806f5a97d3db75033e43e20797e30c",
+        "BM": "64c1b852fe69ffb13d42b3472e0522c756c88200c5b5fdb4a51e0cde4a3baead",
+        "BP": "26618f6992614af2860724868d5c9042d3f7c1367ed64e4bdda7b4d7fdb1ea04",
+        "BT": "43487c1c7c6d0626f40409289b78fee0898bfca56c159c328e8f53843fd361ca",
+        "BW": "d2d0c4f929ee6b0da6b544ee7d8d1332f2ec43a861c2bc7584291d4da29549bc",
+        "CT": "077a49305fd040d94394a57e9446fc7aa335ecb6392d6b3c3e23f5dab9e31f93",
+        "DP": "b1a8d65c27f514036952b605639d7f81d363c89b20f899fcb7bea9962730acd8",
+        "DU": "54b4f83033597c6a46ac8d689b4fe8e170681e6344aa3e6f3ea8345e31331b07",
+        "ECG": "8565fa3bf5c9ea06f2600dff6f1f523d0ed2f3fb759a31866cadc85ae7e8e69b",
+        "GE": "09e9a2578eafd5edc543b7640c4897fa00759ea9b85939743703389ba5475efb",
+        "IT": "bcbfb853ae5678ed9a6428dd933b2d364b1b1228b3791c14095ae20ecdcd6699",
+        "LAT": "2bb93234ee55a190a1791c0ce30ec76ad80b8adf22a6f6b45d31a923f24c62b2",
+        "LON": "8e40de92a3b5b9bb4f4c1c547800c58bc9d804c67de2ee8b9d8ea262f6298c1a",
+        "UK": "2f8dca06731e902a27d87ad6b253307ba72f02f2538f5aa5666d2572d3cb6bee",
+        "US": "a98136de09e430f12764daaf506c24dd40b488961868d135c4a00a2985f74d79",
+        "WD": "836a0c7fa7b60212c193215eb6daef375ecb228ff6201bdaa71fd98f701604a2",
     },
 }
 
 SIZE_BITS = {
     "leats": {
-        "AP": 14928, "BM": 12608, "BP": 24336, "BT": 35288,
-        "BW": 28096, "CT": 7640, "DP": 8856, "DU": 12672,
-        "ECG": 11376, "GE": 9736, "IT": 6664, "LAT": 3000,
-        "LON": 1768, "UK": 3544, "US": 7624, "WD": 12032,
+        "AP": 14928, "BM": 12608, "BP": 24144, "BT": 35288,
+        "BW": 28096, "CT": 7640, "DP": 8856, "DU": 12624,
+        "ECG": 11264, "GE": 9544, "IT": 6496, "LAT": 2104,
+        "LON": 1448, "UK": 2816, "US": 7624, "WD": 12032,
     },
     "neats_lqr": {
         "AP": 14624, "BM": 12368, "BP": 23728, "BT": 35288,
-        "BW": 28096, "CT": 7496, "DP": 8856, "DU": 12496,
-        "ECG": 11360, "GE": 9656, "IT": 6592, "LAT": 3000,
-        "LON": 1768, "UK": 3544, "US": 7560, "WD": 12032,
+        "BW": 28096, "CT": 7496, "DP": 8856, "DU": 12480,
+        "ECG": 11216, "GE": 9592, "IT": 6400, "LAT": 2104,
+        "LON": 1448, "UK": 2816, "US": 7624, "WD": 12032,
     },
 }
 

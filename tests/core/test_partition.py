@@ -39,6 +39,19 @@ def kappa_of(model, lossy=False):
     return model.n_params * PARAM_BITS + overhead
 
 
+def fitted(z, eps, lossy=False):
+    """The values and radius whose ``± radius`` fit is the range a fragment
+    of ε is fitted to: ``z ± ε`` when lossy; when lossless, the f(x) whose
+    floors the decoder stores in ε's width c, ``[z - 2^(c-1) + 1, z +
+    2^(c-1) + 1)`` or ``[z, z + 1)`` at width 0, less ¼ on each side."""
+    if lossy:
+        return z, eps
+    c = correction_bits(eps)
+    if c == 0:
+        return z + 0.5, 0.25
+    return z + 1.0, 2 ** (c - 1) - 0.25
+
+
 def brute_force_optimal_cost(z, models, eps_set, lossy=False):
     """Exact shortest path over the *explicit* fragment DAG (small n only)."""
     n = len(z)
@@ -55,7 +68,8 @@ def brute_force_optimal_cost(z, models, eps_set, lossy=False):
             kappa = kappa_of(model, lossy)
             for eps in eps_set:
                 cbits = 0 if lossy else correction_bits(eps)
-                end = make_approximation(z, i, model, eps).end
+                zc, radius = fitted(z, eps, lossy)
+                end = make_approximation(zc, i, model, radius).end
                 for j in range(i + 1, end + 1):
                     w = (j - i) * cbits + kappa
                     if dist[i] + w < dist[j]:
@@ -100,13 +114,15 @@ class TestPartitionBasics:
             assert a.end == b.start
 
     def test_every_fragment_is_eps_feasible(self, rng):
+        """A lossless fragment of ε lies in the band of ε's width."""
         z = 1000 + np.cumsum(rng.normal(0, 5, 300))
         result = partition(z, ["linear", "exponential", "radical"], [1.0, 7.0, 31.0])
         for frag in result.fragments:
             model = get_model(frag.model_name)
             xs = np.arange(frag.start + 1, frag.end + 1, dtype=np.float64)
-            err = np.max(np.abs(model.evaluate(frag.params, xs) - z[frag.start:frag.end]))
-            assert err <= frag.eps + 1e-6, (frag.model_name, frag.eps, err)
+            zc, radius = fitted(z[frag.start:frag.end], frag.eps)
+            err = np.max(np.abs(model.evaluate(frag.params, xs) - zc))
+            assert err <= radius + 1e-6, (frag.model_name, frag.eps, err)
 
     def test_constant_series_one_fragment(self):
         z = np.full(200, 55.0)
@@ -172,7 +188,8 @@ class TestLossyMode:
     def test_lossy_prefers_fewer_fragments(self, rng):
         z = 100 + np.cumsum(rng.normal(0, 3, 300))
         lossy = partition_lossy(z, ["linear"], 10.0)
-        lossless = partition(z, ["linear"], [10.0])
+        # ε = 7's lossless band, [z - 6.75, z + 8.75], lies inside ±10.
+        lossless = partition(z, ["linear"], [7.0])
         # The lossy objective ignores per-point corrections, so its optimal
         # solution uses as few fragments as feasibility allows.
         assert len(lossy.fragments) <= len(lossless.fragments) + 1
@@ -335,12 +352,14 @@ def _reference_partition(z, models, eps_set, lossy=False):
     if n == 0:
         return PartitionResult([], 0.0)
     resolved = [get_model(m) if isinstance(m, str) else m for m in models]
-    pairs, cached, cbits, kappa = [], [], [], []
+    pairs, ranges, cached, cbits, kappa = [], [], [], [], []
     for model in resolved:
         kap = kappa_of(model, lossy)
         for eps in eps_set:
             pairs.append((model, eps))
-            pre = precompute_transform(model, eps, z)
+            zc, radius = fitted(z, eps, lossy)
+            ranges.append((zc, radius))
+            pre = precompute_transform(model, radius, zc)
             cached.append(
                 None if pre is None
                 else (pre.t.tolist(), pre.lo.tolist(), pre.hi.tolist())
@@ -353,8 +372,8 @@ def _reference_partition(z, models, eps_set, lossy=False):
     def longest(p, k):
         pre = cached[p]
         if pre is None:
-            model, eps = pairs[p]
-            return _anchored_longest(z, k, model, eps)
+            zc, radius = ranges[p]
+            return _anchored_longest(zc, k, pairs[p][0], radius)
         reset()
         end = extend(pre[0], pre[1], pre[2], k, n)
         if end == k:
@@ -444,7 +463,8 @@ shaped_series = st.lists(
 
 
 def _shifted(y, eps_set):
-    """``z = y + shift`` with NeaTS's positivity shift (paper footnote 2)."""
+    """``z = y + shift`` with the positivity shift of paper footnote 2,
+    ``z - max(E) >= 1``: NeaTS's for its default ``E``."""
     return y.astype(np.float64) + (1 + max(eps_set) - int(y.min()))
 
 

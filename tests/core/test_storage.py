@@ -8,7 +8,7 @@ from repro.baselines.base import Compressed
 from repro.codecs import get_codec
 from repro.core import NeaTS
 from repro.core.models import MODEL_REGISTRY
-from repro.core.partition import KIND_BITS, partition
+from repro.core.partition import KIND_BITS, Fragment, correction_bits, partition
 from repro.core.storage import KIND_TABLE, NeaTSStorage, _required_width
 from repro.data import DATASETS
 
@@ -226,8 +226,6 @@ class TestSizeAccounting:
 
 class TestWidenedWidths:
     def test_widths_at_least_correction_bits(self, smooth_series):
-        from repro.core.partition import correction_bits
-
         st, _ = build_storage(smooth_series)
         # every stored width >= the eps-derived base width can't be asserted
         # directly (widths may widen), but decoding exactness already proves
@@ -237,3 +235,22 @@ class TestWidenedWidths:
         for w, length in zip(st._widths_list, lengths):
             offsets.append(offsets[-1] + w * int(length))
         assert offsets == st._offsets_list
+
+    def test_line_below_its_band_is_stored_one_bit_wider(self):
+        """Algorithm 1 keeps every fit inside the decoder's band, so only a
+        fragment built by hand reaches the width guard: a line one unit
+        below the band of width 2 (``[z - 1, z + 3)``) leaves corrections
+        of 2, which width 2's ``[-2, 1]`` cannot hold."""
+        shift = 5
+        x = np.arange(1, 81)
+        y = 995 + 3 * x
+        z = y + shift
+        low = Fragment(0, 40, "linear", 1.0, (3.0, 998.0))  # f = z - 2
+        fits = Fragment(40, 80, "linear", 1.0, (3.0, 1001.0))  # f = z + 1
+        st = NeaTSStorage(z, [low, fits], shift)
+        assert [correction_bits(f.eps) for f in (low, fits)] == [2, 2]
+        assert st._widths_list == [3, 2]
+        assert st.size_bits() == 8 * len(st.to_bytes())
+        for storage in (st, NeaTSStorage.from_bytes(st.to_bytes())):
+            assert np.array_equal(storage.decompress(), y)
+            assert [storage.access(k) for k in range(len(y))] == y.tolist()

@@ -190,7 +190,7 @@ class TestTieredStore:
         assert report["buffer_values"] == 45
         blob = store.to_bytes()
         assert hashlib.sha256(blob).hexdigest() == (
-            "d70435fcb8a79e17252ab5de340490c66049da163acdafe01398585f7d53795c"
+            "229c0c70a75f97c8fccc9113ea57e296539f5a3b6d047c09080e5767064fda82"
         )
         again = TieredStore.from_bytes(memoryview(blob))
         assert again.to_bytes() == blob
@@ -199,8 +199,10 @@ class TestTieredStore:
 
     def test_raw_tail_snapshot_still_loads(self):
         """The same store as written before tail frames (45 raw int64
-        buffered values) loads with the same values and re-serialises as
-        the current writer writes it."""
+        buffered values, a NeaTS101 cold run) loads with the same values and
+        re-serialises as the current writer writes it: the digest is the
+        pinned store's before lossless fits took the decoder's band, when
+        its cold run was this one."""
         legacy = (DATA / "rpts0001_raw_tail.bin").read_bytes()
         assert hashlib.sha256(legacy).hexdigest() == (
             "367c792b5f185ae76c33483e3606345c11de00e9e54b2ba54df22f19e9af8d04"
@@ -210,7 +212,9 @@ class TestTieredStore:
         assert loaded.tier_report() == store.tier_report()
         assert np.array_equal(loaded.decompress(), store.decompress())
         assert loaded.access(300) == 7
-        assert loaded.to_bytes() == store.to_bytes() != legacy
+        assert hashlib.sha256(loaded.to_bytes()).hexdigest() == (
+            "d70435fcb8a79e17252ab5de340490c66049da163acdafe01398585f7d53795c"
+        )
 
 
 class TestExtendBulkEquivalence:
@@ -444,7 +448,7 @@ class TestTailFrame:
         store.extend(y[128:])
         assert store.tier_report()["buffer_values"] == 0
         assert hashlib.sha256(store.to_bytes()).hexdigest() == (
-            "68efbf18c5aa7ad69c0c56548ff398690d461edfc172c1fe87518ef7c5fbbfab"
+            "1adec7e1790283e22e9edf282b2c72511cadb6d61191dbaf1a41a2be8057905b"
         )
 
     def test_count_disagreement_raises(self):

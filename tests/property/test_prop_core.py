@@ -7,7 +7,7 @@ import repro
 from repro.bits.eliasfano import encoded_bits
 from repro.core import NeaTS, NeaTSLossy
 from repro.core.convex import RangeLineFitter
-from repro.core.models import ALL_MODELS, get_model, make_approximation
+from repro.core.models import ALL_MODELS, DEFAULT_MODELS, get_model, make_approximation
 from repro.core.partition import (
     LAYOUT_FRAGMENT_BITS,
     PARAM_BITS,
@@ -259,11 +259,12 @@ class TestFrameAgainstLeaTS:
 
         cost + W + D + 320 <= frame <= cost + W + D + 320 + 70
 
-    NeaTS's function set contains LeaTS's, and both see the same shifted
-    series and ε set, so NeaTS's shortest path costs no more than LeaTS's.
-    Subtracting the two brackets, with ``W_leats >= 0``::
+    Every lossless fragment is fitted inside the band its width decodes,
+    so ``W`` is 0.  NeaTS's function set contains LeaTS's, and both see the
+    same shifted series and ε set, so NeaTS's shortest path costs no more
+    than LeaTS's.  Subtracting the two brackets::
 
-        frame(neats) <= frame(leats) + W_neats + 70 + D_neats - D_leats
+        frame(neats) <= frame(leats) + 70 + D_neats - D_leats
     """
 
     @given(y=st.one_of(smooth_series, small_series))
@@ -271,9 +272,10 @@ class TestFrameAgainstLeaTS:
     def test_frame_is_weight_within_rounding(self, y):
         c = NeaTS().compress(y)
         cost, widened, d = _accounting(c)
+        assert widened == 0
         frame = c.size_bits()
         assert frame == 8 * len(c.to_payload())
-        low = cost + widened + d + _HEAD_BITS
+        low = cost + d + _HEAD_BITS
         assert low <= frame <= low + _ROUNDING_BITS
 
     @given(y=st.one_of(smooth_series, small_series))
@@ -281,7 +283,24 @@ class TestFrameAgainstLeaTS:
     def test_neats_frame_bounded_by_leats(self, y):
         neats = NeaTS().compress(y)
         leats = NeaTS.linear_only().compress(y)
-        _, widened, d_neats = _accounting(neats)
-        _, _, d_leats = _accounting(leats)
+        _, widened_neats, d_neats = _accounting(neats)
+        _, widened_leats, d_leats = _accounting(leats)
+        assert widened_neats == widened_leats == 0
         slack = _ROUNDING_BITS + d_neats - d_leats
-        assert neats.size_bits() <= leats.size_bits() + widened + slack
+        assert neats.size_bits() <= leats.size_bits() + slack
+
+
+class TestFragmentsFitTheirWidth:
+    """Each default kind's lossless fragments need no more than their ε's
+    width: the fit stays inside the band the decoder stores in it."""
+
+    @given(
+        y=st.one_of(smooth_series, small_series, int_series),
+        kind=st.sampled_from(DEFAULT_MODELS),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_corrections_fit_base_width(self, y, kind):
+        c = NeaTS(models=(kind,)).compress(y)
+        widths = c.storage._widths_list
+        assert widths == [correction_bits(frag.eps) for frag in c.fragments]
+        assert np.array_equal(c.decompress(), y)

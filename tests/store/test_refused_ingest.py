@@ -6,7 +6,8 @@ way.  Values outside those fields must raise ``ValueError`` naming the
 series and the limit, before any series is registered or any byte lands
 on disk: a refused batch leaves ``series_ids()``, ``digits()`` and every
 file under the root as they were, on both store kinds.  A batch whose
-group-log write fails registers none of its new series either.
+group-log write fails registers none of its new series either, and leaves
+its known series' shards clean.
 """
 
 import numpy as np
@@ -90,6 +91,31 @@ def test_failed_log_write_leaves_no_series(tmp_path, monkeypatch, partitions):
         assert again.series_ids() == ["new"]
         assert again.digits("new") == 3
         assert again.range("new", 0, 10).tolist() == list(range(10))
+
+
+def test_failed_log_write_leaves_known_shards_clean(tmp_path, monkeypatch):
+    """A batch whose group-log write raises leaves its flushed series clean:
+    the next close neither rewrites the shard nor commits for it."""
+    root = tmp_path / "db"
+    db = SeriesDB(root)
+    db.ingest("a", np.arange(100), digits=2)
+    db.flush()
+    assert (root / "shards" / "a-0001.tier").exists()
+
+    def disk_full(self, records):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(GroupLog, "append_group", disk_full)
+    with pytest.raises(OSError):
+        db.ingest_many({"a": np.arange(10)})
+    monkeypatch.undo()
+    assert "a" not in db._dirty
+    manifest = (root / "MANIFEST.json").read_bytes()
+    db.close()
+    assert sorted(p.name for p in (root / "shards").glob("a-*.tier")) == ["a-0001.tier"]
+    assert (root / "MANIFEST.json").read_bytes() == manifest
+    with open_store(root) as again:
+        assert again.count("a") == 100
 
 
 def test_group_log_refuses_out_of_range_fields(tmp_path):
