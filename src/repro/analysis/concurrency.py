@@ -4,8 +4,9 @@ The lock-discipline rule (RPR301) knows two classes — ``SeriesDB`` and
 ``PartitionedSeriesDB`` — and a hand-written attribute list for each.  This
 module infers the guarded-by relation for **every** class that creates a
 ``threading.Lock``/``RLock`` in its ``__init__`` and checks three
-invariants the happens-before race detector
-(:mod:`repro.analysis.sanitizer`) can only confirm at runtime:
+invariants.  With RPR301, these rules are the package's one data-race check:
+no runtime detector backs them up, so a lock dropped from a public method
+must trip one of them.
 
 ``RPR801`` **mixed-guard write** — an attribute written both *under* the
     lock and *outside* it.  One unguarded write is all a data race needs;
@@ -30,9 +31,9 @@ How a site is classified lock-held:
 * lexically inside a ``with self.<guard>:`` region (any guard the class
   created); or
 * inside a *private* method whose every intra-class ``self.method()`` call
-  site is itself lock-held — the one-level-and-fixpoint callee expansion
-  RPR701 pioneered, formalising SeriesDB's "private helpers are documented
-  as called-under-lock" convention.
+  site is itself lock-held — a one-level-and-fixpoint callee expansion
+  formalising SeriesDB's "private helpers are documented as
+  called-under-lock" convention.
 
 The three rules check writes and escapes; an unlocked *read* of guarded
 state is left to RPR301.  Extending RPR802 to reads would flag the

@@ -1,11 +1,10 @@
-"""Dataflow lint rules: buffer lifetime, resource release, lock order.
+"""Dataflow lint rules: buffer lifetime, resource release, bare acquires.
 
 These rules answer questions the syntactic rules of
 :mod:`repro.analysis.rules` cannot: they track *values* through a function
 (assignment chains, derived views, acquired handles) and *paths* through
-its body (the CFG of :mod:`repro.analysis.cfg`).  They run behind
-``repro lint --dataflow`` because they parse every function twice and build
-graphs — still fast (<1s on this repo) but not free.
+its body (the CFG of :mod:`repro.analysis.cfg`).  ``repro lint`` runs them
+on every call, beside the syntactic rules.
 
 The families:
 
@@ -32,13 +31,6 @@ The families:
 ``RPR602`` **use after close** — a local used on a path after its
     ``.close()`` with no rebind in between.
 
-``RPR701`` **lock-order inversion** — the static lock graph across every
-    linted module: nested ``with`` acquisitions (and one level of
-    ``self.method()`` callee expansion) produce held→acquired edges;
-    any A→B edge coexisting with a B→A edge is a potential deadlock and is
-    reported at both sites.  Re-entrant A→A acquisitions are ignored
-    (``SeriesDB._lock`` is an RLock by design).
-
 ``RPR702`` **bare lock acquire** — ``lock.acquire()`` without a matching
     ``release()`` in a ``finally`` leaks the lock if the critical section
     raises; use ``with lock:``.
@@ -47,15 +39,18 @@ Scope notes (deliberate, so the rules stay quiet on legitimate code):
 only *locals assigned in the function* are tracked — parameters and
 attributes are someone else's contract; ``with open(...) as f`` is always
 fine (the context manager owns the close); anything whose name does not
-look like a lock (no ``"lock"`` substring) is invisible to the RPR7xx
-rules.
+look like a lock (no ``"lock"`` substring) is invisible to RPR702.
+Lock *order* is not checked statically: the store's one nesting (the
+``PartitionedSeriesDB`` façade lock, then a partition's ``SeriesDB`` lock)
+goes through calls into another class, and the sanitizer's lock-order
+graph (:mod:`repro.analysis.sanitizer`) watches it at runtime.
 """
 
 from __future__ import annotations
 
 import ast
 
-from .cfg import CFG, build_cfg
+from .cfg import build_cfg
 from .findings import Finding
 from .rules import Module, _call_name
 
@@ -65,7 +60,6 @@ __all__ = [
     "check_resource_release",
     "check_use_after_close",
     "check_bare_acquire",
-    "check_lock_order",
     "run_dataflow_rules",
 ]
 
@@ -406,7 +400,7 @@ def _uses_after_close(stmt: ast.AST, name: str) -> bool:
     return any(id(n) not in harmless for n in _loads(stmt, name))
 
 
-# -- RPR701 / RPR702: lock order -----------------------------------------------
+# -- RPR702: bare acquire ------------------------------------------------------
 
 
 def _lock_id(expr: ast.expr, cls: str | None, relpath: str) -> str | None:
@@ -421,90 +415,6 @@ def _lock_id(expr: ast.expr, cls: str | None, relpath: str) -> str | None:
     if isinstance(expr, ast.Name) and "lock" in expr.id.lower():
         return f"{relpath}:{expr.id}"
     return None
-
-
-def check_lock_order(modules: list[Module]) -> list[Finding]:
-    """RPR701: A→B and B→A acquisition edges together are a deadlock risk.
-
-    Cross-file: the lock graph spans every linted module, with one level of
-    ``self.method()`` callee expansion (holding A while calling a method of
-    the same class that takes B adds the A→B edge).
-    """
-    # (edge, relpath, line, description) — sites come back in the findings
-    edges: list[tuple[tuple[str, str], str, int, str]] = []
-    direct: dict[tuple[str, str], set[str]] = {}  # (cls, method) -> lock ids
-    pending: list[tuple[str, str, str, str, int]] = []  # held, cls, callee, file, line
-
-    for module in modules:
-        for func, cls in _functions(module.tree):
-            held_locks: list[str] = []
-
-            def visit(node: ast.AST, *, module=module, func=func, cls=cls,
-                      held=held_locks) -> None:
-                pushed = 0
-                if isinstance(node, (ast.With, ast.AsyncWith)):
-                    for item in node.items:
-                        lock = _lock_id(item.context_expr, cls, module.relpath)
-                        if lock is None:
-                            continue
-                        if cls is not None:
-                            direct.setdefault((cls, func.name), set()).add(lock)
-                        for outer in held:
-                            if outer != lock:
-                                edges.append((
-                                    (outer, lock), module.relpath, node.lineno,
-                                    f"acquires {lock} while holding {outer}",
-                                ))
-                        held.append(lock)
-                        pushed += 1
-                elif (
-                    isinstance(node, ast.Call)
-                    and held
-                    and cls is not None
-                    and isinstance(node.func, ast.Attribute)
-                    and isinstance(node.func.value, ast.Name)
-                    and node.func.value.id == "self"
-                ):
-                    for outer in held:
-                        pending.append((
-                            outer, cls, node.func.attr,
-                            module.relpath, node.lineno,
-                        ))
-                elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                    if node is not func:
-                        return  # nested defs run on their own lock stack
-                for child in ast.iter_child_nodes(node):
-                    visit(child)
-                del held[len(held) - pushed:len(held)]
-
-            visit(func)
-
-    for outer, cls, method, relpath, line in pending:
-        for inner in direct.get((cls, method), ()):
-            if inner != outer:
-                edges.append((
-                    (outer, inner), relpath, line,
-                    f"calls self.{method}() (which acquires {inner}) "
-                    f"while holding {outer}",
-                ))
-
-    edge_set = {edge for edge, *_ in edges}
-    findings = []
-    seen: set[tuple[str, int, str]] = set()
-    for (outer, inner), relpath, line, description in edges:
-        if (inner, outer) not in edge_set:
-            continue
-        key = (relpath, line, f"{outer}->{inner}")
-        if key in seen:
-            continue
-        seen.add(key)
-        findings.append(Finding(
-            "RPR701", relpath, line,
-            f"lock-order inversion: {description}, but the opposite order "
-            f"{inner} -> {outer} also exists in the lock graph",
-            "pick one global acquisition order and stick to it",
-        ))
-    return findings
 
 
 def check_bare_acquire(module: Module) -> list[Finding]:

@@ -1,24 +1,15 @@
-"""Lint findings and the committed baseline that grandfathers old debt.
+"""Lint findings: one rule violation each.
 
 A :class:`Finding` is one rule violation: rule id, file, line, message, and
-a one-line fix hint.  Findings are deliberately *location-fuzzy* in the
-baseline: the committed baseline file records, per ``rule:file`` key, how
-many violations existed when the baseline was written — not their line
-numbers, which drift with every edit.  A lint run then fails only when a
-key's count *exceeds* its baselined allowance: new violations fail CI, old
-debt doesn't, and deleting a violation shrinks the allowance the next time
-the baseline is regenerated (``repro lint --update-baseline``).
+a one-line fix hint.  ``repro lint`` fails on any finding; there is no
+allowance for old debt, so a change that adds a violation fixes it too.
 """
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
-from pathlib import Path
+from dataclasses import dataclass
 
-__all__ = ["Finding", "Baseline", "apply_baseline"]
-
-BASELINE_VERSION = 1
+__all__ = ["Finding"]
 
 
 @dataclass(frozen=True)
@@ -30,86 +21,9 @@ class Finding:
     line: int  #: 1-based line number
     message: str  #: what is wrong, one line
     hint: str = ""  #: how to fix it, one line
-    #: set by apply_baseline: True when grandfathered by the baseline file
-    baselined: bool = field(default=False, compare=False)
-
-    @property
-    def key(self) -> str:
-        """The baseline bucket this finding counts against."""
-        return f"{self.rule}:{self.file}"
 
     def render(self) -> str:
-        mark = " [baselined]" if self.baselined else ""
-        text = f"{self.file}:{self.line}: {self.rule} {self.message}{mark}"
-        if self.hint and not self.baselined:
+        text = f"{self.file}:{self.line}: {self.rule} {self.message}"
+        if self.hint:
             text += f"\n    hint: {self.hint}"
         return text
-
-
-class Baseline:
-    """The committed debt ledger: ``rule:file`` -> allowed violation count."""
-
-    def __init__(self, counts: dict[str, int] | None = None) -> None:
-        self.counts: dict[str, int] = dict(counts or {})
-
-    @classmethod
-    def load(cls, path) -> "Baseline":
-        """Read a baseline file; a missing file means an empty baseline."""
-        path = Path(path)
-        if not path.exists():
-            return cls()
-        try:
-            data = json.loads(path.read_text("utf-8"))
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ValueError(f"{path}: unreadable lint baseline: {exc}") from exc
-        if not isinstance(data, dict) or "findings" not in data:
-            raise ValueError(f"{path}: not a lint baseline file")
-        counts = data["findings"]
-        if not isinstance(counts, dict) or not all(
-            isinstance(v, int) and v >= 0 for v in counts.values()
-        ):
-            raise ValueError(f"{path}: corrupt lint baseline counts")
-        return cls(counts)
-
-    @classmethod
-    def from_findings(cls, findings: list[Finding]) -> "Baseline":
-        counts: dict[str, int] = {}
-        for finding in findings:
-            counts[finding.key] = counts.get(finding.key, 0) + 1
-        return cls(counts)
-
-    def save(self, path) -> None:
-        """Write the baseline, atomically (it gates CI, same as a manifest)."""
-        from ..codecs.container import write_atomic
-
-        blob = json.dumps(
-            {"version": BASELINE_VERSION, "findings": dict(sorted(self.counts.items()))},
-            indent=2,
-        ).encode("utf-8")
-        write_atomic(path, blob + b"\n")
-
-
-def apply_baseline(findings: list[Finding], baseline: Baseline) -> list[Finding]:
-    """Mark grandfathered findings; returns the findings with flags set.
-
-    Within each ``rule:file`` bucket the *first* ``allowance`` findings (in
-    line order) are marked baselined — which ones is arbitrary but stable,
-    and all that matters downstream is the count of non-baselined ones.
-    """
-    used: dict[str, int] = {}
-    out: list[Finding] = []
-    for finding in sorted(findings, key=lambda f: (f.file, f.line, f.rule)):
-        allowance = baseline.counts.get(finding.key, 0)
-        taken = used.get(finding.key, 0)
-        if taken < allowance:
-            used[finding.key] = taken + 1
-            finding = Finding(
-                rule=finding.rule,
-                file=finding.file,
-                line=finding.line,
-                message=finding.message,
-                hint=finding.hint,
-                baselined=True,
-            )
-        out.append(finding)
-    return out

@@ -1,10 +1,10 @@
-"""The lint engine: collect sources, run every rule, apply the baseline.
+"""The lint engine: collect sources, run every rule.
 
 ``run_lint`` is the library surface (the CLI and CI call it; tests point it
-at fixture trees).  It parses every target file once, feeds the per-file
-rules of :mod:`repro.analysis.rules` (and, with ``dataflow=True``, those of
-:mod:`repro.analysis.dataflow` and :mod:`repro.analysis.concurrency`), and
-returns findings sorted by location.
+at fixture trees).  It parses every target file once, feeds it to every
+rule — the syntactic ones of :mod:`repro.analysis.rules`, the CFG-based
+ones of :mod:`repro.analysis.dataflow` and the guarded-by inference of
+:mod:`repro.analysis.concurrency` — and returns findings sorted by location.
 ``lint_paths`` resolves what to analyse: given nothing it lints the
 installed ``repro`` package sources — so ``repro lint`` works from any
 checkout or install without configuration.
@@ -16,7 +16,7 @@ import ast
 import os
 from pathlib import Path
 
-from .findings import Baseline, Finding, apply_baseline
+from .findings import Finding
 from .rules import Module, run_per_file_rules
 
 __all__ = ["default_root", "lint_paths", "run_lint"]
@@ -78,34 +78,18 @@ def _parse(root: Path, files: list[Path]) -> tuple[list[Module], list[Finding]]:
     return modules, findings
 
 
-def run_lint(
-    paths: list | None = None,
-    *,
-    baseline: Baseline | None = None,
-    dataflow: bool = False,
-) -> list[Finding]:
-    """Lint ``paths`` (default: the repro package) and return all findings.
+def run_lint(paths: list | None = None) -> list[Finding]:
+    """Lint ``paths`` (default: the repro package) and return all findings."""
+    # Imported here, not at the top: ``import repro`` loads this module, and
+    # the CFG-based rules need not load until something is linted.
+    from .concurrency import check_guarded_by
+    from .dataflow import run_dataflow_rules
 
-    ``dataflow`` additionally runs the CFG-based RPR5xx/6xx/7xx rules of
-    :mod:`repro.analysis.dataflow` (buffer lifetime, resource release,
-    lock order) and the RPR80x guarded-by rules of
-    :mod:`repro.analysis.concurrency`.  When a ``baseline`` is given,
-    grandfathered findings come back flagged ``baselined``; the caller
-    decides whether those fail the run.
-    """
     root, files = lint_paths(paths)
     modules, findings = _parse(root, files)
     for module in modules:
         findings.extend(run_per_file_rules(module))
-    if dataflow:
-        from .concurrency import check_guarded_by
-        from .dataflow import check_lock_order, run_dataflow_rules
-
-        for module in modules:
-            findings.extend(run_dataflow_rules(module))
-            findings.extend(check_guarded_by(module))
-        findings.extend(check_lock_order(modules))
+        findings.extend(run_dataflow_rules(module))
+        findings.extend(check_guarded_by(module))
     findings.sort(key=lambda f: (f.file, f.line, f.rule))
-    if baseline is not None:
-        findings = apply_baseline(findings, baseline)
     return findings

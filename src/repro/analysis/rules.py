@@ -76,7 +76,7 @@ RULE_CATALOGUE: dict[str, tuple[str, str]] = {
         "eval/exec are banned",
         "replace with explicit parsing or dispatch",
     ),
-    # Dataflow rules (repro lint --dataflow), implemented in dataflow.py.
+    # Dataflow rules, implemented in dataflow.py.
     "RPR501": (
         "a memoryview derived from mmap_view must not escape without its "
         "owning map",
@@ -95,17 +95,12 @@ RULE_CATALOGUE: dict[str, tuple[str, str]] = {
         "no use of a local on a path after its .close()",
         "reorder the use before close(), or rebind the name",
     ),
-    "RPR701": (
-        "lock acquisition order must be globally consistent (no A->B with "
-        "B->A elsewhere)",
-        "pick one global acquisition order and stick to it",
-    ),
     "RPR702": (
         "no bare lock.acquire() without release() in a finally",
         "use `with lock:`",
     ),
-    # Guarded-by inference (repro lint --dataflow), implemented in
-    # concurrency.py: inferred for every class creating a Lock/RLock.
+    # Guarded-by inference, implemented in concurrency.py: inferred for
+    # every class creating a Lock/RLock.
     "RPR801": (
         "a field written both under and outside its inferred guard "
         "(one unguarded write is a data race)",
@@ -160,11 +155,6 @@ RULE_EXAMPLES: dict[str, str] = {
     "RPR602": (
         "fh.close()\n"
         "return fh.read()   # used on a path after its close()"
-    ),
-    "RPR701": (
-        "# thread 1:                # thread 2:\n"
-        "with lock_a:               with lock_b:\n"
-        "    with lock_b: ...           with lock_a: ...   # A->B vs B->A"
     ),
     "RPR702": (
         "lock.acquire()\n"

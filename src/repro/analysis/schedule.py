@@ -16,11 +16,11 @@ Checkpoints come from two sources:
   any thread the scheduler does not own, so instrumented helpers can be
   shared with normal tests;
 * the sanitizer's :class:`~repro.analysis.sanitizer.SanitizedLock`, which
-  (when ``REPRO_SANITIZE`` is on) checkpoints before each outermost
-  ``acquire`` and after each outermost ``release``.  Together with the
-  vector-clock race detector this is the payoff: the scheduler drives the
-  threads through many lock-level interleavings, and the ledger reports
-  any pair of accesses the locks failed to order.
+  (when the sanitizer is enabled) checkpoints before each outermost
+  ``acquire`` and after each outermost ``release``.  The scheduler thus
+  drives the threads through many lock-level interleavings: the stress
+  tests then check that the store holds exactly what it acknowledged,
+  and the ledger that no interleaving inverted the lock order.
 
 Deadlock discipline (why this cannot hang): a task only ever *pauses* at a
 checkpoint, and the lock-driven checkpoints fire only while the thread

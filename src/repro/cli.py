@@ -22,18 +22,17 @@ Usage::
     python -m repro fsck output.rpac stream.rpal --deep --json
     python -m repro fsck dbdir
     python -m repro lint --rules
-    python -m repro lint src/repro --baseline .repro-lint.json
+    python -m repro lint src/repro --json
 
 ``fsck`` structurally verifies what the system persisted — archive
 headers, frame lengths, per-frame crc32s, cumulative-count monotonicity,
 torn tails, and (for a SeriesDB directory) manifest <-> shard <-> WAL
 consistency — without decoding values unless ``--deep``.  ``lint`` runs
-the repo's AST-based invariant checks (binary-layout confinement,
-durability and lock discipline, pickle/eval bans; with ``--dataflow``,
-buffer lifetime, resource release, lock order and guarded-by inference)
-against any source tree; the committed baseline file grandfathers
-existing debt so only *new* violations fail.  Exit codes for both:
-0 = clean, 1 = violations/defects, 2 = target unusable.
+every one of the repo's AST-based invariant checks (binary-layout
+confinement, durability and lock discipline, pickle/eval bans, buffer
+lifetime, resource release, bare lock acquires and guarded-by inference)
+against any source tree.  Exit codes for both: 0 = clean,
+1 = violations/defects, 2 = target unusable.
 
 The ``db`` family drives a :class:`repro.store.SeriesDB`: a directory of
 per-series tiered-store shards with a JSON manifest, batch-ingested in
@@ -279,7 +278,7 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_lint(args) -> int:
-    from .analysis import RULE_CATALOGUE, Baseline, run_lint
+    from .analysis import RULE_CATALOGUE, run_lint
     from .analysis.rules import RULE_EXAMPLES
 
     if args.explain:
@@ -303,32 +302,18 @@ def _cmd_lint(args) -> int:
             print(f"{rule_id}  {title}")
             print(f"        fix: {hint}")
         return 0
-    baseline_path = Path(args.baseline)
-    try:
-        baseline = Baseline.load(baseline_path)
-    except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
-    findings = run_lint(
-        args.paths or None, baseline=baseline, dataflow=args.dataflow,
-    )
-    if args.update_baseline:
-        Baseline.from_findings(findings).save(baseline_path)
-        print(f"baselined {len(findings)} finding(s) into {baseline_path}")
-        return 0
-    fresh = [f for f in findings if not f.baselined]
+    findings = run_lint(args.paths or None)
     if args.json:
         print(json.dumps([
             {"rule": f.rule, "file": f.file, "line": f.line,
-             "message": f.message, "hint": f.hint, "baselined": f.baselined}
+             "message": f.message, "hint": f.hint}
             for f in findings
         ], indent=2))
     else:
         for finding in findings:
             print(finding.render())
-        grandfathered = len(findings) - len(fresh)
-        print(f"{len(fresh)} new finding(s), {grandfathered} baselined")
-    return 1 if fresh else 0
+        print(f"{len(findings)} finding(s)")
+    return 1 if findings else 0
 
 
 def _cmd_bench(args) -> int:
@@ -695,25 +680,17 @@ def main(argv: list[str] | None = None) -> int:
     p = sub.add_parser(
         "lint",
         help="AST-based invariant linter over the repo: binary-layout, "
-             "durability and lock discipline, pickle/eval bans",
+             "durability and lock discipline, pickle/eval bans, buffer "
+             "lifetime, resource release, guarded-by inference",
     )
     p.add_argument("paths", nargs="*", metavar="path",
                    help="files or directories to lint (default: the "
                         "installed repro package sources)")
-    p.add_argument("--baseline", default=".repro-lint.json",
-                   help="baseline file grandfathering existing debt "
-                        "(default: .repro-lint.json; missing file = empty)")
-    p.add_argument("--update-baseline", action="store_true",
-                   help="rewrite the baseline to accept all current findings")
     p.add_argument("--rules", action="store_true",
                    help="print the rule catalogue and exit")
     p.add_argument("--explain", metavar="RULE_ID",
                    help="print one rule's rationale and a minimal failing "
                         "example (e.g. --explain RPR801), then exit")
-    p.add_argument("--dataflow", action="store_true",
-                   help="also run the CFG-based RPR5xx/6xx/7xx rules "
-                        "(buffer lifetime, resource release, lock order) "
-                        "and the RPR80x guarded-by rules")
     p.add_argument("--json", action="store_true",
                    help="machine-readable findings for tooling")
     p.set_defaults(func=_cmd_lint)

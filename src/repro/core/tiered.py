@@ -48,7 +48,6 @@ from __future__ import annotations
 import json
 import zlib
 from array import array
-from typing import Callable
 
 import numpy as np
 
@@ -177,18 +176,6 @@ class TieredStore:
         self._cold: list = []  # consolidated Compressed runs, in order
         self._cold_counts: list[int] = []
         self._run_index: RunIndex | None = None  # rebuilt after mutations
-        # External-synchronisation contract: a TieredStore is NOT
-        # thread-safe; whoever shares one across threads owns the locking
-        # (SeriesDB holds its RLock around every store call).  An owner —
-        # or the REPRO_SANITIZE sanitizer — can arm this hook and every
-        # mutating entry point (append/extend/adopt_sealed/consolidate)
-        # will call it first, so unsynchronised mutation is detectable
-        # instead of silently corrupting tiers.
-        self._guard: Callable[[], None] | None = None
-
-    def _assert_guarded(self) -> None:
-        if self._guard is not None:
-            self._guard()
 
     # -- ingestion ------------------------------------------------------------
 
@@ -196,9 +183,8 @@ class TieredStore:
         """Append one value; seals the buffer when it reaches the threshold.
 
         Not thread-safe: callers sharing this store synchronise externally
-        (see ``_guard``).
+        (SeriesDB holds its lock around every store call).
         """
-        self._assert_guarded()
         self._thaw()
         self._buffer.append(int(value))
         if len(self._buffer) >= self._seal_threshold:
@@ -214,9 +200,8 @@ class TieredStore:
         write buffer — this is the batch-ingest hot path.
 
         Not thread-safe: callers sharing this store synchronise externally
-        (see ``_guard``).
+        (SeriesDB holds its lock around every store call).
         """
-        self._assert_guarded()
         values = np.asarray(values, dtype=np.int64)
         if values.ndim != 1:
             raise ValueError("expected a 1-D array")
@@ -246,9 +231,8 @@ class TieredStore:
         write buffer is sealed first so global ordering is preserved.
 
         Not thread-safe: callers sharing this store synchronise externally
-        (see ``_guard``).
+        (SeriesDB holds its lock around every store call).
         """
-        self._assert_guarded()
         if block.codec_id is not None and block.codec_id != self._hot_id:
             raise ValueError(
                 f"adopted block was compressed with {block.codec_id!r}, "
@@ -296,9 +280,8 @@ class TieredStore:
         approximation and the ε guarantee holds against the originals.
 
         Not thread-safe: callers sharing this store synchronise externally
-        (see ``_guard``).
+        (SeriesDB holds its lock around every store call).
         """
-        self._assert_guarded()
         if not self._hot:
             return
         parts = []

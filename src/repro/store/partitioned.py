@@ -625,9 +625,9 @@ class PartitionedSeriesDB:
     def _assign(self, series_id: str) -> int:
         """Place a new series on its partition (called under the lock).
 
-        The single choke point that mutates the partition map — the
-        sanitizer instruments it.  Called once the series' data is durable
-        in its partition, and followed by :meth:`_write_root_manifest`.
+        The single choke point that mutates the partition map.  Called
+        once the series' data is durable in its partition, and followed by
+        :meth:`_write_root_manifest`.
         """
         part = zlib.crc32(series_id.encode("utf-8")) % self._partitions
         self._series_map[series_id] = part

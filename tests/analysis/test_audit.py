@@ -9,31 +9,38 @@ moves so that a mutation no longer applies, re-seed it and re-run the
 audit.
 """
 
+import itertools
+
 import pytest
 
 from repro.analysis import run_lint
 from repro.analysis.linter import default_root
 
-LOCKED_COUNT = '''\
-        with self._lock:
-            self._check_open()
-            if series_id in self._stores:
-                return len(self._stores[series_id])
-            return int(self._entry(series_id)["count"])
-'''
 
-LOCKED_MARK_DIRTY = '''\
-        with self._lock:
-            self._check_open()
-            self._load(series_id)  # flush rewrites from the live store
-            self._dirty.add(series_id)
-'''
+def _lock_block(relpath: str, method: str) -> str:
+    """``method``'s ``with self._lock:`` line and the body it indents."""
+    source = (default_root() / relpath).read_text("utf-8")
+    start = source.index(f"    def {method}(")
+    head = source.index("        with self._lock:\n", start)
+    assert "\n    def " not in source[start + 1:head], f"re-seed: {method}"
+    lines = source[head:].splitlines(keepends=True)
+    body = itertools.takewhile(lambda line: line.startswith(" " * 12), lines[1:])
+    return lines[0] + "".join(body)
 
 
 def _dedent_block(block: str) -> str:
     """``block`` without its ``with`` line, its body one level out."""
     lines = block.splitlines(keepends=True)
     return "".join(line[4:] for line in lines[1:])
+
+
+def _unlocked(relpath: str, method: str) -> list[tuple[str, str]]:
+    """The edit that drops ``method``'s ``with self._lock:``."""
+    block = _lock_block(relpath, method)
+    return [(block, _dedent_block(block))]
+
+
+LOCKED_MARK_DIRTY = _lock_block("store/seriesdb.py", "mark_dirty")
 
 
 #: the clean half of both RPR201 cases: a write_atomic call
@@ -54,9 +61,7 @@ SEEDED = [
         (MANIFEST_WRITE,
          '(self._root / MANIFEST_NAME).write_text(blob.decode() + "\\n")'),
     ]),
-    ("RPR301", "store/seriesdb.py", [
-        (LOCKED_COUNT, _dedent_block(LOCKED_COUNT)),
-    ]),
+    ("RPR301", "store/seriesdb.py", _unlocked("store/seriesdb.py", "count")),
     ("RPR401", "store/seriesdb.py", [
         ("import json\n", "import json\nimport pickle\n"),
         ('            return {**self._config, "root": str(self._root), '
@@ -87,9 +92,13 @@ SEEDED = [
          "        self._lock.acquire()\n" + _dedent_block(LOCKED_MARK_DIRTY)
          + "        self._lock.release()\n"),
     ]),
-    ("RPR802", "store/seriesdb.py", [
-        (LOCKED_MARK_DIRTY, _dedent_block(LOCKED_MARK_DIRTY)),
-    ]),
+    ("RPR802", "store/seriesdb.py", _unlocked("store/seriesdb.py", "mark_dirty")),
+    # The race detector's audit: each race it was seeded with, linted.
+    ("RPR802", "store/seriesdb.py", _unlocked("store/seriesdb.py", "compact")),
+    ("RPR801", "store/seriesdb.py", _unlocked("store/seriesdb.py", "access")),
+    ("RPR301", "store/seriesdb.py", _unlocked("store/seriesdb.py", "flush")),
+    ("RPR301", "store/partitioned.py",
+     _unlocked("store/partitioned.py", "ingest_many")),
 ]
 
 
@@ -97,7 +106,7 @@ def _rules_fired(root, relpath, source):
     path = root / relpath
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(source)
-    return {f.rule for f in run_lint([str(root)], dataflow=True)}
+    return {f.rule for f in run_lint([str(root)])}
 
 
 @pytest.mark.parametrize(

@@ -1,19 +1,16 @@
 """Guarded-by inference lint (RPR801/802/803) on seeded fixtures.
 
 Same harness as test_dataflow.py: write a fixture tree into ``tmp_path``,
-run ``repro lint --dataflow`` over it, and assert the exact findings —
-rule, line, and message shape — plus that the well-locked variants right
-next to each violation stay quiet.  Ends with the package-clean gate and
-the ``--explain`` catalogue contract.
+run ``repro lint`` over it, and assert the exact findings — rule, line,
+and message shape — plus that the well-locked variants right next to
+each violation stay quiet.  Ends with the ``--explain`` catalogue
+contract.
 """
 
 import textwrap
-from pathlib import Path
 
 from repro.analysis import run_lint
 from repro.analysis.rules import RULE_CATALOGUE, RULE_EXAMPLES
-
-REPO_ROOT = Path(__file__).resolve().parents[2]
 
 
 def lint_tree(tmp_path, files):
@@ -21,7 +18,7 @@ def lint_tree(tmp_path, files):
         path = tmp_path / rel
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(textwrap.dedent(source))
-    return run_lint([str(tmp_path)], dataflow=True)
+    return run_lint([str(tmp_path)])
 
 
 def by_rule(findings, rule):
@@ -203,14 +200,9 @@ def test_init_call_sites_count_as_held(tmp_path):
     assert [f for f in findings if f.rule.startswith("RPR80")] == []
 
 
-# -- package gate ---------------------------------------------------------------
-
-def test_package_is_clean_of_guarded_by_findings():
-    findings = run_lint(
-        [str(REPO_ROOT / "src" / "repro")], dataflow=True
-    )
-    fired = [f for f in findings if f.rule.startswith("RPR80")]
-    assert fired == [], [f"{f.file}:{f.line} {f.rule} {f.message}" for f in fired]
+def test_package_is_clean_of_guarded_by_findings(package_findings):
+    fired = [f for f in package_findings if f.rule.startswith("RPR80")]
+    assert fired == [], [f.render() for f in fired]
 
 
 # -- `repro lint --explain` catalogue contract ----------------------------------
@@ -232,7 +224,8 @@ def test_explain_cli_prints_rationale_and_example(capsys):
         assert "minimal failing example" in out
         assert RULE_EXAMPLES[rule_id].splitlines()[0] in out
 
-    # Unknown, and retired by the audit in docs/analysis-rules.md.
-    for rule_id in ("RPR999", "RPR001", "RPR002", "RPR101", "RPR403"):
+    # Unknown, and retired by the audits in docs/analysis-rules.md.
+    for rule_id in ("RPR999", "RPR001", "RPR002", "RPR101", "RPR403",
+                    "RPR701"):
         assert main(["lint", "--explain", rule_id]) == 2
         assert rule_id in capsys.readouterr().err

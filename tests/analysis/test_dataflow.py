@@ -1,18 +1,14 @@
-"""repro lint --dataflow: every RPR5xx/6xx/7xx rule on seeded fixtures.
+"""The dataflow lint rules: every RPR5xx/6xx/702 rule on seeded fixtures.
 
 Mirrors test_lint.py's pattern: write a small fixture tree into
-``tmp_path``, lint it with ``dataflow=True``, assert the expected code
-fires at the expected line — and, just as important, that the *good*
-variants right next to each violation stay quiet.  The final test runs the
-dataflow rules over the real package and requires a clean bill.
+``tmp_path``, lint it, assert the expected code fires at the expected
+line — and, just as important, that the *good* variants right next to
+each violation stay quiet.
 """
 
 import textwrap
-from pathlib import Path
 
 from repro.analysis import run_lint
-
-REPO_ROOT = Path(__file__).resolve().parents[2]
 
 
 def lint_tree(tmp_path, files):
@@ -20,7 +16,7 @@ def lint_tree(tmp_path, files):
         path = tmp_path / rel
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(textwrap.dedent(source))
-    return run_lint([str(tmp_path)], dataflow=True)
+    return run_lint([str(tmp_path)])
 
 
 def by_rule(findings, rule):
@@ -179,120 +175,6 @@ def test_rpr602_use_after_close(tmp_path):
     assert "after fh.close() (line 4)" in fired[0].message
 
 
-# -- RPR701: lock-order inversion -----------------------------------------------
-
-INVERSION_FIXTURE = """
-    import threading
-
-    lock_a = threading.Lock()
-    lock_b = threading.Lock()
-
-    def ab():
-        with lock_a:
-            with lock_b:
-                pass
-
-    def ba():
-        with lock_b:
-            with lock_a:
-                pass
-"""
-
-CONSISTENT_FIXTURE = """
-    import threading
-
-    lock_a = threading.Lock()
-    lock_b = threading.Lock()
-
-    def first():
-        with lock_a:
-            with lock_b:
-                pass
-
-    def second():
-        with lock_a:
-            with lock_b:
-                pass
-"""
-
-
-def test_rpr701_inversion_reported_at_both_sites(tmp_path):
-    findings = lint_tree(tmp_path, {"inv.py": INVERSION_FIXTURE})
-    fired = by_rule(findings, "RPR701")
-    assert sorted(f.line for f in fired) == [9, 14]
-    assert all("inversion" in f.message for f in fired)
-
-
-def test_rpr701_consistent_order_is_quiet(tmp_path):
-    findings = lint_tree(tmp_path, {"ok.py": CONSISTENT_FIXTURE})
-    assert not by_rule(findings, "RPR701")
-
-
-def test_rpr701_spans_files(tmp_path):
-    half_ab = INVERSION_FIXTURE.split("def ba():")[0]
-    half_ba = (
-        half_ab.split("def ab():")[0]
-        + "def ba():\n    with lock_b:\n        with lock_a:\n            pass\n"
-    )
-    findings = lint_tree(tmp_path, {"m1.py": half_ab, "m2.py": half_ba})
-    fired = by_rule(findings, "RPR701")
-    # Same-named module-level locks in different files are distinct
-    # identities (relpath-qualified), so no cross-file inversion here...
-    assert not fired
-    # ...but self-attribute locks unify by class name across files.
-    cls_ab = """
-        class Store:
-            def a_then_b(self):
-                with self.meta_lock:
-                    with self.data_lock:
-                        pass
-    """
-    cls_ba = """
-        class Store:
-            def b_then_a(self):
-                with self.data_lock:
-                    with self.meta_lock:
-                        pass
-    """
-    findings = lint_tree(tmp_path / "cls", {"m1.py": cls_ab, "m2.py": cls_ba})
-    assert len(by_rule(findings, "RPR701")) == 2
-
-
-def test_rpr701_callee_expansion(tmp_path):
-    source = """
-        class Store:
-            def outer(self):
-                with self.meta_lock:
-                    self.inner()  # acquires data_lock while meta held
-
-            def inner(self):
-                with self.data_lock:
-                    pass
-
-            def other(self):
-                with self.data_lock:
-                    with self.meta_lock:
-                        pass
-    """
-    findings = lint_tree(tmp_path, {"store.py": source})
-    fired = by_rule(findings, "RPR701")
-    lines = sorted(f.line for f in fired)
-    assert 5 in lines  # the self.inner() call site
-    assert 13 in lines  # the explicit nested with
-
-
-def test_rpr701_reentrant_same_lock_ok(tmp_path):
-    source = """
-        class Store:
-            def reenter(self):
-                with self._lock:
-                    with self._lock:
-                        pass
-    """
-    findings = lint_tree(tmp_path, {"re.py": source})
-    assert not by_rule(findings, "RPR701")
-
-
 # -- RPR702: bare acquire -------------------------------------------------------
 
 BARE_FIXTURE = """
@@ -320,20 +202,7 @@ def test_rpr702_bare_acquire(tmp_path):
     assert "my_lock.acquire()" in finding.message
 
 
-# -- the real package -----------------------------------------------------------
-
-
-def test_package_is_dataflow_clean():
-    """The gate CI runs: zero dataflow findings on src/repro, no baseline."""
-    findings = run_lint(
-        [str(REPO_ROOT / "src" / "repro")], dataflow=True
-    )
-    dataflow = [f for f in findings if f.rule >= "RPR500"]
-    assert dataflow == []
-
-
-def test_dataflow_off_by_default(tmp_path):
-    findings = lint_tree(tmp_path, {"bare.py": BARE_FIXTURE})
-    assert by_rule(findings, "RPR702")
-    without = run_lint([str(tmp_path)])
-    assert not by_rule(without, "RPR702")
+def test_package_is_dataflow_clean(package_findings):
+    """Zero dataflow findings on src/repro."""
+    dataflow = [f for f in package_findings if f.rule >= "RPR500"]
+    assert dataflow == [], [f.render() for f in dataflow]

@@ -2,32 +2,30 @@
 
 Each test writes a small fixture tree into ``tmp_path``, runs the linter
 over it, and asserts the expected rule fires at the expected place.
-The final tests run the linter over the *real* package and require it to
-be clean modulo the committed baseline — the exact gate CI runs.
+The final test runs the linter over the *real* package and requires it to
+be clean — the exact gate CI runs.
 """
 
 import ast
-import json
 import textwrap
 from pathlib import Path
 
 import pytest
 
-from repro.analysis import Baseline, apply_baseline, run_lint
+from repro.analysis import run_lint
 from repro.analysis.concurrency import _ClassScan, _guard_attrs
-from repro.analysis.findings import Finding
 from repro.analysis.rules import GUARDED_STATE
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
 
-def lint_tree(tmp_path, files, *, dataflow=False):
+def lint_tree(tmp_path, files):
     """Write ``{relpath: source}`` under tmp_path and lint the tree."""
     for rel, source in files.items():
         path = tmp_path / rel
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(textwrap.dedent(source))
-    return run_lint([str(tmp_path)], dataflow=dataflow)
+    return run_lint([str(tmp_path)])
 
 
 def rules_fired(findings):
@@ -157,7 +155,7 @@ def test_unlocked_guarded_state_access_flagged(tmp_path):
 
             def _helper(self, sid):
                 return self._stores[sid]
-    """}, dataflow=True)
+    """})
     flagged = by_rule(findings, "RPR301")
     assert len(flagged) == 1
     assert "count" in flagged[0].message  # access is locked, _helper private
@@ -233,65 +231,14 @@ def test_eval_and_exec_banned(tmp_path):
     assert len(by_rule(findings, "RPR402")) == 2
 
 
-# -- the baseline ---------------------------------------------------------------
-
-
-def _finding(rule, file, line):
-    return Finding(rule, file, line, "msg", "hint")
-
-
-def test_baseline_roundtrip(tmp_path):
-    findings = [_finding("RPR102", "a.py", 3), _finding("RPR102", "a.py", 9)]
-    path = tmp_path / "baseline.json"
-    Baseline.from_findings(findings).save(path)
-    loaded = Baseline.load(path)
-    assert loaded.counts == {"RPR102:a.py": 2}
-    data = json.loads(path.read_text())
-    assert data["version"] == 1
-
-
-def test_missing_baseline_is_empty(tmp_path):
-    assert Baseline.load(tmp_path / "nope.json").counts == {}
-
-
-def test_corrupt_baseline_raises(tmp_path):
-    path = tmp_path / "bad.json"
-    path.write_text("[1, 2, 3]")
-    with pytest.raises(ValueError):
-        Baseline.load(path)
-
-
-def test_baseline_grandfathers_exact_count(tmp_path):
-    baseline = Baseline({"RPR102:a.py": 1})
-    marked = apply_baseline(
-        [_finding("RPR102", "a.py", 3), _finding("RPR102", "a.py", 9)],
-        baseline,
-    )
-    assert [f.baselined for f in marked] == [True, False]
-
-
-def test_baseline_survives_line_drift(tmp_path):
-    baseline = Baseline({"RPR102:a.py": 1})
-    (marked,) = apply_baseline([_finding("RPR102", "a.py", 999)], baseline)
-    assert marked.baselined  # keyed rule:file, not by line
-
-
 # -- the real package: the gate CI runs -----------------------------------------
 
 
-def test_repo_lints_clean_modulo_baseline():
-    baseline = Baseline.load(REPO_ROOT / ".repro-lint.json")
-    findings = run_lint(baseline=baseline)
-    fresh = [f for f in findings if not f.baselined]
-    assert fresh == [], "\n".join(f.render() for f in fresh)
+def test_repo_lints_clean_modulo_baseline(package_findings):
+    """``repro lint`` on src/repro returns no finding: CI fails on any.
 
-
-def test_repo_baseline_is_not_stale():
-    """Fixed debt must leave the baseline (--update-baseline) promptly."""
-    baseline = Baseline.load(REPO_ROOT / ".repro-lint.json")
-    live = Baseline.from_findings(run_lint()).counts
-    for key, allowed in baseline.counts.items():
-        assert live.get(key, 0) >= allowed, (
-            f"baseline allows {allowed} x {key} but only {live.get(key, 0)} "
-            "remain: regenerate with `repro lint --update-baseline`"
-        )
+    There is no baseline any more, so nothing is subtracted.
+    """
+    assert package_findings == (), "\n".join(
+        f.render() for f in package_findings
+    )

@@ -2,8 +2,8 @@
 
 Each test enables the sanitizer with its *own* ledger (so deliberate
 violations never dirty the process-global one), provokes one behaviour —
-a leaked map, a defended use-after-close, a lock-order inversion — and
-asserts the ledger saw exactly that.  ``disable()`` in a finally restores
+a leaked map or a lock-order inversion — and asserts the ledger saw
+exactly that.  ``disable()`` in a finally restores
 the unpatched functions for the rest of the suite.
 """
 
@@ -75,20 +75,6 @@ class TestMapAccounting:
         archive = open_archive(archive_path)  # eager: read + parse, no mmap
         archive.decompress()
         assert ledger.live_maps() == []
-
-
-class TestUseAfterClose:
-    def test_defended_use_is_recorded_not_fatal(self, ledger, archive_path):
-        archive = open_archive(archive_path, lazy=True)
-        archive.close()
-        with pytest.raises(ValueError, match="closed"):
-            archive.decompress()
-        report = ledger.report()
-        (event,) = report["caught_use_after_close"]
-        assert event["path"] == str(archive_path)
-        # The archive already raised in the caller's face: informational,
-        # not a verdict-flipping violation.
-        assert report["clean"]
 
 
 class TestLockOrder:
@@ -243,135 +229,10 @@ class TestMultiThreadedLockOrder:
         assert ledger.report()["inversions"] == []
 
 
-class TestVectorClockRaces:
-    def test_unordered_writes_race_with_both_stacks(self, ledger):
-        """The acceptance fixture: a de-synchronised class, two threads."""
-
-        class Desynchronised:
-            def poke(self):
-                ledger.note_write("Desynchronised.state")
-
-        obj = Desynchronised()
-        barrier = threading.Barrier(2)
-
-        def worker():
-            barrier.wait()
-            obj.poke()
-
-        t1 = threading.Thread(target=worker, name="racer-1")
-        t2 = threading.Thread(target=worker, name="racer-2")
-        t1.start()
-        t2.start()
-        t1.join()
-        t2.join()
-        report = ledger.report()
-        assert not report["clean"]
-        (race,) = report["races"]
-        assert race["kind"] == "write-write"
-        assert race["var"] == "Desynchronised.state"
-        assert {race["thread"], race["prior_thread"]} == {"racer-1", "racer-2"}
-        assert race["stack"] and race["prior_stack"]  # both stacks attached
-        assert any("poke" in frame for frame in race["stack"])
-        rendered = ledger.render()
-        assert "DATA RACE" in rendered
-        assert "unordered with" in rendered
-
-    def test_lock_ordered_writes_are_clean(self, ledger):
-        lock = SanitizedLock("G", ledger)
-
-        def worker():
-            for _ in range(5):
-                with lock:
-                    ledger.note_write("guarded.state")
-
-        threads = [threading.Thread(target=worker) for _ in range(4)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert ledger.report()["races"] == []
-
-    def test_fork_join_edges_order_accesses(self, ledger):
-        """Parent-before-start and join-before-parent need no lock."""
-        ledger.note_write("handoff.state")
-
-        def child():
-            ledger.note_write("handoff.state")
-
-        t = threading.Thread(target=child)
-        t.start()
-        t.join()
-        ledger.note_write("handoff.state")
-        assert ledger.report()["races"] == []
-
-    def test_write_read_race_detected(self, ledger):
-        done = threading.Event()
-
-        def writer():
-            ledger.note_write("wr.state")
-            done.set()  # plain Event: NOT a happens-before edge
-
-        t = threading.Thread(target=writer, name="writer")
-        t.start()
-        done.wait(5)
-        ledger.note_read("wr.state")  # before join: unordered
-        t.join()
-        (race,) = ledger.report()["races"]
-        assert race["kind"] == "write-read"
-
-    def test_read_after_join_is_ordered(self, ledger):
-        def writer():
-            ledger.note_write("rj.state")
-
-        t = threading.Thread(target=writer)
-        t.start()
-        t.join()
-        ledger.note_read("rj.state")
-        assert ledger.report()["races"] == []
-
-    def test_duplicate_races_report_once(self, ledger):
-        barrier = threading.Barrier(2)
-
-        def worker():
-            barrier.wait()
-            for _ in range(20):
-                ledger.note_write("dup.state")
-
-        t1 = threading.Thread(target=worker, name="d1")
-        t2 = threading.Thread(target=worker, name="d2")
-        t1.start()
-        t2.start()
-        t1.join()
-        t2.join()
-        races = ledger.report()["races"]
-        assert races  # detected...
-        assert len(races) <= 4  # ...but deduplicated, not 20+ copies
-
-    def test_held_by_current_thread(self, ledger):
-        lock = SanitizedLock("H", ledger)
-        assert not lock.held_by_current_thread()
-        with lock:
-            assert lock.held_by_current_thread()
-            with lock:  # re-entrant: still held
-                assert lock.held_by_current_thread()
-            assert lock.held_by_current_thread()
-        assert not lock.held_by_current_thread()
-
-        observed = []
-
-        def other():
-            observed.append(lock.held_by_current_thread())
-
-        with lock:
-            t = threading.Thread(target=other)
-            t.start()
-            t.join()
-        assert observed == [False]  # held, but not by that thread
-
-
 class TestSeriesDBRaceHooks:
     def test_locked_concurrent_use_is_clean(self, ledger, tmp_path, series):
-        """The whole-suite sanitize job's contract: correct use, no races."""
+        """The whole-suite sanitize job's contract: correct concurrent use
+        of one handle records no lock-order inversion."""
         db = repro.SeriesDB(tmp_path / "db", hot_codec="gorilla",
                             seal_threshold=256)
         db.ingest("s1", series)
@@ -389,32 +250,7 @@ class TestSeriesDBRaceHooks:
         for t in threads:
             t.join()
         db.close()
-        report = ledger.report()
-        assert report["races"] == []
-        assert report["inversions"] == []
-
-    def test_unlocked_store_mutation_races(self, ledger, tmp_path, series):
-        """Direct TieredStore mutation from two threads, no db lock: the
-        armed ``_guard`` hook routes it into the happens-before check."""
-        db = repro.SeriesDB(tmp_path / "db", hot_codec="gorilla",
-                            seal_threshold=256)
-        db.ingest("s1", series)
-        store = db.store("s1")  # sanctioned direct handle
-        barrier = threading.Barrier(2)
-
-        def mutate():
-            barrier.wait()
-            store.extend(np.arange(10, dtype=np.int64))
-
-        t1 = threading.Thread(target=mutate, name="m1")
-        t2 = threading.Thread(target=mutate, name="m2")
-        t1.start()
-        t2.start()
-        t1.join()
-        t2.join()
-        races = ledger.report()["races"]
-        assert races
-        assert any(":store:s1" in race["var"] for race in races)
+        assert ledger.report()["inversions"] == []
 
 
 class TestEnableDisable:

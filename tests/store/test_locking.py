@@ -221,47 +221,3 @@ class TestCloseContract:
         reopened = SeriesDB.open(tmp_path / "db")
         assert reopened.count("s") == 128
         reopened.close()
-
-
-# -- TieredStore: the external-synchronisation contract -------------------------
-
-
-class TestTieredStoreGuard:
-    """Mutating entry points call the armed ``_guard`` hook first."""
-
-    def test_guard_fires_on_every_mutator(self):
-        from repro.core.tiered import TieredStore
-
-        store = TieredStore(seal_threshold=8)
-        store.extend(np.arange(16, dtype=np.int64))  # unarmed: no-op
-        calls = []
-        store._guard = lambda: calls.append(1)
-
-        store.append(7)
-        store.extend(np.arange(8, dtype=np.int64))
-        store.consolidate()
-        assert len(calls) == 3
-
-        donor = TieredStore(seal_threshold=8)
-        donor.extend(np.arange(8, dtype=np.int64))
-        sealed = donor._hot[0]
-        store.adopt_sealed(sealed)
-        assert len(calls) == 4
-
-    def test_guard_can_enforce_locking(self):
-        from repro.core.tiered import TieredStore
-
-        lock = threading.RLock()
-
-        def must_hold():
-            # RLock exposes ownership via acquire(blocking=False) semantics:
-            # simulate an assert-held guard the way the sanitizer arms one.
-            if not lock._is_owned():  # type: ignore[attr-defined]
-                raise AssertionError("TieredStore mutated without the lock")
-
-        store = TieredStore(seal_threshold=8)
-        store._guard = must_hold
-        with pytest.raises(AssertionError):
-            store.append(1)
-        with lock:
-            store.append(1)  # guard satisfied under the lock
