@@ -1,11 +1,10 @@
 """A miniature time series database built on the repro library.
 
-Combines the extension modules into the deployment the paper sketches in
-§IV-C1 and §VI: streaming ingestion (Gorilla hot tier), background NeaTS
-consolidation, durable snapshots of the whole store, timestamped window
-queries, and aggregate queries answered from the compressed representation.
-Both tiers are ordinary registry codecs — swap ``hot_codec="zstd"`` or
-``cold_codec="leats"`` and nothing else changes.
+Builds the deployment the paper sketches in §IV-C1 from the tiered store:
+streaming ingestion (Gorilla hot tier), background NeaTS consolidation, and
+durable snapshots of the whole store.  Both tiers are ordinary registry
+codecs — swap ``hot_codec="zstd"`` or ``cold_codec="leats"`` and nothing
+else changes.
 
 Run with::
 
@@ -14,13 +13,12 @@ Run with::
 
 import numpy as np
 
-from repro.core import AggregateIndex, NeaTS, TieredStore, TimestampedSeries
+from repro.core import TieredStore
 from repro.data import DATASETS
 
 
 def main() -> None:
-    info = DATASETS["DP"]  # dew point temperature
-    values = info.generate(12_000)
+    values = DATASETS["DP"].generate(12_000)  # dew point temperature
 
     # --- ingestion: stream into the tiered store -------------------------------
     store = TieredStore(seal_threshold=2048, hot_codec="gorilla",
@@ -44,30 +42,6 @@ def main() -> None:
     restored.extend(values[:100])  # a restored store keeps ingesting
     print(f"snapshot: {len(blob):,} bytes; restored store answers "
           f"access(7777) = {restored.access(7777)}")
-
-    # --- time-window queries over irregular timestamps ---------------------------
-    rng = np.random.default_rng(3)
-    stamps = np.cumsum(rng.integers(30, 90, len(values))).astype(np.int64)
-    series = TimestampedSeries(stamps, values)
-    t0 = int(stamps[4_000])
-    t1 = t0 + 3_600  # one hour of seconds
-    win_t, win_v = series.window(t0, t1)
-    print(f"\nwindow [{t0}, {t1}): {len(win_v)} samples, "
-          f"mean {win_v.mean() / 10**info.digits:.3f}")
-    print(f"timestamped store ratio: {100 * series.compression_ratio():.2f}% "
-          f"of raw (timestamp, value) pairs")
-
-    # --- aggregates from the compressed representation ----------------------------
-    compressed = NeaTS().compress(values)
-    agg = AggregateIndex(compressed.storage)
-    lo, hi = 2_000, 9_000
-    exact_sum = agg.sum(lo, hi)
-    assert exact_sum == int(values[lo:hi].sum())
-    min_b = agg.min_bounds(lo, hi)
-    print(f"\nrange [{lo}, {hi}): exact sum {exact_sum:,} "
-          f"(O(fragments), not O(points))")
-    print(f"certified min bracket: [{min_b.low:.0f}, {min_b.high:.0f}] "
-          f"(true min {values[lo:hi].min()}, zero decoding)")
 
 
 if __name__ == "__main__":

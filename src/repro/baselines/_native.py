@@ -45,7 +45,6 @@ __all__ = [
     "LOSSY_HDR",
     "NEATS_HDR",
     "NEATS102_HDR",
-    "TSI64_HDR",
     "pack_packed_array",
     "unpack_packed_array",
     "pack_bitvector",
@@ -83,7 +82,6 @@ LOSSY_HDR = struct.Struct("<qqdI")  # n, shift, eps, n_segments/fragments
 # marked a frame from the retired bitvector rank; its arrays are the same).
 NEATS_HDR = struct.Struct("<qqqqB")  # n, m, shift, name_len, flag
 NEATS102_HDR = struct.Struct("<qqqq")  # n, m, shift, correction bits
-TSI64_HDR = struct.Struct("<qi")  # value count, decimal digits
 
 
 def read_words(view, pos: int, nwords: int, what: str) -> tuple[np.ndarray, int]:

@@ -102,8 +102,6 @@ class _AlpBlock:
 
 
 class _AlpCompressed(Compressed):
-    payload_is_native = True
-
     def __init__(
         self,
         blocks: list[_AlpBlock],

@@ -9,19 +9,19 @@ access, range queries) plus serialisation through one protocol.
 Serialisation is part of the protocol: :meth:`Compressed.to_bytes` emits a
 self-describing frame (codec id + params + payload) and
 :meth:`Compressed.from_bytes` decodes a frame from *any* registered codec.
-Codecs with a compact private layout override :meth:`Compressed.to_payload`;
-everyone else inherits the generic values fallback, which round-trips by
-re-running the deterministic compressor on load.
+Every codec writes its own payload (:meth:`Compressed.to_payload`), which
+the ``load_native`` it was registered with parses back; a codec registered
+without one cannot serialise.  Frames of the older ``values`` kind (the
+deflated values, recompressed on load) still load for lossless codecs.
 
 Error-bounded compression is a peer of lossless compression here:
 :class:`LossyCompressed` extends the protocol with the guaranteed L∞ bound
 ``eps`` (``|f(x_k) - y_k| <= eps`` for every point, §III-B of the paper) and
 the measured-error metrics of §IV-B, and :class:`LossyCompressor` is the
-factory counterpart of :class:`LosslessCompressor`.  Lossy objects never use
-the generic values fallback — their ``decompress()`` returns the
-*approximation*, so re-running the codec on decoded values would not
-reproduce the object — which is why :meth:`LossyCompressed.to_bytes` insists
-on a native payload.
+factory counterpart of :class:`LosslessCompressor`.  A lossy object's
+``decompress()`` returns the *approximation*, so re-running the codec on
+decoded values would not reproduce it: the loader refuses a ``values`` frame
+for a lossy codec.
 """
 
 from __future__ import annotations
@@ -67,8 +67,6 @@ class Compressed(ABC):
     codec_id: str | None = None
     #: constructor params of that codec (JSON-serialisable)
     codec_params: dict | None = None
-    #: True when to_payload/from_payload use a codec-specific byte layout
-    payload_is_native: bool = False
     #: number of values, recorded at construction for O(1) metrics
     _n: int | None = None
 
@@ -114,14 +112,15 @@ class Compressed(ABC):
 
     # -- serialisation ---------------------------------------------------------
 
+    @abstractmethod
     def to_payload(self) -> bytes:
-        """The frame payload.  Generic fallback: the (deflated) values."""
-        from ..codecs import serialize
-
-        return serialize.encode_values(self.decompress())
+        """The codec's frame payload, which its registered ``load_native`` reads."""
 
     def to_bytes(self) -> bytes:
         """Serialise to a self-describing frame (codec id + params + payload)."""
+        return self._native_frame(self.codec_params or {})
+
+    def _native_frame(self, params: dict) -> bytes:
         from ..codecs import serialize
         from ..codecs.registry import codec_spec
 
@@ -131,20 +130,14 @@ class Compressed(ABC):
                 "objects through repro.compress(...) or repro.codecs.get_codec "
                 "so serialisation knows which codec to record"
             )
-        # The native layout is only written when the registry can load it
-        # back; a codec registered without a native loader (e.g. a custom
-        # registration of a built-in compressor class) gets the generic
-        # values frame, which always round-trips.
-        spec = codec_spec(self.codec_id)
-        if self.payload_is_native and spec.load_native is not None:
-            kind, payload = serialize.KIND_NATIVE, self.to_payload()
-        else:
-            values = self.decompress()
-            if self._n is None:
-                self._n = int(len(values))
-            kind, payload = serialize.KIND_VALUES, serialize.encode_values(values)
+        if codec_spec(self.codec_id).load_native is None:
+            raise ValueError(
+                f"codec {self.codec_id!r} has no native payload loader, so its "
+                "frames could not be read back: register it with "
+                "register_codec(..., load_native=...) to serialise"
+            )
         return serialize.write_frame(
-            self.codec_id, self.codec_params or {}, self.n, kind, payload
+            self.codec_id, params, self.n, serialize.KIND_NATIVE, self.to_payload()
         )
 
     @staticmethod
@@ -166,16 +159,14 @@ class LossyCompressed(Compressed):
       :meth:`access` the approximated value at one position;
     * :meth:`max_error` / :meth:`mape` measure the realised error against
       the original values (the paper's Table II side metrics);
-    * serialisation is always native (:attr:`payload_is_native`): the frame
-      payload holds the fitted segments themselves, so a saved archive
-      reproduces the exact approximation without re-running the compressor.
-      The frame params additionally record ``eps`` and the segment count,
-      making archives inspectable without parsing the payload.
+    * the frame payload holds the fitted segments themselves, so a saved
+      archive reproduces the exact approximation without re-running the
+      compressor.  The frame params additionally record ``eps`` and the
+      segment count, making archives inspectable without parsing the payload.
     """
 
     #: the guaranteed L∞ bound, in original value units (set at construction)
     eps: float = 0.0
-    payload_is_native = True
 
     @abstractmethod
     def reconstruct(self) -> np.ndarray:
@@ -221,34 +212,15 @@ class LossyCompressed(Compressed):
         return k
 
     def to_bytes(self) -> bytes:
-        """Serialise to a native frame; lossy codecs have no values fallback.
+        """Serialise to a native frame recording ``eps`` and the segment count.
 
-        The recorded params are augmented with the guaranteed ``eps`` and
-        the segment count, so the frame header describes the approximation
-        (and the loader can cross-check it) without touching the payload.
+        The augmented params let the frame header describe the approximation
+        (and the loader cross-check it) without touching the payload.
         """
-        from ..codecs import serialize
-        from ..codecs.registry import codec_spec
-
-        if self.codec_id is None:
-            raise ValueError(
-                f"{type(self).__name__} has no codec id; obtain compressed "
-                "objects through repro.compress(...) or repro.codecs.get_codec "
-                "so serialisation knows which codec to record"
-            )
-        spec = codec_spec(self.codec_id)
-        if not self.payload_is_native or spec.load_native is None:
-            raise ValueError(
-                f"lossy codec {self.codec_id!r} cannot serialise without a "
-                "native payload loader: decompression is approximate, so the "
-                "values fallback would not reproduce this object"
-            )
         params = dict(self.codec_params or {})
         params.setdefault("eps", self.eps)
         params.setdefault("segments", int(self.num_segments))
-        return serialize.write_frame(
-            self.codec_id, params, self.n, serialize.KIND_NATIVE, self.to_payload()
-        )
+        return self._native_frame(params)
 
 
 class LosslessCompressor(ABC):

@@ -55,8 +55,6 @@ class ByteCompressor:
 class BlockwiseCompressed(Compressed):
     """Compressed blocks + pointer array, as described in the paper."""
 
-    payload_is_native = True
-
     def __init__(
         self, codec: ByteCompressor, blocks: list[bytes], n: int, block_size: int
     ) -> None:

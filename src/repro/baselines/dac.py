@@ -67,8 +67,6 @@ def optimal_level_widths(bit_lengths: np.ndarray, max_levels: int = 8) -> list[i
 
 
 class _DacCompressed(Compressed):
-    payload_is_native = True
-
     def __init__(
         self,
         levels: list[PackedArray],

@@ -109,8 +109,6 @@ class _XorBlockCompressed(Compressed):
     what the lazy-decode tests assert on.
     """
 
-    payload_is_native = True
-
     def __init__(self, blocks, n, block_size, decode_fn, family=None):
         from ..core.tiered import RunIndex
 

@@ -74,8 +74,6 @@ class _LeCoBlock:
 
 
 class _LeCoCompressed(Compressed):
-    payload_is_native = True
-
     def __init__(self, blocks: list[_LeCoBlock], n: int) -> None:
         self._blocks = blocks
         self._n = n

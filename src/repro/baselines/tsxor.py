@@ -127,8 +127,6 @@ _BLOCK_CACHE = 8
 
 
 class _TSXorCompressed(Compressed):
-    payload_is_native = True
-
     def __init__(self, blocks: list[tuple[bytes, int]], n: int, block_size: int):
         from ..core.tiered import RunIndex
 

@@ -1,70 +1,8 @@
-"""Classic integer codes used by the baseline compressors.
-
-Zigzag maps signed residuals to unsigned (Gorilla/DAC/LeCo), varint is the
-byte-oriented code in TSXor and PyLZ, and Elias gamma/delta are used for
-self-delimiting headers.
-"""
+"""The LEB128 varint: the byte-oriented integer code of the PyLZ baseline."""
 
 from __future__ import annotations
 
-from .io import BitReader, BitWriter
-
-__all__ = [
-    "zigzag_encode",
-    "zigzag_decode",
-    "write_gamma",
-    "read_gamma",
-    "write_delta",
-    "read_delta",
-    "encode_varint",
-    "decode_varint",
-]
-
-
-def zigzag_encode(value: int) -> int:
-    """Map a signed integer to an unsigned one (0, -1, 1, -2, ... -> 0, 1, 2, 3)."""
-    return (value << 1) ^ (value >> 63) if value >= -(1 << 62) else (-value << 1) - 1
-
-
-def zigzag_decode(value: int) -> int:
-    """Inverse of :func:`zigzag_encode`."""
-    return (value >> 1) ^ -(value & 1)
-
-
-def write_gamma(writer: BitWriter, value: int) -> None:
-    """Elias gamma code for ``value >= 1``."""
-    if value < 1:
-        raise ValueError("gamma codes positive integers")
-    width = value.bit_length()
-    writer.write_unary(width - 1)
-    if width > 1:
-        writer.write(value & ((1 << (width - 1)) - 1), width - 1)
-
-
-def read_gamma(reader: BitReader) -> int:
-    """Decode an Elias gamma code."""
-    width = reader.read_unary() + 1
-    if width == 1:
-        return 1
-    return (1 << (width - 1)) | reader.read(width - 1)
-
-
-def write_delta(writer: BitWriter, value: int) -> None:
-    """Elias delta code for ``value >= 1``."""
-    if value < 1:
-        raise ValueError("delta codes positive integers")
-    width = value.bit_length()
-    write_gamma(writer, width)
-    if width > 1:
-        writer.write(value & ((1 << (width - 1)) - 1), width - 1)
-
-
-def read_delta(reader: BitReader) -> int:
-    """Decode an Elias delta code."""
-    width = read_gamma(reader)
-    if width == 1:
-        return 1
-    return (1 << (width - 1)) | reader.read(width - 1)
+__all__ = ["encode_varint", "decode_varint"]
 
 
 def encode_varint(value: int, out: bytearray) -> None:

@@ -12,8 +12,7 @@ does the ``NeaTS102`` frame: :func:`encode_bits` and :func:`decode_bits`
 write and read the code as a bit array with numpy, with the same low width
 as :class:`EliasFano` (Vigna, *Quasi-succinct indices*, WSDM 2013).  A
 loaded frame bisects its decoded start list, so no query builds an
-:class:`EliasFano`; LeCo ranks its block starts, and the timestamp codec
-stores its timestamps, with this class.
+:class:`EliasFano`; LeCo ranks its block starts with this class.
 """
 
 from __future__ import annotations

@@ -8,9 +8,9 @@ under stable string ids.
 
 The lossy codecs register with ``lossy=True`` and a *required* ``eps``
 construction param — an error bound is a contract, so there is no default —
-and with native payload loaders only: a lossy frame stores the fitted
-segments themselves (decompression is approximate, so the generic values
-fallback could never reproduce the object).
+and, like every codec here, with a native payload loader: a lossy frame
+stores the fitted segments themselves (decompression is approximate, so
+recompressing decoded values could never reproduce the object).
 
 The NeaTS family shares one adapter class: since
 :class:`~repro.core.compressor.CompressedSeries` implements the

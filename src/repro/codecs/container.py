@@ -771,8 +771,8 @@ class _MultiRunCompressed(Compressed):
     def size_bits(self) -> int:
         return sum(self._run(i).size_bits() for i in range(len(self._runs)))
 
-    def to_bytes(self) -> bytes:
-        """One frame covering every record — what sealing compacts to.
+    def to_payload(self) -> bytes:
+        """One payload covering every record — what sealing compacts to.
 
         Appendable codecs are lossless (enforced at :meth:`create` time),
         so recompressing the concatenated values with the recorded codec
@@ -782,7 +782,7 @@ class _MultiRunCompressed(Compressed):
         fresh = get_codec(self.codec_id, **self.codec_params).compress(
             self.decompress()
         )
-        return fresh.to_bytes()
+        return fresh.to_payload()
 
 
 def _open_append(path: Path, buf, *, lazy: bool) -> Archive:

@@ -17,7 +17,7 @@ True
 
 Registering a codec::
 
-    @register_codec("mycodec", native_random_access=True)
+    @register_codec("mycodec", native_random_access=True, load_native=load_mycodec)
     def make_mycodec(**params):
         return MyCompressor(**params)
 
@@ -25,6 +25,8 @@ The factory returns a fresh compressor (anything with a ``compress(values)``
 method producing a :class:`~repro.baselines.base.Compressed`).  The registry
 wraps ``compress`` so every produced object carries its codec id and params —
 that provenance is what makes the framed serialisation self-describing.
+``load_mycodec(payload, params)`` parses an object's ``to_payload()`` back;
+a codec registered without a ``load_native`` can compress but not serialise.
 """
 
 from __future__ import annotations
@@ -66,7 +68,8 @@ class CodecSpec:
     #: the lossy codecs — an error bound is a contract, never a default)
     required_params: tuple = ()
     description: str = ""
-    #: parse a native frame payload back into a Compressed (None = values-only)
+    #: parse a native frame payload back into a Compressed (None: the
+    #: codec's objects cannot serialise)
     load_native: Callable | None = field(default=None, compare=False)
 
 
@@ -217,9 +220,9 @@ def get_codec(name: str, **params):
 def load_compressed(data):
     """Decode a codec frame (``Compressed.to_bytes`` output) back to an object.
 
-    Native payloads parse directly; generic ``values`` payloads re-run the
-    recorded codec deterministically, reproducing the identical compressed
-    object.
+    Native payloads parse directly.  ``values`` payloads, which no codec
+    writes any more but older archives hold, re-run the recorded lossless
+    codec deterministically, reproducing the identical compressed object.
 
     ``data`` may be any byte buffer — ``bytes``, a ``memoryview``, an mmap
     slice.  The parse is zero-copy: native loaders adopt views into ``data``
@@ -257,7 +260,7 @@ def load_compressed(data):
     else:
         if spec.lossy:
             raise ValueError(
-                f"codec {frame.codec_id!r} is lossy: a values-fallback frame "
+                f"codec {frame.codec_id!r} is lossy: a values frame "
                 "cannot reproduce the approximation (decoded values are not "
                 "the compressor's input); only native frames are valid"
             )

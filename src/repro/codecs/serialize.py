@@ -14,8 +14,10 @@ Two payload kinds exist:
 
 * ``native`` — a codec-specific byte layout (NeaTS storage, block-wise
   pointers, XOR streams); loading is a direct parse, no recompression.
-* ``values`` — the generic fallback: the original int64 values, delta-coded
-  and deflated.  Loading re-runs the (deterministic) compressor with the
+  Every codec writes this kind.
+* ``values`` — read only: the original int64 values, delta-coded and
+  deflated, as older writers stored codecs without a native loader.
+  Loading re-runs the (deterministic) lossless compressor with the
   recorded parameters, which reproduces the exact same compressed object —
   identical ``decompress()``, ``access()``, and ``size_bits()``.
 
@@ -175,7 +177,7 @@ def frame_span(data) -> int:
 
 
 def encode_values(values: np.ndarray) -> bytes:
-    """The generic payload: delta-coded int64 values, deflated."""
+    """A ``values`` payload: delta-coded int64 values, deflated."""
     values = np.asarray(values, dtype=np.int64)
     # Deltas concentrate the entropy for the smooth series this repo targets;
     # the cast wraps on int64 overflow and unwraps identically on decode.

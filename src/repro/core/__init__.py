@@ -1,6 +1,5 @@
 """The paper's primary contribution: NeaTS and its algorithmic components."""
 
-from .aggregates import AggregateIndex, Bounds
 from .compressor import CompressedSeries, NeaTS, default_eps_set
 from .convex import RangeLineFitter
 from .lossy import LossySeries, NeaTSLossy
@@ -13,22 +12,14 @@ from .models import (
     get_model,
     make_approximation,
 )
-from .paramshare import SharedParams, compact_fragments, quantise_params
 from .partition import Fragment, PartitionResult, correction_bits, partition, partition_lossy
 from .piecewise import mape, max_abs_error, piecewise_approximation
 from .storage import NeaTSStorage
 from .tiered import TieredStore
-from .timestamps import TimestampedSeries
 
 __all__ = [
     "NeaTS",
-    "AggregateIndex",
-    "Bounds",
     "TieredStore",
-    "TimestampedSeries",
-    "SharedParams",
-    "compact_fragments",
-    "quantise_params",
     "CompressedSeries",
     "NeaTSLossy",
     "LossySeries",

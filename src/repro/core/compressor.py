@@ -80,7 +80,6 @@ class CompressedSeries(Compressed):
     original_bits: int
 
     codec_id = "neats"
-    payload_is_native = True
 
     def decompress(self) -> np.ndarray:
         """Algorithm 2 — the original values."""

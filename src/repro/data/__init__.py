@@ -1,14 +1,7 @@
 """Dataset generators and I/O for the 16 evaluation time series."""
 
 from .generators import DATASETS, DatasetInfo, dataset_names, load
-from .io_utils import (
-    read_binary,
-    read_csv,
-    scale_to_int,
-    unscale_to_float,
-    write_binary,
-    write_csv,
-)
+from .io_utils import read_csv, scale_to_int, unscale_to_float, write_csv
 
 __all__ = [
     "DATASETS",
@@ -19,6 +12,4 @@ __all__ = [
     "unscale_to_float",
     "write_csv",
     "read_csv",
-    "write_binary",
-    "read_binary",
 ]

@@ -72,15 +72,6 @@ def _daily_cycle(n: int, period: float, amplitude: float, phase: float = 0.0):
     return amplitude * np.sin(2 * np.pi * t / period + phase)
 
 
-def _random_walk(rng, n, sigma, drift=0.0):
-    return np.cumsum(rng.normal(drift, sigma, n))
-
-
-def _geometric_walk(rng, n, start, vol, drift=0.0):
-    log_p = np.log(start) + np.cumsum(rng.normal(drift, vol, n))
-    return np.exp(log_p)
-
-
 def _nonlinear_regimes(
     rng: np.random.Generator,
     n: int,

@@ -1,9 +1,9 @@
-"""CSV and binary round-trip helpers for time series datasets.
+"""CSV round-trip helpers for time series datasets.
 
 The paper's datasets ship as textual fixed-precision values; these utilities
 reproduce that interchange format (one decimal value per line) together with
 the scaling convention of §II ("multiply by ``10^x`` where ``x`` is the
-number of fractional digits"), plus a compact binary format for cached runs.
+number of fractional digits").
 """
 
 from __future__ import annotations
@@ -12,15 +12,11 @@ from pathlib import Path
 
 import numpy as np
 
-from ..baselines._native import TSI64_HDR
-
 __all__ = [
     "scale_to_int",
     "unscale_to_float",
     "write_csv",
     "read_csv",
-    "write_binary",
-    "read_binary",
 ]
 
 
@@ -52,29 +48,3 @@ def read_csv(path: str | Path, digits: int) -> np.ndarray:
         floats = [float(line) for line in fh if line.strip()]
     return scale_to_int(np.array(floats), digits)
 
-
-_MAGIC = b"TSI64\x00"
-
-
-def write_binary(path: str | Path, values: np.ndarray, digits: int) -> None:
-    """Write int64 values in a compact binary cache format.
-
-    The write is atomic (temp + fsync + rename, the same discipline as the
-    archive container): a reader never sees a torn cache file, and a crash
-    mid-write leaves the previous cache intact.
-    """
-    from ..codecs.container import write_atomic
-
-    values = np.asarray(values, dtype=np.int64)
-    blob = _MAGIC + TSI64_HDR.pack(len(values), digits) + values.tobytes()
-    write_atomic(path, blob)
-
-
-def read_binary(path: str | Path) -> tuple[np.ndarray, int]:
-    """Read a binary cache; returns ``(values, digits)``."""
-    data = Path(path).read_bytes()
-    if data[:6] != _MAGIC:
-        raise ValueError(f"{path}: not a TSI64 file")
-    n, digits = TSI64_HDR.unpack_from(data, 6)
-    values = np.frombuffer(data, dtype=np.int64, count=n, offset=6 + 12)
-    return values.copy(), digits

@@ -9,19 +9,12 @@ codecs and NeaTS fragments are embarrassingly parallel across series.
 Workers return the framed ``to_bytes()`` payload — plain bytes — so
 nothing unpicklable (bit readers, numpy views, model closures) ever
 crosses the pool boundary.  The parent reassembles ``Compressed``
-objects with :func:`repro.codecs.load_compressed`; because a frame
-either parses natively or re-runs the recorded codec deterministically,
-the pooled result is byte-identical to serial ``repro.compress`` +
-``to_bytes`` for every codec.
-
-Throughput note: every built-in codec writes a native payload, so the
-parent parses each frame directly (O(size), no recompression).  A codec
-registered without one would recompress in the parent when
-:func:`compress_many` decodes its frames, which erases the pool win; use
-:func:`compress_many_frames` (bytes out) for such a codec.  The pool pays
-off for CPU-heavy codecs such as NeaTS; :class:`SeriesDB` ingest does not
-use it, since its hot codec compresses a whole batch in one vectorised
-pass in-process.
+objects with :func:`repro.codecs.load_compressed`, which parses each
+native frame directly (O(size), no recompression), so the pooled result
+is byte-identical to serial ``repro.compress`` + ``to_bytes`` for every
+codec.  The pool pays off for CPU-heavy codecs such as NeaTS;
+:class:`SeriesDB` ingest does not use it, since its hot codec compresses
+a whole batch in one vectorised pass in-process.
 
 >>> import numpy as np
 >>> from repro.store import compress_many

@@ -21,6 +21,7 @@ from repro.analysis.sanitizer import (
     enable,
 )
 from repro.codecs import open_archive, save
+from repro.codecs.container import _LazyArchive
 
 
 @pytest.fixture
@@ -75,6 +76,35 @@ class TestMapAccounting:
         archive = open_archive(archive_path)  # eager: read + parse, no mmap
         archive.decompress()
         assert ledger.live_maps() == []
+
+    @pytest.mark.parametrize("leaky", [False, True])
+    def test_close_that_keeps_the_map_is_a_leak(
+        self, ledger, archive_path, series, monkeypatch, leaky
+    ):
+        """The ledger's audit mutation: ``_release`` keeps the map alive
+        instead of closing it.  Tier-1 and the linter miss it, because
+        CPython unmaps a map once its last reference dies."""
+        stash = []
+        if leaky:
+            release = _LazyArchive._release
+
+            def keep_map(self):
+                stash.append(self._mmap)
+                self._mmap = None  # so the real release never closes it
+                release(self)
+
+            monkeypatch.setattr(_LazyArchive, "_release", keep_map)
+        archive = open_archive(archive_path, lazy=True)
+        assert archive.access(1234) == series[1234]
+        archive.close()
+        try:
+            leaks = ledger.live_maps()
+            assert [leak["path"] for leak in leaks] == (
+                [str(archive_path)] if leaky else []
+            )
+        finally:
+            for mapped in stash:
+                mapped.close()
 
 
 class TestLockOrder:

@@ -1,83 +1,8 @@
-"""Unit tests for integer codes (zigzag, gamma, delta, varint)."""
+"""Unit tests for the LEB128 varint."""
 
 import pytest
 
-from repro.bits import (
-    BitReader,
-    BitWriter,
-    decode_varint,
-    encode_varint,
-    read_delta,
-    read_gamma,
-    write_delta,
-    write_gamma,
-    zigzag_decode,
-    zigzag_encode,
-)
-
-
-class TestZigzag:
-    @pytest.mark.parametrize(
-        "value,encoded", [(0, 0), (-1, 1), (1, 2), (-2, 3), (2, 4)]
-    )
-    def test_known_mapping(self, value, encoded):
-        assert zigzag_encode(value) == encoded
-
-    @pytest.mark.parametrize(
-        "value", [0, 1, -1, 1000, -1000, (1 << 40), -(1 << 40), (1 << 62)]
-    )
-    def test_roundtrip(self, value):
-        assert zigzag_decode(zigzag_encode(value)) == value
-
-    def test_encoded_is_non_negative(self):
-        for v in range(-100, 101):
-            assert zigzag_encode(v) >= 0
-
-
-class TestGamma:
-    @pytest.mark.parametrize("value", [1, 2, 3, 7, 8, 100, 65535, 10**9])
-    def test_roundtrip(self, value):
-        w = BitWriter()
-        write_gamma(w, value)
-        r = BitReader(w.getbuffer(), w.bit_length)
-        assert read_gamma(r) == value
-
-    def test_zero_raises(self):
-        with pytest.raises(ValueError):
-            write_gamma(BitWriter(), 0)
-
-    def test_one_takes_one_bit(self):
-        w = BitWriter()
-        write_gamma(w, 1)
-        assert w.bit_length == 1
-
-    def test_sequence(self):
-        values = [5, 1, 1, 300, 42]
-        w = BitWriter()
-        for v in values:
-            write_gamma(w, v)
-        r = BitReader(w.getbuffer(), w.bit_length)
-        assert [read_gamma(r) for _ in values] == values
-
-
-class TestDelta:
-    @pytest.mark.parametrize("value", [1, 2, 16, 17, 1024, 10**12])
-    def test_roundtrip(self, value):
-        w = BitWriter()
-        write_delta(w, value)
-        r = BitReader(w.getbuffer(), w.bit_length)
-        assert read_delta(r) == value
-
-    def test_zero_raises(self):
-        with pytest.raises(ValueError):
-            write_delta(BitWriter(), 0)
-
-    def test_delta_shorter_than_gamma_for_large(self):
-        big = 10**9
-        wg, wd = BitWriter(), BitWriter()
-        write_gamma(wg, big)
-        write_delta(wd, big)
-        assert wd.bit_length < wg.bit_length
+from repro.bits import decode_varint, encode_varint
 
 
 class TestVarint:

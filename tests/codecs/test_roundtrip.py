@@ -94,16 +94,34 @@ class TestRegistry:
     def test_custom_codec_registers_and_roundtrips(self, series):
         from repro.baselines.gorilla import GorillaCompressor
 
-        register_codec("tinygorilla", description="gorilla, small blocks")(
-            lambda block_size=64: GorillaCompressor(block_size)
-        )
+        register_codec(
+            "tinygorilla",
+            description="gorilla, small blocks",
+            load_native=codec_spec("gorilla").load_native,
+        )(lambda block_size=64: GorillaCompressor(block_size))
         try:
             c = repro.compress(series, codec="tinygorilla")
             assert c.codec_id == "tinygorilla"
-            d = Compressed.from_bytes(c.to_bytes())
+            frame = c.to_bytes()
+            assert read_frame(frame).native
+            d = Compressed.from_bytes(frame)
             assert np.array_equal(d.decompress(), series)
         finally:
             unregister_codec("tinygorilla")
+
+    def test_lossless_codec_without_loader_cannot_serialise(self, series):
+        """Nothing could read its frame back natively, so writing one is
+        refused, with the fix in the message."""
+        from repro.baselines.gorilla import GorillaCompressor
+
+        register_codec("noloader")(lambda: GorillaCompressor(64))
+        try:
+            c = repro.compress(series, codec="noloader")
+            assert np.array_equal(c.decompress(), series)  # compressing works
+            with pytest.raises(ValueError, match="'noloader'.*load_native="):
+                c.to_bytes()
+        finally:
+            unregister_codec("noloader")
 
     def test_provenance_attached(self, compressed_by_codec):
         for cid, c in compressed_by_codec.items():
@@ -125,7 +143,11 @@ class TestRegistry:
             def compress(self, values):
                 return GorillaCompressor(self.block_size).compress(values)
 
-        register_codec("slotted", description="slots test")(_Slotted)
+        register_codec(
+            "slotted",
+            description="slots test",
+            load_native=codec_spec("gorilla").load_native,
+        )(_Slotted)
         try:
             comp = get_codec("slotted", block_size=128)
             c = comp.compress(series)
@@ -148,7 +170,11 @@ class TestRegistry:
             def compress(self, values):
                 return GorillaCompressor(64).compress(values)
 
-        register_codec("compressonly", description="compress only")(_CompressOnly)
+        register_codec(
+            "compressonly",
+            description="compress only",
+            load_native=codec_spec("gorilla").load_native,
+        )(_CompressOnly)
         try:
             pieces = [series[:700], series[700:], series[:1]]
             for cid, params in (("gorilla", {"block_size": 256}), ("compressonly", {})):
@@ -228,8 +254,6 @@ class TestNativeLoadSetsN:
         calls = []
 
         class _Opaque(Compressed):
-            payload_is_native = True
-
             def __init__(self, values):
                 self._values = np.asarray(values, dtype=np.int64)
 
@@ -278,8 +302,11 @@ class TestNativeLoadSetsN:
             Compressed.from_bytes(frame)
 
     def test_values_path_also_records_n(self, series):
-        c = repro.compress(series, codec="dac")  # values-fallback codec
-        d = Compressed.from_bytes(c.to_bytes())
+        from repro.codecs.serialize import KIND_VALUES, encode_values, write_frame
+
+        frame = write_frame("dac", {}, len(series), KIND_VALUES,
+                            encode_values(series))
+        d = Compressed.from_bytes(frame)
         assert d._n == len(series)
 
 

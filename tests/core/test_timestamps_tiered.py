@@ -1,4 +1,4 @@
-"""Unit tests for timestamped series and the tiered ingest store."""
+"""Unit tests for the tiered ingest store."""
 
 import hashlib
 import json
@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from repro.codecs import get_codec
-from repro.core import TieredStore, TimestampedSeries
+from repro.core import TieredStore
 from repro.data import DATASETS
 
 DATA = Path(__file__).parent / "data"
@@ -26,82 +26,6 @@ def _tamper_meta(blob: bytes, mutate) -> bytes:
     meta_b = json.dumps(meta, sort_keys=True).encode("utf-8")
     body = struct.pack("<q", len(meta_b)) + meta_b + rest
     return b"RPTS0001" + struct.pack("<I", zlib.crc32(body)) + body
-
-
-@pytest.fixture
-def ts_series(rng):
-    stamps = np.cumsum(rng.integers(1, 50, 1200)).astype(np.int64)
-    values = np.cumsum(rng.integers(-20, 21, 1200)).astype(np.int64)
-    return stamps, values, TimestampedSeries(stamps, values)
-
-
-class TestTimestampedSeries:
-    def test_point_lookups(self, ts_series):
-        stamps, values, series = ts_series
-        for i in (0, 500, 1199):
-            assert series.timestamp_at(i) == stamps[i]
-            assert series.value_at(i) == values[i]
-
-    def test_value_at_time_exact(self, ts_series):
-        stamps, values, series = ts_series
-        assert series.value_at_time(int(stamps[42])) == values[42]
-
-    def test_value_at_time_missing_raises(self, ts_series):
-        stamps, _, series = ts_series
-        missing = int(stamps[0]) + 1
-        if missing in set(stamps.tolist()):
-            missing = int(stamps[-1]) + 10
-        with pytest.raises(KeyError):
-            series.value_at_time(missing)
-
-    def test_value_at_or_before(self, ts_series):
-        stamps, values, series = ts_series
-        t = int(stamps[100]) + 0
-        got_t, got_v = series.value_at_or_before(t)
-        assert got_t == stamps[100] and got_v == values[100]
-        # between two stamps -> the earlier one
-        mid = int(stamps[100]) + 1
-        if mid < int(stamps[101]):
-            got_t, _ = series.value_at_or_before(mid)
-            assert got_t == stamps[100]
-
-    def test_before_first_raises(self, ts_series):
-        stamps, _, series = ts_series
-        with pytest.raises(KeyError):
-            series.value_at_or_before(int(stamps[0]) - 1)
-
-    def test_window_matches_slice(self, ts_series):
-        stamps, values, series = ts_series
-        t0, t1 = int(stamps[200]), int(stamps[400])
-        got_t, got_v = series.window(t0, t1)
-        assert np.array_equal(got_t, stamps[200:400])
-        assert np.array_equal(got_v, values[200:400])
-
-    def test_window_empty(self, ts_series):
-        stamps, _, series = ts_series
-        got_t, got_v = series.window(int(stamps[-1]) + 5, int(stamps[-1]) + 10)
-        assert len(got_t) == 0 and len(got_v) == 0
-
-    def test_full_decompress(self, ts_series):
-        stamps, values, series = ts_series
-        got_t, got_v = series.decompress()
-        assert np.array_equal(got_t, stamps)
-        assert np.array_equal(got_v, values)
-
-    def test_validation(self, rng):
-        with pytest.raises(ValueError):
-            TimestampedSeries(np.array([2, 1]), np.array([1, 2]))
-        with pytest.raises(ValueError):
-            TimestampedSeries(np.array([1, 1]), np.array([1, 2]))
-        with pytest.raises(ValueError):
-            TimestampedSeries(np.array([1, 2]), np.array([1]))
-        with pytest.raises(ValueError):
-            TimestampedSeries(np.array([], dtype=np.int64),
-                              np.array([], dtype=np.int64))
-
-    def test_compresses(self, ts_series):
-        _, _, series = ts_series
-        assert series.compression_ratio() < 0.6
 
 
 class TestTieredStore:

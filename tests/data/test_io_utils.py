@@ -1,16 +1,8 @@
 """Unit tests for dataset I/O helpers."""
 
 import numpy as np
-import pytest
 
-from repro.data import (
-    read_binary,
-    read_csv,
-    scale_to_int,
-    unscale_to_float,
-    write_binary,
-    write_csv,
-)
+from repro.data import read_csv, scale_to_int, unscale_to_float, write_csv
 
 
 class TestScaling:
@@ -49,18 +41,3 @@ class TestCsv:
         path.write_text("1.5\n\n2.5\n")
         assert read_csv(path, digits=1).tolist() == [15, 25]
 
-
-class TestBinary:
-    def test_roundtrip(self, tmp_path, rng):
-        values = rng.integers(-(10**12), 10**12, 500).astype(np.int64)
-        path = tmp_path / "series.bin"
-        write_binary(path, values, digits=4)
-        out, digits = read_binary(path)
-        assert np.array_equal(out, values)
-        assert digits == 4
-
-    def test_bad_magic(self, tmp_path):
-        path = tmp_path / "bad.bin"
-        path.write_bytes(b"NOTMAGIC" + b"\x00" * 20)
-        with pytest.raises(ValueError):
-            read_binary(path)
